@@ -5,7 +5,13 @@
 ``--trace 0`` is the untraced pass. Each round runs a fresh-interpreter
 set-up probe, the CLI command as a subprocess, and the same computation
 through the public API in-process; it reports the end-to-end metrics
-named in BENCHMARK.json. ``--trace 1`` is the traced pass. It wraps the
+named in BENCHMARK.json. A shared host can slow by a fifth to a third
+for minutes at a time, so every untraced timing is scaled to a fixed
+machine speed: a reference task that does not use the package (see
+calibrate) runs after each timed call, and each timing is multiplied by
+CALIBRATION_REF_S over the mean of the CALIBRATION_WINDOW calibrations on
+either side of it. The unscaled medians are printed beside the scaled
+ones. ``--trace 1`` is the traced pass. It wraps the
 package's public functions (see spans.py) and reports the per-layer
 metrics. Every output is checked (see checks.py), and a failed check
 counts the invocation as failed. The last line of stdout is one JSON
@@ -55,8 +61,15 @@ from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, Invocation, build  # noqa: E402
 
 CLI_TIMEOUT_S = 120
+# Median of calibrate() on the machine the baseline was recorded on (2 cores,
+# Python 3.11.7, numpy 2.4.6). A constant, so scaled timings of two commits
+# compare directly; it only sets the scale on which they are reported.
+CALIBRATION_REF_S = 0.12
+# A single 0.12 s calibration is itself noisy; the mean of four on each side
+# of a timing still follows the host's slow phases, which last minutes.
+CALIBRATION_WINDOW = 4
 SETUP_SAMPLES = 5
-SETUP_PER_ROUND = 3  # set-up probes are cheap; more of them steady the median
+SETUP_PER_ROUND = 2  # set-up probes are cheap; more of them steady the median
 # A fresh interpreter reports the moment it is ready; perf_counter is
 # CLOCK_MONOTONIC, shared by every process on the machine.
 SETUP_CODE = (
@@ -67,6 +80,27 @@ SETUP_CODE = (
 )
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
+def calibrate() -> float:
+    """Seconds taken by a fixed reference task that does not use the package.
+
+    It mixes what the workloads do: interpreter loops, small complex numpy
+    products on a lattice of the walk's shape, and one pass over 32 MB.
+    """
+    start = perf_counter()
+    state = np.zeros((2, 257), complex)
+    state[0, 128] = 1
+    coin = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    total = 0.0
+    for _ in range(7000):
+        mixed = coin @ state
+        state = np.zeros_like(mixed)
+        state[0, :-1] = mixed[0, 1:]
+        state[1, 1:] = mixed[1, :-1]
+        total += float(np.abs(state[0]).sum()) + sum([j * 0.5 for j in range(16)])
+    total += float(np.ones(1 << 22).sum())
+    return perf_counter() - start
 
 
 def spawn(cmd: list[str]) -> tuple[float, int, float, str]:
@@ -100,14 +134,42 @@ def spawn(cmd: list[str]) -> tuple[float, int, float, str]:
 class Run:
     """Samples, checks and failure counts of one benchmark run."""
 
-    def __init__(self, seed: int, ref_dir: Path | None) -> None:
+    def __init__(self, seed: int, ref_dir: Path | None, calibrated: bool) -> None:
         self.samples: dict[str, list[float]] = defaultdict(list)
+        self._calibrated = calibrated
+        self._marks: dict[str, list[int]] = defaultdict(list)
+        if calibrated:
+            self.samples["calibration_s"].append(calibrate())
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
         self._first: dict[str, tuple[str, list[str]]] = {}
         self._rng = np.random.default_rng(seed)
         self._ref_dir = ref_dir
+
+    def mark(self) -> int:
+        """Calibrate after a timing that just ended; return the index of
+        that calibration (-1 when the run is not calibrated)."""
+        calibrations = self.samples["calibration_s"]
+        if self._calibrated:
+            calibrations.append(calibrate())
+        return len(calibrations) - 1
+
+    def add(self, key: str, seconds: float, mark: int) -> None:
+        self.samples[key].append(seconds)
+        self._marks[key].append(mark)
+
+    def rescale(self) -> None:
+        """Scale every timing to the reference machine speed; keep the
+        timings as measured under ``key + ".raw"``."""
+        calibrations = self.samples["calibration_s"]
+        for key, marks in self._marks.items():
+            raw = self.samples[key]
+            self.samples[key + ".raw"] = raw
+            self.samples[key] = [
+                seconds * CALIBRATION_REF_S / statistics.fmean(
+                    calibrations[max(0, mark - CALIBRATION_WINDOW):mark + CALIBRATION_WINDOW])
+                for seconds, mark in zip(raw, marks)]
 
     def record(self, what: str, problems: list[str]) -> bool:
         self.attempted += 1
@@ -127,24 +189,33 @@ class Run:
         self._first[inv.label] = (text, problems)
         return problems
 
-    def setup(self, inv: Invocation) -> None:
-        """Fresh interpreter to ready: import qparrondo.cli and parse_cli."""
-        start = perf_counter()
-        done = subprocess.run([sys.executable, "-c", SETUP_CODE, *inv.argv(os.devnull)],
-                              cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
-        if done.returncode == 0:
-            self.samples["setup_s"].append(float(done.stdout.split()[-1]) - start)
-        else:
-            self.record("setup", [f"exit code {done.returncode}: {done.stderr[-500:]}"])
+    def setup(self, inv: Invocation, count: int = 1) -> None:
+        """Fresh interpreter to ready: import qparrondo.cli and parse_cli.
+
+        ``count`` probes run back to back and share one calibration.
+        """
+        timings = []
+        for _ in range(count):
+            start = perf_counter()
+            done = subprocess.run([sys.executable, "-c", SETUP_CODE, *inv.argv(os.devnull)],
+                                  cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+            if done.returncode == 0:
+                timings.append(float(done.stdout.split()[-1]) - start)
+            else:
+                self.record("setup", [f"exit code {done.returncode}: {done.stderr[-500:]}"])
+        mark = self.mark()
+        for seconds in timings:
+            self.add("setup_s", seconds, mark)
 
     def cli(self, inv: Invocation) -> None:
         out = OUT / (inv.label + inv.suffix)
         out.unlink(missing_ok=True)
         elapsed, code, rss, stderr = spawn([sys.executable, "-m", "qparrondo.cli", *inv.argv(str(out))])
+        mark = self.mark()
         if code != 0:
             self.record(f"cli {inv.label}", [f"exit code {code}: {stderr[-500:]}"])
         elif self.record(f"cli {inv.label}", self.verify(inv, out.read_text())):
-            self.samples["wall_s"].append(elapsed)
+            self.add("wall_s", elapsed, mark)
             self.samples["peak_rss_mb"].append(rss)
 
     def api(self, inv: Invocation, key: str, workers: int | None = None, tracer: Tracer | None = None):
@@ -154,6 +225,7 @@ class Run:
                 start = perf_counter()
                 result = inv.call(workers)
                 elapsed = perf_counter() - start
+            mark = self.mark()
         except Exception as exc:  # one failed invocation must not end the run
             self.record(f"api {inv.label}", [f"{type(exc).__name__}: {exc}"])
             return None
@@ -161,7 +233,7 @@ class Run:
         inv.write(result, sink)
         if not self.record(f"api {inv.label}", self.verify(inv, sink.getvalue())):
             return None
-        self.samples[key].append(elapsed)
+        self.add(key, elapsed, mark)
         return result
 
 
@@ -169,18 +241,26 @@ def untraced_pass(run: Run, invs: list[Invocation], seconds: float) -> dict[str,
     run.setup(invs[0])  # warm-up: fills the bytecode cache
     run.api(invs[0], "warmup")
     deadline = perf_counter() + seconds
-    rounds = 0
-    # every invocation runs at least twice, so reruns can be compared
-    while rounds < 2 * len(invs) or perf_counter() < deadline:
+    rounds, round_s = 0, 0.0
+    game_steps = []
+    # every invocation runs at least twice, so reruns can be compared; after
+    # that a round starts only if, as long as the last, it would end less
+    # than half a round past the deadline, so runs overshoot by none on average
+    while rounds < 2 * len(invs) or perf_counter() + round_s / 2 < deadline:
+        started = perf_counter()
         inv = invs[rounds % len(invs)]
-        for _ in range(SETUP_PER_ROUND):
-            run.setup(inv)
+        run.setup(inv, SETUP_PER_ROUND)
         run.cli(inv)
         if run.api(inv, "api_s") is not None:
-            run.samples["game_steps_per_s"].append(inv.game_steps / run.samples["api_s"][-1])
+            game_steps.append(inv.game_steps)
         rounds += 1
-    while len(run.samples["setup_s"]) < SETUP_SAMPLES:
-        run.setup(invs[0])
+        round_s = perf_counter() - started
+    if len(run.samples["setup_s"]) < SETUP_SAMPLES:
+        run.setup(invs[0], SETUP_SAMPLES - len(run.samples["setup_s"]))
+    run.rescale()
+    for key in ("", ".raw"):
+        run.samples["game_steps_per_s" + key] = [
+            steps / seconds for steps, seconds in zip(game_steps, run.samples["api_s" + key])]
     return {name: _median(run.samples[name])
             for name in ("wall_s", "game_steps_per_s", "setup_s", "peak_rss_mb")}
 
@@ -202,8 +282,9 @@ def traced_pass(run: Run, invs: list[Invocation], seconds: float, tracer: Tracer
     run.api(invs[0], "warmup")
     deadline = perf_counter() + seconds
     per_call: dict[str, list[float]] = defaultdict(list)
-    rounds = 0
-    while rounds < len(invs) or perf_counter() < deadline:
+    rounds, round_s = 0, 0.0
+    while rounds < len(invs) or perf_counter() + round_s / 2 < deadline:
+        started = perf_counter()
         inv = invs[rounds % len(invs)]
         run.setup(inv)
         start = perf_counter()
@@ -240,6 +321,7 @@ def traced_pass(run: Run, invs: list[Invocation], seconds: float, tracer: Tracer
             run.samples["io.write_s"].append(perf_counter() - start)
             run.samples["io.bytes"].append(len(text.encode()))
         rounds += 1
+        round_s = perf_counter() - started
     while len(run.samples["setup_s"]) < SETUP_SAMPLES:
         run.setup(invs[0])
 
@@ -342,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     OUT.mkdir(exist_ok=True)
     invs = build(args.workload, args.seed, args.steps)
     ref_dir = args.reference or (checks.REFERENCE_DIR if args.seed == 0 and args.steps is None else None)
-    run = Run(args.seed, ref_dir)
+    run = Run(args.seed, ref_dir, calibrated=not args.trace)
     tracer = Tracer()
     values = (traced_pass(run, invs, args.seconds, tracer) if args.trace
               else untraced_pass(run, invs, args.seconds))
@@ -357,9 +439,14 @@ def main(argv: list[str] | None = None) -> int:
     for name, unit in declared.items():
         samples = run.samples.get(name, ())
         note = f"  (median of {len(samples)})" if samples else ""
+        if name + ".raw" in run.samples and not args.trace:
+            note += f", unscaled {_median(run.samples[name + '.raw']):.6g} {unit}"
         if name == "walk.snapshot_bytes":
             note = "  (computed from array shapes, not measured)"
         print(f"{name} = {values[name]:.6g} {unit}{note}")
+    if not args.trace:
+        print(f"calibration_s = {_median(run.samples['calibration_s']):.6g} s  (median of "
+              f"{len(run.samples['calibration_s'])}; reference {CALIBRATION_REF_S} s)")
     print(f"error_rate = {error_rate:.6g} fraction  ({run.failed} of {run.attempted} invocations failed)")
     for problem in run.problems[:20]:
         print(f"problem: {problem}", file=sys.stderr)
