@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import io as stringio
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 from .errors import CapacityError, InvalidParameterError
 from .io import (
@@ -35,70 +37,54 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAPACITY = 4
 
-_DEFAULTS = {
-    "steps": 240,
-    "max_period": 6,
-    "epsilon": 1e-9,
-    "max_cells": 1024,
-    "workers": 1,
-}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Validated invocation: subcommand plus every resolved option."""
+    """Validated invocation: subcommand plus every resolved option.
+
+    Options the subcommand has no flag for are None.
+    """
 
     command: str
     coin_a: CoinParams
     coin_b: CoinParams
     eta_deg: float
     steps: int
-    max_period: int
+    max_period: int | None
     epsilon: float
     fmt: str
     out: str | None
-    sequence: GameSequence | None = None
-    axes: tuple[GridAxis, ...] = ()
-    max_cells: int = 1024
-    workers: int = 1
-    verdict_each_step: bool = False
+    sequence: GameSequence | None
+    axes: tuple[GridAxis, ...] | None
+    max_cells: int | None
+    workers: int | None
+    verdict_each_step: bool | None
 
 
 def _coin_triple(text: str) -> CoinParams:
-    parts = text.split(",")
-    if len(parts) != 3:
+    try:
+        return CoinParams(*text.split(","))
+    except (TypeError, InvalidParameterError):  # not three parts, or not finite numbers
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated angles in degrees, got {text!r}"
-        )
-    try:
-        values = [float(part) for part in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"angles must be numbers, got {text!r}") from None
-    try:
-        return CoinParams(*values)
-    except InvalidParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _sequence(text: str) -> GameSequence:
-    try:
-        return GameSequence(text)
-    except InvalidParameterError:
-        raise argparse.ArgumentTypeError(
-            f"sequence must be a non-empty string over 'A' and 'B', got {text!r}"
         ) from None
 
 
-def _axis(text: str) -> GridAxis:
+def _axis(text: str) -> tuple[str, float, float, int]:
+    """Check PARAM=START:STOP:COUNT but leave the values unbuilt, so that
+    the grid size can be checked against --max-cells first."""
     try:
         parameter, spec = text.split("=", 1)
         start_s, stop_s, count_s = spec.split(":")
-        axis = GridAxis.linspace(parameter, float(start_s), float(stop_s), int(count_s))
-    except (ValueError, InvalidParameterError) as exc:
+        start, stop, count = float(start_s), float(stop_s), _positive_int(count_s)
+        GridAxis(parameter, (start, stop))  # checks the name and both end points
+    except (ValueError, argparse.ArgumentTypeError, InvalidParameterError) as exc:
         raise argparse.ArgumentTypeError(
             f"axis must look like PARAM=START:STOP:COUNT, got {text!r} ({exc})"
         ) from None
-    return axis
+    return parameter, start, stop, count
 
 
 def _positive_int(text: str) -> int:
@@ -111,32 +97,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _format_name(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise argparse.ArgumentTypeError(f"format must be csv or json, got {text!r}")
-    return text
+class _AppendOverDefault(argparse.Action):
+    """``append``, except that the first use on the command line drops the
+    default, so command-line axes replace a config file's axes."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        current = getattr(namespace, self.dest)
+        kept = [] if current is self.default else current
+        setattr(namespace, self.dest, [*kept, values])
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--coin-a", type=_coin_triple, default=None, metavar="A,B,G",
-                        help="coin A angles alpha,beta,gamma in degrees")
-    parser.add_argument("--coin-b", type=_coin_triple, default=None, metavar="A,B,G",
-                        help="coin B angles alpha,beta,gamma in degrees")
-    parser.add_argument("--eta-deg", type=float, default=None, metavar="V",
-                        help="initial coin phase eta in degrees")
-    parser.add_argument("--steps", type=_positive_int, default=None, metavar="N",
-                        help=f"number of elementary steps (default {_DEFAULTS['steps']})")
-    parser.add_argument("--epsilon", type=float, default=None, metavar="E",
-                        help="draw threshold for verdicts (default 1e-9)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output path (default: stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
-                        help="output format")
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="flat key=value file mirroring the flags; flags win")
+def _add_common_arguments(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...]
+) -> list[argparse.Action]:
+    return [
+        parser.add_argument("--coin-a", type=_coin_triple, metavar="A,B,G",
+                            help="coin A angles alpha,beta,gamma in degrees"),
+        parser.add_argument("--coin-b", type=_coin_triple, metavar="A,B,G",
+                            help="coin B angles alpha,beta,gamma in degrees"),
+        parser.add_argument("--eta-deg", type=float, metavar="V",
+                            help="initial coin phase eta in degrees"),
+        parser.add_argument("--steps", type=_positive_int, default=ScanConfig.horizon_steps,
+                            metavar="N", help="number of elementary steps (default %(default)s)"),
+        parser.add_argument("--epsilon", type=float, default=ScanConfig.epsilon, metavar="E",
+                            help="draw threshold for verdicts (default %(default)s)"),
+        parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)"),
+        parser.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
+                            help="output format (default %(default)s)"),
+        parser.add_argument("--config", metavar="PATH",
+                            help="flat key=value file mirroring the flags; flags win"),
+    ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        parser.add_argument("--max-period", type=_positive_int, default=ScanConfig.max_period,
+                            metavar="K", help="largest sequence period (default %(default)s)"),
+        parser.add_argument("--verdict-each-step", action="store_true",
+                            help="require the verdict condition at every elementary step "
+                                 "instead of at whole-period boundaries"),
+    ]
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per subcommand its flags keyed by name without ``--``."""
     parser = argparse.ArgumentParser(
         prog="qparrondo",
         description="Coin-driven walk games: simulate sequences, scan for "
@@ -145,142 +149,116 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     simulate = commands.add_parser("simulate", help="run one game and emit its trajectory")
-    _add_common_arguments(simulate)
-    simulate.add_argument("--sequence", type=_sequence, default=None, metavar="S",
-                          help="coin schedule such as ABB (applied left to right)")
+    simulate_flags = _add_common_arguments(simulate, ("csv", "json")) + [
+        simulate.add_argument("--sequence", type=GameSequence, metavar="S",
+                              help="coin schedule such as ABB (applied left to right)"),
+    ]
 
     scan = commands.add_parser("scan", help="classify every sequence up to a period")
-    _add_common_arguments(scan)
-    scan.add_argument("--max-period", type=_positive_int, default=None, metavar="K",
-                      help=f"largest sequence period (default {_DEFAULTS['max_period']})")
-    scan.add_argument("--verdict-each-step", action="store_true", default=None,
-                      help="require the verdict condition at every elementary step "
-                           "instead of at whole-period boundaries")
+    scan_flags = _add_common_arguments(scan, ("json",)) + _add_sweep_arguments(scan)
 
     regions = commands.add_parser("regions", help="sweep coin parameters over a grid")
-    _add_common_arguments(regions)
-    regions.add_argument("--max-period", type=_positive_int, default=None, metavar="K")
-    regions.add_argument("--verdict-each-step", action="store_true", default=None)
-    regions.add_argument("--axis", type=_axis, action="append", default=None,
-                         metavar="P=S:E:N",
-                         help="swept parameter, e.g. beta_a=10:30:5; repeat for 2-D")
-    regions.add_argument("--max-cells", type=_positive_int, default=None, metavar="N",
-                         help=f"grid cell budget (default {_DEFAULTS['max_cells']})")
-    regions.add_argument("--workers", type=_positive_int, default=None, metavar="N",
-                         help="parallel processes for grid cells (default 1)")
+    regions_flags = _add_common_arguments(regions, ("json",)) + _add_sweep_arguments(regions) + [
+        regions.add_argument("--axis", dest="axes", type=_axis, action=_AppendOverDefault,
+                             metavar="P=S:E:N",
+                             help="swept parameter, e.g. beta_a=10:30:5; repeat for 2-D"),
+        regions.add_argument("--max-cells", type=_positive_int, default=1024, metavar="N",
+                             help="grid cell budget (default %(default)s)"),
+        regions.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+                             help="parallel processes for grid cells, at most one per "
+                                  "cell and per CPU (default %(default)s)"),
+    ]
 
-    return parser
-
-
-def _read_config_file(path: str) -> dict[str, list[str]]:
-    entries: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, value = line.split("=", 1)
-            entries.setdefault(key.strip(), []).append(value.strip())
-    return entries
+    flags = {"simulate": simulate_flags, "scan": scan_flags, "regions": regions_flags}
+    return parser, {
+        command: {action.option_strings[0][2:]: action for action in actions}
+        for command, actions in flags.items()
+    }
 
 
-_CONFIG_PARSERS = {
-    "coin-a": ("coin_a", _coin_triple),
-    "coin-b": ("coin_b", _coin_triple),
-    "eta-deg": ("eta_deg", float),
-    "sequence": ("sequence", _sequence),
-    "steps": ("steps", _positive_int),
-    "max-period": ("max_period", _positive_int),
-    "epsilon": ("epsilon", float),
-    "out": ("out", str),
-    "format": ("fmt", _format_name),
-    "axis": ("axis", _axis),
-    "max-cells": ("max_cells", _positive_int),
-    "workers": ("workers", _positive_int),
-    "verdict-each-step": ("verdict_each_step", lambda s: s.lower() in ("1", "true", "yes")),
-}
+def _config_value(action: argparse.Action, raw: str) -> Any:
+    """One config-file value, converted as its flag converts a command-line value."""
+    if action.nargs == 0:  # a store_true flag
+        if raw.lower() not in _BOOLEANS:
+            raise argparse.ArgumentTypeError(
+                f"expected one of {'/'.join(_BOOLEANS)}, got {raw!r}"
+            )
+        return _BOOLEANS[raw.lower()]
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(action.choices)}, got {raw!r}"
+        )
+    return value
 
 
-def _merge_config_file(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
-    if ns.config is None:
-        return
+def _apply_config_file(
+    parser: argparse.ArgumentParser,
+    flags: dict[str, dict[str, argparse.Action]],
+    command: str,
+    path: str,
+) -> None:
+    """Make a flat key=value file's values the defaults of ``command``'s flags.
+
+    Keys are the long flags of any subcommand except ``config``; keys of
+    another subcommand are ignored. A repeated key keeps its last value,
+    except ``axis``, which collects them all.
+    """
     try:
-        entries = _read_config_file(ns.config)
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
-        parser.error(f"cannot read --config {ns.config}: {exc}")
-    except InvalidParameterError as exc:
-        parser.error(f"--config: {exc}")
-    for key, raw_values in entries.items():
-        if key not in _CONFIG_PARSERS:
-            parser.error(f"--config {ns.config}: unknown key {key!r}")
-        dest, converter = _CONFIG_PARSERS[key]
-        if not hasattr(ns, dest) or getattr(ns, dest) is not None:
-            continue  # flag given on the command line, or key not for this subcommand
+        parser.error(f"cannot read --config {path}: {exc}")
+    known = set().union(*flags.values()) - {"config"}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not sep:
+            parser.error(f"--config {path}:{lineno}: expected key=value, got {line!r}")
+        if key not in known:
+            parser.error(f"--config {path}:{lineno}: unknown key {key!r}")
+        action = flags[command].get(key)
+        if action is None:
+            continue
         try:
-            values = [converter(raw) for raw in raw_values]
+            value = _config_value(action, raw)
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            parser.error(f"--config {ns.config}: invalid value for {key}: {exc}")
-        setattr(ns, dest, values if key == "axis" else values[-1])
+            parser.error(f"--config {path}:{lineno}: invalid value for {key}: {exc}")
+        if isinstance(action, _AppendOverDefault):
+            value = [*(action.default or []), value]
+        action.default = value
 
 
 def parse_cli(argv: list[str] | None = None) -> CliConfig:
-    """Parse and validate an invocation; exits with a usage error otherwise."""
-    parser = build_parser()
+    """Parse and validate an invocation; exits with a usage error otherwise.
+
+    A ``--config`` file's values become the flags' defaults and the
+    command line is parsed again over them, so flags win.
+    """
+    parser, flags = build_parser()
     ns = parser.parse_args(argv)
-    _merge_config_file(parser, ns)
+    if ns.config is not None:
+        _apply_config_file(parser, flags, ns.command, ns.config)
+        ns = parser.parse_args(argv)
 
-    for flag, dest in (("--coin-a", "coin_a"), ("--coin-b", "coin_b"), ("--eta-deg", "eta_deg")):
-        if getattr(ns, dest) is None:
-            parser.error(f"{flag} is required (flag or config file)")
-
-    fmt = ns.fmt
-    if ns.command == "simulate":
-        if ns.sequence is None:
-            parser.error("--sequence is required (flag or config file)")
-        fmt = fmt or "csv"
-    else:
-        fmt = fmt or "json"
-        if fmt != "json":
-            parser.error(f"--format {fmt} is not available for {ns.command}; use json")
-
-    axes: tuple[GridAxis, ...] = ()
+    for key in ("coin-a", "coin-b", "eta-deg", "sequence", "axis"):
+        action = flags[ns.command].get(key)
+        if action is not None and getattr(ns, action.dest) is None:
+            parser.error(f"--{key} is required for {ns.command} (flag or config file)")
     if ns.command == "regions":
-        if not getattr(ns, "axis", None):
-            parser.error("--axis is required for regions (flag or config file)")
-        axes = tuple(ns.axis)
-
-    return CliConfig(
-        command=ns.command,
-        coin_a=ns.coin_a,
-        coin_b=ns.coin_b,
-        eta_deg=ns.eta_deg,
-        steps=ns.steps if ns.steps is not None else _DEFAULTS["steps"],
-        max_period=(getattr(ns, "max_period", None) or _DEFAULTS["max_period"]),
-        epsilon=ns.epsilon if ns.epsilon is not None else _DEFAULTS["epsilon"],
-        fmt=fmt,
-        out=ns.out,
-        sequence=getattr(ns, "sequence", None),
-        axes=axes,
-        max_cells=(getattr(ns, "max_cells", None) or _DEFAULTS["max_cells"]),
-        workers=(getattr(ns, "workers", None) or _DEFAULTS["workers"]),
-        verdict_each_step=bool(getattr(ns, "verdict_each_step", None)),
-    )
+        cells = math.prod(count for *_, count in ns.axes)
+        if cells > ns.max_cells:
+            parser.error(f"grid of {cells} cells exceeds the --max-cells budget of {ns.max_cells}")
+        ns.axes = tuple(GridAxis.linspace(*axis) for axis in ns.axes)
+    return CliConfig(**{f.name: getattr(ns, f.name, None) for f in fields(CliConfig)})
 
 
 def _scan_config(config: CliConfig) -> ScanConfig:
-    return ScanConfig(
-        coin_a=config.coin_a,
-        coin_b=config.coin_b,
-        eta_deg=config.eta_deg,
-        max_period=config.max_period,
-        horizon_steps=config.steps,
-        epsilon=config.epsilon,
-        verdict_each_step=config.verdict_each_step,
-    )
+    values = vars(config) | {"horizon_steps": config.steps}
+    return ScanConfig(**{f.name: values[f.name] for f in fields(ScanConfig)})
 
 
 def _render(config: CliConfig) -> str:

@@ -8,10 +8,11 @@ external plotting loses nothing.
 from __future__ import annotations
 
 import json
-from typing import Any, TextIO
+from dataclasses import astuple, fields
+from typing import Any, TextIO, get_type_hints
 
 from .errors import InvalidParameterError
-from .metrics import BiasTrajectory, BiasSample, GameVerdict
+from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult
 from .walk import CoinParams, GameSequence
 
@@ -52,73 +53,59 @@ def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
         )
 
 
-def _sample_to_dict(sample: BiasSample) -> dict[str, Any]:
-    return {
-        "step": sample.step,
-        "p_left": sample.p_left,
-        "p_origin": sample.p_origin,
-        "p_right": sample.p_right,
-        "bias": sample.bias,
-        "entropy": sample.entropy,
-    }
+def _to_json(value: Any) -> Any:
+    if isinstance(value, CoinParams):
+        return list(astuple(value))
+    if isinstance(value, GameSequence):
+        return value.tokens
+    if isinstance(value, GameVerdict):
+        return value.value
+    return value
+
+
+def _from_json(kind: type, value: Any) -> Any:
+    if kind is CoinParams:
+        return CoinParams(*value)
+    if kind in (GameSequence, GameVerdict):
+        return kind(value)
+    return value
+
+
+def _record_to_dict(record: Any) -> dict[str, Any]:
+    """A dataclass's fields in declaration order, as JSON values: coins as
+    angle lists, sequences as token strings, verdicts by name."""
+    return {f.name: _to_json(getattr(record, f.name)) for f in fields(record)}
+
+
+def _record_from_dict(cls: type, data: dict[str, Any]) -> Any:
+    kinds = get_type_hints(cls)
+    return cls(**{f.name: _from_json(kinds[f.name], data[f.name]) for f in fields(cls)})
 
 
 def write_trajectory_json(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """JSON equivalent of the CSV trajectory, plus run metadata."""
     document = {
         "metadata": dict(trajectory.metadata),
-        "samples": [_sample_to_dict(s) for s in trajectory.samples],
+        "samples": [_record_to_dict(s) for s in trajectory.samples],
     }
     json.dump(document, sink, indent=2)
     sink.write("\n")
 
 
-def _config_to_dict(config: ScanConfig) -> dict[str, Any]:
-    return {
-        "coin_a": [config.coin_a.alpha_deg, config.coin_a.beta_deg, config.coin_a.gamma_deg],
-        "coin_b": [config.coin_b.alpha_deg, config.coin_b.beta_deg, config.coin_b.gamma_deg],
-        "eta_deg": config.eta_deg,
-        "max_period": config.max_period,
-        "horizon_steps": config.horizon_steps,
-        "epsilon": config.epsilon,
-        "verdict_each_step": config.verdict_each_step,
-    }
-
-
-def _config_from_dict(data: dict[str, Any]) -> ScanConfig:
-    return ScanConfig(
-        coin_a=CoinParams(*data["coin_a"]),
-        coin_b=CoinParams(*data["coin_b"]),
-        eta_deg=data["eta_deg"],
-        max_period=data["max_period"],
-        horizon_steps=data["horizon_steps"],
-        epsilon=data["epsilon"],
-        verdict_each_step=data["verdict_each_step"],
-    )
-
-
 def write_scan_json(report: ScanReport, sink: TextIO) -> None:
     """Serialize a scan report as one JSON document.
 
-    Keys, in order: ``config``, ``verdict_a``, ``verdict_b``, ``results``
-    (objects with ``sequence``, ``verdict``, ``final_bias``, ``min_bias``,
-    ``max_entropy``, in enumeration order), ``paradox_sequences``, and
-    ``winning_by_period``.
+    Keys, in order: ``config`` (the fields of :class:`ScanConfig`),
+    ``verdict_a``, ``verdict_b``, ``results`` (objects with the fields of
+    :class:`SequenceResult`: ``sequence``, ``verdict``, ``final_bias``,
+    ``min_bias``, ``max_entropy``, in enumeration order),
+    ``paradox_sequences``, and ``winning_by_period``.
     """
     document = {
-        "config": _config_to_dict(report.config),
+        "config": _record_to_dict(report.config),
         "verdict_a": report.verdict_a.value,
         "verdict_b": report.verdict_b.value,
-        "results": [
-            {
-                "sequence": r.sequence.tokens,
-                "verdict": r.verdict.value,
-                "final_bias": r.final_bias,
-                "min_bias": r.min_bias,
-                "max_entropy": r.max_entropy,
-            }
-            for r in report.results
-        ],
+        "results": [_record_to_dict(r) for r in report.results],
         "paradox_sequences": list(report.paradox_sequences),
         "winning_by_period": {str(p): n for p, n in report.winning_by_period.items()},
     }
@@ -129,21 +116,11 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
 def read_scan_json(source: TextIO) -> ScanReport:
     """Parse a document produced by :func:`write_scan_json`."""
     data = json.load(source)
-    results = tuple(
-        SequenceResult(
-            sequence=GameSequence(entry["sequence"]),
-            verdict=GameVerdict(entry["verdict"]),
-            final_bias=entry["final_bias"],
-            min_bias=entry["min_bias"],
-            max_entropy=entry["max_entropy"],
-        )
-        for entry in data["results"]
-    )
     return ScanReport(
-        config=_config_from_dict(data["config"]),
+        config=_record_from_dict(ScanConfig, data["config"]),
         verdict_a=GameVerdict(data["verdict_a"]),
         verdict_b=GameVerdict(data["verdict_b"]),
-        results=results,
+        results=tuple(_record_from_dict(SequenceResult, entry) for entry in data["results"]),
         paradox_sequences=tuple(data["paradox_sequences"]),
         winning_by_period={int(p): n for p, n in data["winning_by_period"].items()},
     )
@@ -152,7 +129,7 @@ def read_scan_json(source: TextIO) -> ScanReport:
 def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:
     """Serialize a region sweep: base config, axes, and both cell grids."""
     document = {
-        "config": _config_to_dict(base),
+        "config": _record_to_dict(base),
         "axes": [
             {"parameter": axis.parameter, "values": list(axis.values)}
             for axis in grid.axes

@@ -9,8 +9,9 @@ checks every sequence up to a maximum period at one configuration;
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -152,8 +153,8 @@ def game_trajectory(
         InitialStateSpec(eta_deg=eta_deg), coin_a, coin_b, seq, steps
     )
     metadata = {
-        "coin_a": (coin_a.alpha_deg, coin_a.beta_deg, coin_a.gamma_deg),
-        "coin_b": (coin_b.alpha_deg, coin_b.beta_deg, coin_b.gamma_deg),
+        "coin_a": astuple(coin_a),
+        "coin_b": astuple(coin_b),
         "eta_deg": eta_deg,
         "sequence": seq.tokens,
     }
@@ -260,31 +261,25 @@ class RegionGrid:
 
 
 def _apply_assignments(config: ScanConfig, assignments: dict[str, float]) -> ScanConfig:
-    coin_fields = {
-        "alpha_a": ("coin_a", "alpha_deg"),
-        "beta_a": ("coin_a", "beta_deg"),
-        "gamma_a": ("coin_a", "gamma_deg"),
-        "alpha_b": ("coin_b", "alpha_deg"),
-        "beta_b": ("coin_b", "beta_deg"),
-        "gamma_b": ("coin_b", "gamma_deg"),
-    }
-    coins = {"coin_a": config.coin_a, "coin_b": config.coin_b}
-    eta = config.eta_deg
     for name, value in assignments.items():
         if name == "eta":
-            eta = value
+            config = replace(config, eta_deg=value)
         else:
-            coin_name, field_name = coin_fields[name]
-            coins[coin_name] = replace(coins[coin_name], **{field_name: value})
-    return replace(config, coin_a=coins["coin_a"], coin_b=coins["coin_b"], eta_deg=eta)
+            angle, coin = name.split("_")  # beta_a sets coin_a.beta_deg
+            coin_field = f"coin_{coin}"
+            coin_params = replace(getattr(config, coin_field), **{f"{angle}_deg": value})
+            config = replace(config, **{coin_field: coin_params})
+    return config
 
 
 def _cell_outcome(config: ScanConfig) -> tuple[bool, int]:
     report = run_scan(config)
-    n_winning = sum(
-        1 for r in report.results if r.verdict is GameVerdict.WINNING
-    )
-    return bool(report.paradox_sequences), n_winning
+    return bool(report.paradox_sequences), sum(report.winning_by_period.values())
+
+
+def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
+    """Processes for a grid: never more than asked, than cells, or than CPUs."""
+    return min(workers, cells, cpus or 1)
 
 
 def scan_region_grid(
@@ -296,8 +291,9 @@ def scan_region_grid(
     """Run a full scan at every cell of a parameter grid.
 
     Cells are evaluated in row-major order over the axes; with
-    ``workers > 1`` they run in parallel processes, but results are
-    collected by cell index so the grid is identical either way.
+    ``workers > 1`` they run in parallel processes (at most one per cell
+    and per CPU), but results are collected by cell index so the grid is
+    identical either way.
 
     Raises
     ------
@@ -323,8 +319,9 @@ def scan_region_grid(
             axis.parameter: axis.values[i] for axis, i in zip(axes, index)
         }
         cell_configs.append(_apply_assignments(base, assignments))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = _pool_size(workers, n_cells, os.cpu_count())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_cell_outcome, cell_configs))
     else:
         outcomes = [_cell_outcome(cfg) for cfg in cell_configs]

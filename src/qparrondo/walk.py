@@ -28,6 +28,7 @@ __all__ = [
     "InitialStateSpec",
     "WalkerState",
     "MAX_DENSE_HALF_WIDTH",
+    "MAX_SNAPSHOT_BYTES",
     "make_coin",
     "initial_state",
     "apply_coin",
@@ -43,6 +44,10 @@ CoinMatrix = NDArray[np.complex128]
 
 MAX_DENSE_HALF_WIDTH = 12
 """Largest half-width accepted by the dense-matrix verification path."""
+
+MAX_SNAPSHOT_BYTES = 1 << 30
+"""Largest snapshot list ``evolve_sequence`` allocates: 1 GiB, which is
+4095 steps at the default half-width."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -291,7 +296,8 @@ def evolve_sequence(
     InvalidParameterError
         If ``total_steps < 1``.
     CapacityError
-        If ``half_width`` is given and is smaller than ``total_steps``.
+        If ``half_width`` is given and is smaller than ``total_steps``, or
+        the snapshots would take more than ``MAX_SNAPSHOT_BYTES``.
     """
     if total_steps < 1:
         raise InvalidParameterError(f"total_steps must be >= 1, got {total_steps}")
@@ -300,6 +306,12 @@ def evolve_sequence(
     if half_width < total_steps:
         raise CapacityError(
             f"half_width {half_width} cannot hold a walk of {total_steps} steps"
+        )
+    snapshot_bytes = total_steps * 2 * (2 * half_width + 1) * 16  # complex128 amplitudes
+    if snapshot_bytes > MAX_SNAPSHOT_BYTES:
+        raise CapacityError(
+            f"{total_steps} snapshots of half_width {half_width} need {snapshot_bytes} bytes, "
+            f"more than the budget of {MAX_SNAPSHOT_BYTES}"
         )
     coins = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
     state = initial_state(spec, half_width)

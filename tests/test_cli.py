@@ -1,8 +1,10 @@
 import json
+import re
+import tracemalloc
 
 import pytest
 
-from qparrondo import CapacityError, CoinParams
+from qparrondo import CapacityError, CoinParams, GridAxis
 from qparrondo.cli import EXIT_CAPACITY, EXIT_IO, EXIT_USAGE, main, parse_cli
 
 from benchmarks import REFERENCE_TOL, GAME_A_BIASES
@@ -101,6 +103,120 @@ class TestParseCli:
             parse_cli(["simulate", "--config", str(config_path)])
         assert info.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+COINS = ["--coin-a", "1,2,3", "--coin-b", "4,5,6", "--eta-deg", "90"]
+
+COMMON_OPTIONS = ["--coin-a", "--coin-b", "--eta-deg", "--steps", "--epsilon", "--out",
+                  "--format", "--config"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("simulate", COMMON_OPTIONS + ["--sequence"]),
+        ("scan", COMMON_OPTIONS + ["--max-period", "--verdict-each-step"]),
+        ("regions", COMMON_OPTIONS + ["--max-period", "--verdict-each-step", "--axis",
+                                      "--max-cells", "--workers"]),
+    ],
+)
+def test_help_lists_each_option_once(command, options, capsys):
+    assert main([command, "--help"]) == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["--help"] + options
+
+
+def _write_config(tmp_path, lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "lines, argv, expected",
+        [
+            # the file fills what the command line leaves out; flags win
+            (["coin-a=9,9,9", "steps=12", "max-period=3"], ["scan"] + COINS + ["--steps", "30"],
+             {"coin_a": CoinParams(1, 2, 3), "steps": 30, "max_period": 3}),
+            # a key of another subcommand is ignored
+            (["sequence=AB", "max-cells=4"], ["scan"] + COINS,
+             {"sequence": None, "max_cells": None}),
+            (["max-period=3", "verdict-each-step=yes"], ["simulate"] + COINS + ["--sequence", "A"],
+             {"max_period": None, "verdict_each_step": None}),
+            # strict booleans in any case
+            (["verdict-each-step=yes"], ["scan"] + COINS, {"verdict_each_step": True}),
+            (["verdict-each-step=0"], ["scan"] + COINS, {"verdict_each_step": False}),
+            (["verdict-each-step=TRUE"], ["scan"] + COINS, {"verdict_each_step": True}),
+            (["verdict-each-step=No"], ["scan"] + COINS + ["--verdict-each-step"],
+             {"verdict_each_step": True}),
+            # the file's axes, unless the command line gives its own
+            (["axis=beta_a=1:2:2", "axis=beta_b=3:4:2"], ["regions"] + COINS,
+             {"axes": (GridAxis("beta_a", (1, 2)), GridAxis("beta_b", (3, 4)))}),
+            (["axis=beta_a=1:2:2", "axis=beta_b=3:4:2"],
+             ["regions"] + COINS + ["--axis", "eta=0:90:3"],
+             {"axes": (GridAxis("eta", (0, 45, 90)),)}),
+            (["max-cells=3", "workers=2", "format=json", "out=x.json"],
+             ["regions"] + COINS + ["--axis", "eta=0:90:3"],
+             {"max_cells": 3, "workers": 2, "fmt": "json", "out": "x.json"}),
+        ],
+    )
+    def test_resolution(self, tmp_path, lines, argv, expected):
+        config = parse_cli(argv + ["--config", _write_config(tmp_path, lines)])
+        assert {name: getattr(config, name) for name in expected} == expected
+
+    @pytest.mark.parametrize(
+        "command, lines, named",
+        [
+            ("simulate", ["coins=1,2,3"], "unknown key 'coins'"),
+            ("simulate", ["config=other.cfg"], "unknown key 'config'"),
+            ("simulate", ["steps=0"], "for steps:"),
+            ("scan", ["verdict-each-step=maybe"], "for verdict-each-step:"),
+            ("scan", ["format=csv"], "for format:"),
+            ("regions", ["axis=beta_a=1:2"], "for axis:"),
+            ("simulate", ["coin-a 1,2,3"], "'coin-a 1,2,3'"),
+        ],
+    )
+    def test_rejected_entries_exit_with_two(self, tmp_path, capsys, command, lines, named):
+        argv = [command] + COINS + ["--config", _write_config(tmp_path, lines)]
+        with pytest.raises(SystemExit) as info:
+            parse_cli(argv)
+        assert info.value.code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_missing_file_exits_with_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_cli(["scan"] + COINS + ["--config", str(tmp_path / "absent.cfg")])
+        assert info.value.code == EXIT_USAGE
+        capsys.readouterr()
+
+
+class TestBudgets:
+    def test_oversized_axis_is_rejected_before_its_values_exist(self, capsys):
+        argv = ["regions"] + COINS + ["--axis", f"beta_a=0:1:{10**6}"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as info:
+                parse_cli(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.code == EXIT_USAGE
+        assert peak < 1 << 20
+        assert "max-cells" in capsys.readouterr().err
+
+    def test_grid_budget_counts_cells_over_all_axes(self, capsys):
+        argv = ["regions"] + COINS + ["--axis", "beta_a=0:1:5", "--axis", "beta_b=0:1:5"]
+        assert len(parse_cli(argv + ["--max-cells", "25"]).axes) == 2
+        with pytest.raises(SystemExit) as info:
+            parse_cli(argv + ["--max-cells", "24"])
+        assert info.value.code == EXIT_USAGE
+        capsys.readouterr()
+
+    def test_long_simulation_exits_with_capacity(self, capsys):
+        code = main(["simulate"] + COINS + ["--sequence", "AB", "--steps", str(10**6)])
+        assert code == EXIT_CAPACITY
+        assert "budget" in capsys.readouterr().err
 
 
 class TestMain:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qparrondo import (
@@ -12,6 +14,8 @@ from qparrondo import (
     run_scan,
     scan_region_grid,
 )
+
+from qparrondo.scan import AXIS_PARAMETERS, _apply_assignments, _pool_size
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
 
@@ -222,6 +226,33 @@ class TestRegionGrid:
                 one_sided_config(),
                 [GridAxis("beta_a", (1.0,)), GridAxis("beta_a", (2.0,))],
             )
+
+
+@pytest.mark.parametrize("parameter", AXIS_PARAMETERS)
+def test_axis_parameter_sets_its_own_field(parameter):
+    base = one_sided_config()
+    cell = _apply_assignments(base, {parameter: 1.5})
+    if parameter == "eta":
+        assert cell == replace(base, eta_deg=1.5)
+    else:
+        angle, coin = parameter.split("_")
+        coin_field = f"coin_{coin}"
+        coin_params = replace(getattr(base, coin_field), **{f"{angle}_deg": 1.5})
+        assert cell == replace(base, **{coin_field: coin_params})
+
+
+@pytest.mark.parametrize(
+    "workers, cells, cpus, expected",
+    [
+        (2, 25, 2, 2),  # the benchmark's regions grid keeps both workers
+        (1024, 1024, 2, 2),
+        (10**9, 10**9, None, 1),
+        (4, 3, 64, 3),
+        (1, 1024, 64, 1),
+    ],
+)
+def test_pool_size_is_bounded_by_cells_and_cpus(workers, cells, cpus, expected):
+    assert _pool_size(workers, cells, cpus) == expected
 
 
 class TestEntropyComparison:

@@ -289,6 +289,15 @@ class TestEvolveSequence:
                 GameSequence("AB"), total_steps=10, half_width=5,
             )
 
+    @pytest.mark.parametrize("total_steps", [4096, 10**6])
+    def test_rejects_snapshots_over_the_memory_budget(self, total_steps):
+        # raised before any lattice is allocated; 10**6 steps would need 64 TB
+        with pytest.raises(CapacityError, match="budget"):
+            evolve_sequence(
+                InitialStateSpec(eta_deg=0), ONE_SIDED_A, ONE_SIDED_B,
+                GameSequence("AB"), total_steps=total_steps,
+            )
+
 
 class TestGameSequence:
     def test_period(self):
