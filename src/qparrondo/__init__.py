@@ -35,6 +35,7 @@ from .scan import (
 from .walk import (
     CoinMatrix,
     CoinParams,
+    GameColumns,
     GameSequence,
     InitialStateSpec,
     WalkerState,
@@ -42,6 +43,7 @@ from .walk import (
     apply_shift,
     dense_step_matrix,
     dense_step_oracle,
+    evolve_games,
     evolve_sequence,
     initial_state,
     make_coin,
@@ -64,6 +66,8 @@ __all__ = [
     "apply_shift",
     "step",
     "evolve_sequence",
+    "evolve_games",
+    "GameColumns",
     "dense_step_matrix",
     "dense_step_oracle",
     "GameVerdict",

@@ -8,6 +8,7 @@ I/O failures, 4 when a computation exceeds its lattice or size budget.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io as stringio
 import math
 import sys
@@ -38,6 +39,11 @@ EXIT_IO = 3
 EXIT_CAPACITY = 4
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_GRID_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(scan_region_grid).parameters.items()
+}
 
 
 @dataclass(frozen=True)
@@ -162,9 +168,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
         regions.add_argument("--axis", dest="axes", type=_axis, action=_AppendOverDefault,
                              metavar="P=S:E:N",
                              help="swept parameter, e.g. beta_a=10:30:5; repeat for 2-D"),
-        regions.add_argument("--max-cells", type=_positive_int, default=1024, metavar="N",
+        regions.add_argument("--max-cells", type=_positive_int,
+                             default=_GRID_DEFAULTS["max_cells"], metavar="N",
                              help="grid cell budget (default %(default)s)"),
-        regions.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+        regions.add_argument("--workers", type=_positive_int,
+                             default=_GRID_DEFAULTS["workers"], metavar="N",
                              help="parallel processes for grid cells, at most one per "
                                   "cell and per CPU (default %(default)s)"),
     ]

@@ -2,7 +2,8 @@
 
 Output is deterministic byte-for-byte: fixed key order, fixed float
 formatting, ``\\n`` line endings. CSV carries full-precision decimals so
-external plotting loses nothing.
+external plotting loses nothing. JSON is strict: a NaN or infinity raises
+``ValueError`` instead of being written as ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def write_trajectory_json(trajectory: BiasTrajectory, sink: TextIO) -> None:
         "metadata": dict(trajectory.metadata),
         "samples": [_record_to_dict(s) for s in trajectory.samples],
     }
-    json.dump(document, sink, indent=2)
+    json.dump(document, sink, indent=2, allow_nan=False)
     sink.write("\n")
 
 
@@ -109,7 +110,7 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
         "paradox_sequences": list(report.paradox_sequences),
         "winning_by_period": {str(p): n for p, n in report.winning_by_period.items()},
     }
-    json.dump(document, sink, indent=2)
+    json.dump(document, sink, indent=2, allow_nan=False)
     sink.write("\n")
 
 
@@ -137,5 +138,5 @@ def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:
         "paradox": grid.paradox.tolist(),
         "winning_counts": grid.winning_counts.tolist(),
     }
-    json.dump(document, sink, indent=2)
+    json.dump(document, sink, indent=2, allow_nan=False)
     sink.write("\n")

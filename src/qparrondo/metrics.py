@@ -5,11 +5,14 @@ sum probability strictly left and strictly right of the origin; mass at
 the origin belongs to neither side. Coin-position entanglement is the von
 Neumann entropy (base 2) of the reduced coin density matrix, so 0 marks a
 separable state and 1 a maximally entangled one.
+
+Each quantity has one formula, an array function over per-step columns
+(``bias``, ``entropy_bits``, ``payoff_verdicts``); the per-state and
+per-trajectory functions are thin wrappers over them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -25,6 +28,10 @@ __all__ = [
     "BiasSample",
     "BiasTrajectory",
     "ReducedCoinDensity",
+    "DEFAULT_EPSILON",
+    "bias",
+    "entropy_bits",
+    "payoff_verdicts",
     "bias_sample",
     "classify",
     "reduced_density",
@@ -36,6 +43,9 @@ ReducedCoinDensity = NDArray[np.complex128]
 """2x2 Hermitian matrix with unit trace."""
 
 _CLOSURE_TOL = 1e-10
+
+DEFAULT_EPSILON = 1e-9
+"""Bias magnitude at or below which a payoff point counts as a draw."""
 
 
 class GameVerdict(Enum):
@@ -118,13 +128,56 @@ def bias_sample(state: WalkerState) -> BiasSample:
         p_left=p_left,
         p_origin=p_origin,
         p_right=p_right,
-        bias=p_right - p_left,
+        bias=bias(p_left, p_right),
     )
+
+
+def bias(p_left: Any, p_right: Any) -> Any:
+    """Payoff: probability right of the origin minus probability left of it.
+
+    Works elementwise on floats or arrays of any shape.
+    """
+    return p_right - p_left
+
+
+def payoff_verdicts(
+    biases: NDArray[np.float64],
+    periods: Sequence[int],
+    epsilon: float = DEFAULT_EPSILON,
+) -> list[GameVerdict]:
+    """Verdict of each row of a ``(G, T)`` bias array (column ``k`` is step
+    ``k + 1``), over the steps at whole multiples of that row's period.
+
+    See :func:`classify` for the four verdicts.
+
+    Raises
+    ------
+    InvalidParameterError
+        If a period is below 1 or longer than the ``T`` steps.
+    """
+    biases = np.asarray(biases, dtype=np.float64)
+    periods = np.asarray(periods)
+    steps = biases.shape[1]
+    if periods.min() < 1:
+        raise InvalidParameterError(f"period must be >= 1, got {periods.min()}")
+    if periods.max() > steps:
+        raise InvalidParameterError(
+            f"no samples at multiples of period {periods.max()} in trajectory of {steps} steps"
+        )
+    skipped = np.arange(1, steps + 1) % periods[:, None] != 0
+    winning = ((biases > epsilon) | skipped).all(axis=1)
+    losing = ((biases < -epsilon) | skipped).all(axis=1)
+    draw = ((np.abs(biases) <= epsilon) | skipped).all(axis=1)
+    return [
+        GameVerdict.WINNING if w else GameVerdict.LOSING if l else
+        GameVerdict.DRAW if d else GameVerdict.MIXED
+        for w, l, d in zip(winning.tolist(), losing.tolist(), draw.tolist())
+    ]
 
 
 def classify(
     trajectory: BiasTrajectory,
-    epsilon: float = 1e-9,
+    epsilon: float = DEFAULT_EPSILON,
     period: int = 1,
 ) -> GameVerdict:
     """Classify a trajectory as Winning, Losing, Draw, or Mixed.
@@ -144,21 +197,7 @@ def classify(
         If ``period < 1`` or the trajectory contains no sample at a
         multiple of ``period``.
     """
-    if period < 1:
-        raise InvalidParameterError(f"period must be >= 1, got {period}")
-    biases = [s.bias for s in trajectory.samples if s.step % period == 0]
-    if not biases:
-        raise InvalidParameterError(
-            f"no samples at multiples of period {period} in trajectory of "
-            f"{len(trajectory.samples)} steps"
-        )
-    if all(b > epsilon for b in biases):
-        return GameVerdict.WINNING
-    if all(b < -epsilon for b in biases):
-        return GameVerdict.LOSING
-    if all(abs(b) <= epsilon for b in biases):
-        return GameVerdict.DRAW
-    return GameVerdict.MIXED
+    return payoff_verdicts(trajectory.biases()[None, :], [period], epsilon)[0]
 
 
 def reduced_density(state: WalkerState) -> ReducedCoinDensity:
@@ -175,7 +214,19 @@ _EIGENVALUE_SNAP = 1e-12
 
 
 def entanglement_entropy(rho: ReducedCoinDensity) -> float:
-    """Von Neumann entropy of a 2x2 density matrix, in bits.
+    """Von Neumann entropy of a 2x2 Hermitian density matrix, in bits.
+
+    See :func:`entropy_bits`, which this evaluates for one matrix.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (2, 2):
+        raise InvalidParameterError(f"density matrix must be 2x2, got shape {rho.shape}")
+    return float(entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1]))
+
+
+def entropy_bits(rho00: Any, rho11: Any, rho01: Any) -> NDArray[np.float64]:
+    """Von Neumann entropy, in bits, of the density matrices
+    ``[[rho00, rho01], [conj(rho01), rho11]]``, elementwise over arrays.
 
     The two eigenvalues come from the closed-form quadratic in the trace
     and determinant. Hermitian round-off can push them marginally outside
@@ -184,20 +235,14 @@ def entanglement_entropy(rho: ReducedCoinDensity) -> float:
     0*log(0) = 0 convention applies. The snap changes the result by less
     than 1e-10.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise InvalidParameterError(f"density matrix must be 2x2, got shape {rho.shape}")
-    trace = float(rho[0, 0].real + rho[1, 1].real)
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    disc = max(trace * trace - 4.0 * det, 0.0)
-    root = math.sqrt(disc)
-    entropy = 0.0
-    for lam in ((trace + root) / 2.0, (trace - root) / 2.0):
-        lam = min(max(lam, 0.0), 1.0)
-        if lam <= _EIGENVALUE_SNAP or lam >= 1.0 - _EIGENVALUE_SNAP:
-            continue
-        entropy -= lam * math.log2(lam)
-    return entropy
+    rho01 = np.asarray(rho01)
+    trace = np.add(rho00, rho11)
+    det = rho00 * rho11 - (rho01.real * rho01.real + rho01.imag * rho01.imag)
+    root = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
+    lam = np.clip([(trace + root) / 2.0, (trace - root) / 2.0], 0.0, 1.0)
+    lam[(lam <= _EIGENVALUE_SNAP) | (lam >= 1.0 - _EIGENVALUE_SNAP)] = 1.0  # adds 1*log2(1) = 0
+    terms = lam * np.log2(lam)
+    return 0.0 - terms[0] - terms[1]
 
 
 def trajectory_with_entropy(
@@ -222,9 +267,10 @@ def trajectory_with_entropy(
                 f"snapshots must be ordered by step and start at 1; "
                 f"position {i} has step {snap.step}"
             )
-    samples = []
-    for snap in snapshots:
-        sample = bias_sample(snap)
-        entropy = entanglement_entropy(reduced_density(snap))
-        samples.append(replace(sample, entropy=entropy))
-    return BiasTrajectory(samples=tuple(samples), metadata=dict(metadata or {}))
+    rho = np.array([reduced_density(snap) for snap in snapshots])
+    entropies = entropy_bits(rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1])
+    samples = tuple(
+        replace(bias_sample(snap), entropy=entropy)
+        for snap, entropy in zip(snapshots, entropies.tolist())
+    )
+    return BiasTrajectory(samples=samples, metadata=dict(metadata or {}))

@@ -19,8 +19,20 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .metrics import BiasTrajectory, GameVerdict, classify, trajectory_with_entropy
-from .walk import CoinParams, GameSequence, InitialStateSpec, evolve_sequence
+from .metrics import (
+    DEFAULT_EPSILON,
+    BiasSample,
+    BiasTrajectory,
+    GameVerdict,
+    bias,
+    entropy_bits,
+    payoff_verdicts,
+)
+from .walk import CoinParams, GameSequence, InitialStateSpec, evolve_games
+
+# Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
+from .metrics import classify, trajectory_with_entropy  # noqa: F401
+from .walk import evolve_sequence  # noqa: F401
 
 __all__ = [
     "AXIS_PARAMETERS",
@@ -37,6 +49,11 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_PERIOD = 12
+
+SCAN_CHUNK_GAMES = 128
+"""Games ``run_scan`` evolves in one kernel call. It bounds the kernel's
+working set (a few hundred bytes per game and step) when the longest periods
+enumerate thousands of games; larger batches run no faster."""
 
 AXIS_PARAMETERS = (
     "alpha_a",
@@ -65,10 +82,11 @@ class ScanConfig:
     eta_deg: float
     max_period: int = 6
     horizon_steps: int = 240
-    epsilon: float = 1e-9
+    epsilon: float = DEFAULT_EPSILON
     verdict_each_step: bool = False
 
     def __post_init__(self) -> None:
+        InitialStateSpec(eta_deg=self.eta_deg)  # rejects a non-finite phase up front
         if self.max_period < 2:
             raise InvalidParameterError(
                 f"max_period must be >= 2 (period 1 is a pure game), got {self.max_period}"
@@ -77,8 +95,8 @@ class ScanConfig:
             raise InvalidParameterError(
                 f"horizon_steps must be >= max_period, got {self.horizon_steps} < {self.max_period}"
             )
-        if not self.epsilon >= 0:
-            raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -149,32 +167,22 @@ def game_trajectory(
     steps: int,
 ) -> BiasTrajectory:
     """Evolve one game and return its full trajectory with entropy."""
-    snapshots = evolve_sequence(
-        InitialStateSpec(eta_deg=eta_deg), coin_a, coin_b, seq, steps
+    columns = evolve_games(coin_a, coin_b, eta_deg, [seq], steps)
+    rows = zip(
+        columns.p_left[0].tolist(),
+        columns.p_origin[0].tolist(),
+        columns.p_right[0].tolist(),
+        bias(columns.p_left, columns.p_right)[0].tolist(),
+        entropy_bits(columns.rho00, columns.rho11, columns.rho01)[0].tolist(),
     )
+    samples = tuple(BiasSample(k, *row) for k, row in enumerate(rows, start=1))
     metadata = {
         "coin_a": astuple(coin_a),
         "coin_b": astuple(coin_b),
         "eta_deg": eta_deg,
         "sequence": seq.tokens,
     }
-    return trajectory_with_entropy(snapshots, metadata)
-
-
-def _sequence_result(config: ScanConfig, seq: GameSequence) -> SequenceResult:
-    trajectory = game_trajectory(
-        config.coin_a, config.coin_b, config.eta_deg, seq, config.horizon_steps
-    )
-    period = 1 if config.verdict_each_step else seq.period
-    verdict = classify(trajectory, epsilon=config.epsilon, period=period)
-    biases = trajectory.biases()
-    return SequenceResult(
-        sequence=seq,
-        verdict=verdict,
-        final_bias=float(biases[-1]),
-        min_bias=float(biases.min()),
-        max_entropy=float(trajectory.entropies().max()),
-    )
+    return BiasTrajectory(samples=samples, metadata=metadata)
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
@@ -183,11 +191,26 @@ def run_scan(config: ScanConfig) -> ScanReport:
     Results keep the enumeration order. The run is fully deterministic:
     identical configurations produce identical reports.
     """
-    pure_a = _sequence_result(config, GameSequence("A"))
-    pure_b = _sequence_result(config, GameSequence("B"))
-    results = tuple(
-        _sequence_result(config, seq) for seq in enumerate_sequences(config.max_period)
-    )
+    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
+    results: list[SequenceResult] = []
+    for start in range(0, len(sequences), SCAN_CHUNK_GAMES):
+        chunk = sequences[start:start + SCAN_CHUNK_GAMES]
+        columns = evolve_games(
+            config.coin_a, config.coin_b, config.eta_deg, chunk, config.horizon_steps
+        )
+        biases = bias(columns.p_left, columns.p_right)
+        entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
+        periods = [1 if config.verdict_each_step else seq.period for seq in chunk]
+        verdicts = payoff_verdicts(biases, periods, config.epsilon)
+        results += map(
+            SequenceResult,
+            chunk,
+            verdicts,
+            biases[:, -1].tolist(),
+            biases.min(axis=1).tolist(),
+            entropies.max(axis=1).tolist(),
+        )
+    pure_a, pure_b, *results = results
     both_losing = (
         pure_a.verdict is GameVerdict.LOSING and pure_b.verdict is GameVerdict.LOSING
     )
@@ -204,7 +227,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
         config=config,
         verdict_a=pure_a.verdict,
         verdict_b=pure_b.verdict,
-        results=results,
+        results=tuple(results),
         paradox_sequences=paradox,
         winning_by_period=winning_by_period,
     )

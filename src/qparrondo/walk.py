@@ -7,14 +7,18 @@ coin-|1> amplitude one site to the left. Periodic coin schedules (games
 such as ``ABB``) are built by cycling through a token string, one coin per
 elementary step, with the first token applied first.
 
-All operations are pure: they never mutate the state they are given and
-return freshly allocated amplitude grids.
+The per-step functions (``step``, ``evolve_sequence``) are pure: they never
+mutate the state they are given and return freshly allocated amplitude
+grids. They are the reference path. ``evolve_games`` is the batched
+kernel that scans use: it evolves many schedules of one coin pair together
+in place and keeps only per-step observables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,14 +31,17 @@ __all__ = [
     "GameSequence",
     "InitialStateSpec",
     "WalkerState",
+    "GameColumns",
     "MAX_DENSE_HALF_WIDTH",
     "MAX_SNAPSHOT_BYTES",
+    "MAX_STEPS",
     "make_coin",
     "initial_state",
     "apply_coin",
     "apply_shift",
     "step",
     "evolve_sequence",
+    "evolve_games",
     "dense_step_matrix",
     "dense_step_oracle",
 ]
@@ -48,6 +55,12 @@ MAX_DENSE_HALF_WIDTH = 12
 MAX_SNAPSHOT_BYTES = 1 << 30
 """Largest snapshot list ``evolve_sequence`` allocates: 1 GiB, which is
 4095 steps at the default half-width."""
+
+MAX_STEPS = 4095
+"""Longest walk ``evolve_games`` runs. Its memory is O(G*T), but its work
+per game grows as T**2; the cap is the horizon at which the snapshots of
+``evolve_sequence`` reach ``MAX_SNAPSHOT_BYTES``, so both paths accept the
+same step counts."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -367,3 +380,129 @@ def dense_step_oracle(state: WalkerState, coin: CoinMatrix) -> WalkerState:
         half_width=state.half_width,
         amplitudes=flat.reshape(2, -1),
     )
+
+
+class GameColumns(NamedTuple):
+    """Per-step observables of G games, each a ``(G, T)`` array.
+
+    Row ``g`` belongs to the ``g``-th schedule and column ``k`` to the state
+    after ``k + 1`` elementary steps. ``p_left``, ``p_origin`` and
+    ``p_right`` are the probabilities left of, at and right of the origin;
+    ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
+    density matrix (``rho10`` is the conjugate of ``rho01``).
+    """
+
+    p_left: NDArray[np.float64]
+    p_origin: NDArray[np.float64]
+    p_right: NDArray[np.float64]
+    rho00: NDArray[np.float64]
+    rho11: NDArray[np.float64]
+    rho01: NDArray[np.complex128]
+
+
+def evolve_games(
+    coin_a: CoinParams,
+    coin_b: CoinParams,
+    eta_deg: float,
+    schedules: Sequence[GameSequence],
+    steps: int,
+) -> GameColumns:
+    """Evolve one game per schedule from the same initial state, together.
+
+    Gives, at every step, what ``evolve_sequence`` followed by
+    ``bias_sample`` and ``reduced_density`` give for each schedule alone,
+    but keeps no snapshot: memory is O(G*T) for G games of T steps.
+
+    After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
+    occupied, so each coin component is stored on that sublattice alone,
+    one row per site and one column per game. Coin |1> keeps row ``j`` of
+    ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
+    ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
+    ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
+    nothing, and the row it uncovers is still zero. Games never mix, and
+    every sum over sites adds one site at a time, so each game's columns
+    are bitwise the same whatever else is batched with it.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``steps < 1``, no schedule is given, or ``eta_deg`` is not
+        finite.
+    CapacityError
+        If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
+    """
+    if steps < 1:
+        raise InvalidParameterError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise CapacityError(
+            f"{steps} steps exceed the budget of {MAX_STEPS} steps per game "
+            f"(the work per game grows as the square of the steps)"
+        )
+    if not schedules:
+        raise InvalidParameterError("no schedule to evolve")
+    eta = math.radians(InitialStateSpec(eta_deg=eta_deg).eta_deg)
+    coins = np.stack([make_coin(coin_a), make_coin(coin_b)])
+    # the coin each game applies at each step, (T, G): 0 for A, 1 for B
+    choice = np.stack([
+        np.resize(np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B"), steps)
+        for seq in schedules
+    ], axis=1).view(np.uint8)
+
+    games = len(schedules)
+    a0 = np.zeros((steps + 1, games), dtype=np.complex128)
+    a1 = np.zeros_like(a0)
+    a0[steps] = 1.0 / math.sqrt(2.0)
+    a1[0] = np.exp(1j * eta) / math.sqrt(2.0)
+    scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+    prob0, prob1 = np.empty((steps + 1, games)), np.empty((steps + 1, games))
+    out = GameColumns(
+        *(np.zeros((games, steps)) for _ in range(5)),
+        rho01=np.empty((games, steps), dtype=np.complex128),
+    )
+
+    off = steps
+    for t in range(steps):
+        n = t + 1  # occupied sites before this step
+        w0, w1 = a0[off:off + n], a1[:n]
+        coin = coins[choice[t]]  # (G, 2, 2)
+        c0 = np.multiply(w0, coin[:, 0, 0], out=scratch0[:n])
+        c1 = np.multiply(w1, coin[:, 0, 1], out=scratch1[:n])
+        np.multiply(w0, coin[:, 1, 0], out=w0)
+        np.multiply(w1, coin[:, 1, 1], out=w1)
+        np.add(w1, w0, out=w1)
+        np.add(c0, c1, out=w0)
+        off -= 1
+
+        n += 1  # occupied sites after it; site j lies at x = 2j - (t + 1)
+        w0, w1 = a0[off:off + n], a1[:n]
+        q0 = _abs2(w0, prob0[:n])
+        q1 = _abs2(w1, prob1[:n])
+        out.rho00[:, t] = _site_sum(q0)
+        out.rho11[:, t] = _site_sum(q1)
+        q = np.add(q0, q1, out=q0)
+        left_end, right_start = (t + 2) // 2, (t + 1) // 2 + 1
+        out.p_left[:, t] = _site_sum(q[:left_end])
+        if left_end < right_start:  # an even step count reaches the origin
+            out.p_origin[:, t] = q[left_end]
+        out.p_right[:, t] = _site_sum(q[right_start:])
+        cross = np.conjugate(w1, out=scratch1[:n])
+        out.rho01[:, t] = _site_sum(np.multiply(w0, cross, out=cross))
+    return out
+
+
+def _abs2(amplitudes: NDArray[np.complex128], out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Squared moduli of ``amplitudes``, written into ``out``."""
+    np.multiply(amplitudes.real, amplitudes.real, out=out)
+    out += amplitudes.imag * amplitudes.imag
+    return out
+
+
+def _site_sum(values: NDArray) -> NDArray:
+    """Sum over sites (axis 0) for each game, adding one site at a time.
+
+    numpy reduces several columns row by row but a single column pairwise;
+    accumulating keeps a lone game on the order a batch uses.
+    """
+    if values.shape[1] > 1:
+        return values.sum(axis=0)
+    return np.add.accumulate(values, axis=0)[-1]

@@ -1,10 +1,12 @@
+import inspect
 import json
 import re
 import tracemalloc
 
 import pytest
 
-from qparrondo import CapacityError, CoinParams, GridAxis
+from qparrondo import CapacityError, CoinParams, GridAxis, ScanConfig, classify, scan_region_grid
+from qparrondo.metrics import DEFAULT_EPSILON
 from qparrondo.cli import EXIT_CAPACITY, EXIT_IO, EXIT_USAGE, main, parse_cli
 
 from benchmarks import REFERENCE_TOL, GAME_A_BIASES
@@ -69,6 +71,14 @@ class TestParseCli:
         assert config.epsilon == 1e-9
         assert config.fmt == "json"
         assert config.verdict_each_step is False
+
+    def test_defaults_are_the_api_defaults(self):
+        config = parse_cli(["regions"] + COINS + ["--axis", "beta_a=1:2:2"])
+        grid_defaults = inspect.signature(scan_region_grid).parameters
+        assert config.max_cells == grid_defaults["max_cells"].default
+        assert config.workers == grid_defaults["workers"].default
+        assert config.epsilon == DEFAULT_EPSILON == ScanConfig.epsilon
+        assert inspect.signature(classify).parameters["epsilon"].default == DEFAULT_EPSILON
 
     def test_config_file_fills_missing_flags(self, tmp_path):
         config_path = tmp_path / "run.cfg"
@@ -212,6 +222,27 @@ class TestBudgets:
             parse_cli(argv + ["--max-cells", "24"])
         assert info.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["scan", "regions"])
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--epsilon", "inf", "epsilon"),
+            ("--epsilon", "1e400", "epsilon"),
+            ("--epsilon", "nan", "epsilon"),
+            ("--eta-deg", "nan", "eta_deg"),
+            ("--eta-deg", "inf", "eta_deg"),
+        ],
+    )
+    def test_non_finite_inputs_exit_with_two(self, tmp_path, capsys, command, flag, value, named):
+        out = tmp_path / "out.json"
+        argv = [command] + COINS + ["--steps", "12", "--max-period", "2", flag, value,
+                                    "--out", str(out)]
+        if command == "regions":
+            argv += ["--axis", "beta_a=1:2:2"]
+        assert main(argv) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_long_simulation_exits_with_capacity(self, capsys):
         code = main(["simulate"] + COINS + ["--sequence", "AB", "--steps", str(10**6)])

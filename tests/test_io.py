@@ -95,6 +95,12 @@ class TestTrajectoryJson:
         ]
         assert document["metadata"]["sequence"] == "A"
 
+    def test_refuses_values_json_cannot_hold(self):
+        trajectory = one_sided_trajectory(steps=3)
+        broken = BiasTrajectory(trajectory.samples, {"eta_deg": float("inf")})
+        with pytest.raises(ValueError):
+            write_trajectory_json(broken, io.StringIO())
+
 
 @pytest.fixture(scope="module")
 def small_report():

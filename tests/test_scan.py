@@ -65,6 +65,15 @@ class TestScanConfig:
         with pytest.raises(InvalidParameterError):
             one_sided_config(max_period=6, horizon_steps=5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", -1e-9),
+         ("eta_deg", float("nan")), ("eta_deg", float("inf"))],
+    )
+    def test_rejects_non_finite_epsilon_and_phase(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            one_sided_config(**{field: value})
+
 
 @pytest.fixture(scope="module")
 def one_sided_report():
