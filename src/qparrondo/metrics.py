@@ -153,10 +153,17 @@ def payoff_verdicts(
     Raises
     ------
     InvalidParameterError
-        If a period is below 1 or longer than the ``T`` steps.
+        If there is not one period per row, or a period is below 1 or
+        longer than the ``T`` steps.
     """
     biases = np.asarray(biases, dtype=np.float64)
     periods = np.asarray(periods)
+    if periods.shape != biases.shape[:1]:
+        raise InvalidParameterError(
+            f"need one period per bias row, got {periods.size} periods for {len(biases)} rows"
+        )
+    if not periods.size:
+        return []
     steps = biases.shape[1]
     if periods.min() < 1:
         raise InvalidParameterError(f"period must be >= 1, got {periods.min()}")

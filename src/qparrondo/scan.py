@@ -3,17 +3,17 @@
 A paradox point is a configuration where both pure games lose while at
 least one periodic alternation of the same two coins wins. ``run_scan``
 checks every sequence up to a maximum period at one configuration;
-``scan_region_grid`` repeats that over a grid of coin parameters.
+``scan_region_grid`` repeats that over a grid of coin parameters. Both
+evolve their games, across cells, in chunks through one kernel call each.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,7 +28,8 @@ from .metrics import (
     entropy_bits,
     payoff_verdicts,
 )
-from .walk import CoinParams, GameSequence, InitialStateSpec, evolve_games
+from .walk import CoinParams, GameColumns, GameSequence, InitialStateSpec
+from .walk import check_steps, evolve_games
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
@@ -51,7 +52,7 @@ __all__ = [
 MAX_ENUMERATION_PERIOD = 12
 
 SCAN_CHUNK_GAMES = 128
-"""Games ``run_scan`` evolves in one kernel call. It bounds the kernel's
+"""Most games one kernel call evolves, across cells. It bounds the kernel's
 working set (a few hundred bytes per game and step) when the longest periods
 enumerate thousands of games; larger batches run no faster."""
 
@@ -167,7 +168,7 @@ def game_trajectory(
     steps: int,
 ) -> BiasTrajectory:
     """Evolve one game and return its full trajectory with entropy."""
-    columns = evolve_games(coin_a, coin_b, eta_deg, [seq], steps)
+    columns = evolve_games([(coin_a, coin_b, eta_deg, seq)], steps)
     rows = zip(
         columns.p_left[0].tolist(),
         columns.p_origin[0].tolist(),
@@ -185,26 +186,47 @@ def game_trajectory(
     return BiasTrajectory(samples=samples, metadata=metadata)
 
 
+def _evolve_cells(
+    configs: Sequence[ScanConfig],
+) -> Iterator[tuple[list[tuple[int, GameSequence]], GameColumns, NDArray[np.float64], list[GameVerdict]]]:
+    """Evolve pure A, pure B and every enumerated sequence at each config.
+
+    The configs may differ only in their coins and phase. Their games, in
+    cell order and then enumeration order, run in equal chunks of at most
+    ``SCAN_CHUNK_GAMES``; a cell's games may span two chunks. Yields, per
+    chunk, its games as ``(cell index, sequence)``, their columns, biases
+    and verdicts.
+    """
+    first = configs[0]
+    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(first.max_period)]
+    per_cell = len(sequences)
+    total = len(configs) * per_cell
+    chunks = -(-total // SCAN_CHUNK_GAMES)
+    for k in range(chunks):
+        games = [(i // per_cell, sequences[i % per_cell])
+                 for i in range(k * total // chunks, (k + 1) * total // chunks)]
+        columns = evolve_games(
+            [(configs[cell].coin_a, configs[cell].coin_b, configs[cell].eta_deg, seq)
+             for cell, seq in games],
+            first.horizon_steps,
+        )
+        biases = bias(columns.p_left, columns.p_right)
+        periods = [1 if first.verdict_each_step else seq.period for _, seq in games]
+        yield games, columns, biases, payoff_verdicts(biases, periods, first.epsilon)
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Simulate pure A, pure B, and every enumerated sequence.
 
     Results keep the enumeration order. The run is fully deterministic:
     identical configurations produce identical reports.
     """
-    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
     results: list[SequenceResult] = []
-    for start in range(0, len(sequences), SCAN_CHUNK_GAMES):
-        chunk = sequences[start:start + SCAN_CHUNK_GAMES]
-        columns = evolve_games(
-            config.coin_a, config.coin_b, config.eta_deg, chunk, config.horizon_steps
-        )
-        biases = bias(columns.p_left, columns.p_right)
+    for games, columns, biases, verdicts in _evolve_cells([config]):
         entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
-        periods = [1 if config.verdict_each_step else seq.period for seq in chunk]
-        verdicts = payoff_verdicts(biases, periods, config.epsilon)
         results += map(
             SequenceResult,
-            chunk,
+            [seq for _, seq in games],
             verdicts,
             biases[:, -1].tolist(),
             biases.min(axis=1).tolist(),
@@ -295,9 +317,18 @@ def _apply_assignments(config: ScanConfig, assignments: dict[str, float]) -> Sca
     return config
 
 
-def _cell_outcome(config: ScanConfig) -> tuple[bool, int]:
-    report = run_scan(config)
-    return bool(report.paradox_sequences), sum(report.winning_by_period.values())
+def _block_outcomes(configs: Sequence[ScanConfig]) -> list[tuple[bool, int]]:
+    """Paradox flag and winning-sequence count of each cell of a block, as
+    ``run_scan`` reports them, reduced chunk by chunk."""
+    pure_losing = [0] * len(configs)
+    winning = [0] * len(configs)
+    for games, _, _, verdicts in _evolve_cells(configs):
+        for (cell, seq), verdict in zip(games, verdicts):
+            if seq.period == 1:
+                pure_losing[cell] += verdict is GameVerdict.LOSING
+            else:
+                winning[cell] += verdict is GameVerdict.WINNING
+    return [(both == 2 and count > 0, count) for both, count in zip(pure_losing, winning)]
 
 
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
@@ -313,16 +344,18 @@ def scan_region_grid(
 ) -> RegionGrid:
     """Run a full scan at every cell of a parameter grid.
 
-    Cells are evaluated in row-major order over the axes; with
-    ``workers > 1`` they run in parallel processes (at most one per cell
-    and per CPU), but results are collected by cell index so the grid is
-    identical either way.
+    Cells are evaluated in row-major order over the axes. With
+    ``workers > 1`` the cells are split into one contiguous block per
+    process (at most one per cell and per CPU); blocks are collected in
+    order, so the grid is identical either way.
 
     Raises
     ------
     InvalidParameterError
         If no axis or more than two axes are given, or the grid exceeds
         ``max_cells``.
+    CapacityError
+        If the horizon exceeds ``walk.MAX_STEPS``; no process starts then.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -336,6 +369,7 @@ def scan_region_grid(
         raise InvalidParameterError(
             f"grid of {n_cells} cells exceeds the budget of {max_cells}"
         )
+    check_steps(base.horizon_steps)
     cell_configs = []
     for index in np.ndindex(shape):
         assignments = {
@@ -344,10 +378,14 @@ def scan_region_grid(
         cell_configs.append(_apply_assignments(base, assignments))
     processes = _pool_size(workers, n_cells, os.cpu_count())
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
+        bounds = [n_cells * k // processes for k in range(processes + 1)]
+        blocks = [cell_configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_cell_outcome, cell_configs))
+            outcomes = [cell for block in pool.map(_block_outcomes, blocks) for cell in block]
     else:
-        outcomes = [_cell_outcome(cfg) for cfg in cell_configs]
+        outcomes = _block_outcomes(cell_configs)
     paradox = np.array([flag for flag, _ in outcomes], dtype=bool).reshape(shape)
     counts = np.array([count for _, count in outcomes], dtype=int).reshape(shape)
     return RegionGrid(axes=axes, paradox=paradox, winning_counts=counts)

@@ -10,8 +10,9 @@ elementary step, with the first token applied first.
 The per-step functions (``step``, ``evolve_sequence``) are pure: they never
 mutate the state they are given and return freshly allocated amplitude
 grids. They are the reference path. ``evolve_games`` is the batched
-kernel that scans use: it evolves many schedules of one coin pair together
-in place and keeps only per-step observables.
+kernel that scans use: it evolves many games, each with its own coin pair,
+initial phase and schedule, together in place and keeps only per-step
+observables.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "apply_shift",
     "step",
     "evolve_sequence",
+    "check_steps",
     "evolve_games",
     "dense_step_matrix",
     "dense_step_oracle",
@@ -400,18 +402,28 @@ class GameColumns(NamedTuple):
     rho01: NDArray[np.complex128]
 
 
+def check_steps(steps: int) -> None:
+    """Raise ``InvalidParameterError`` below 1 step, ``CapacityError`` above
+    ``MAX_STEPS``."""
+    if steps < 1:
+        raise InvalidParameterError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise CapacityError(
+            f"{steps} steps exceed the budget of {MAX_STEPS} steps per game "
+            f"(the work per game grows as the square of the steps)"
+        )
+
+
 def evolve_games(
-    coin_a: CoinParams,
-    coin_b: CoinParams,
-    eta_deg: float,
-    schedules: Sequence[GameSequence],
+    games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]],
     steps: int,
 ) -> GameColumns:
-    """Evolve one game per schedule from the same initial state, together.
+    """Evolve games ``(coin_a, coin_b, eta_deg, schedule)`` together.
 
-    Gives, at every step, what ``evolve_sequence`` followed by
-    ``bias_sample`` and ``reduced_density`` give for each schedule alone,
-    but keeps no snapshot: memory is O(G*T) for G games of T steps.
+    Each game has its own coin pair, initial phase and schedule. Gives, at
+    every step, what ``evolve_sequence`` followed by ``bias_sample`` and
+    ``reduced_density`` give for each game alone, but keeps no snapshot:
+    memory is O(G*T) for G games of T steps.
 
     After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
     occupied, so each coin component is stored on that sublattice alone,
@@ -426,38 +438,34 @@ def evolve_games(
     Raises
     ------
     InvalidParameterError
-        If ``steps < 1``, no schedule is given, or ``eta_deg`` is not
+        If ``steps < 1``, no game is given, or an ``eta_deg`` is not
         finite.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
-    if steps < 1:
-        raise InvalidParameterError(f"steps must be >= 1, got {steps}")
-    if steps > MAX_STEPS:
-        raise CapacityError(
-            f"{steps} steps exceed the budget of {MAX_STEPS} steps per game "
-            f"(the work per game grows as the square of the steps)"
-        )
-    if not schedules:
-        raise InvalidParameterError("no schedule to evolve")
-    eta = math.radians(InitialStateSpec(eta_deg=eta_deg).eta_deg)
-    coins = np.stack([make_coin(coin_a), make_coin(coin_b)])
-    # the coin each game applies at each step, (T, G): 0 for A, 1 for B
-    choice = np.stack([
-        np.resize(np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B"), steps)
-        for seq in schedules
-    ], axis=1).view(np.uint8)
+    check_steps(steps)
+    if not games:
+        raise InvalidParameterError("no game to evolve")
+    # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
+    pairs: dict[tuple[CoinParams, CoinParams], int] = {}
+    choice, phases = [], []
+    for coin_a, coin_b, eta_deg, seq in games:
+        eta = math.radians(InitialStateSpec(eta_deg=eta_deg).eta_deg)
+        phases.append(np.exp(1j * eta) / math.sqrt(2.0))
+        is_b = np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B")
+        choice.append(2 * pairs.setdefault((coin_a, coin_b), len(pairs)) + np.resize(is_b, steps))
+    coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
+    choice = np.stack(choice, axis=1)  # (T, G): the table row each game applies at each step
 
-    games = len(schedules)
-    a0 = np.zeros((steps + 1, games), dtype=np.complex128)
+    a0 = np.zeros((steps + 1, len(games)), dtype=np.complex128)
     a1 = np.zeros_like(a0)
     a0[steps] = 1.0 / math.sqrt(2.0)
-    a1[0] = np.exp(1j * eta) / math.sqrt(2.0)
+    a1[0] = phases
     scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
-    prob0, prob1 = np.empty((steps + 1, games)), np.empty((steps + 1, games))
+    prob0, prob1 = np.empty(a0.shape), np.empty(a0.shape)
     out = GameColumns(
-        *(np.zeros((games, steps)) for _ in range(5)),
-        rho01=np.empty((games, steps), dtype=np.complex128),
+        *(np.zeros((len(games), steps)) for _ in range(5)),
+        rho01=np.empty((len(games), steps), dtype=np.complex128),
     )
 
     off = steps

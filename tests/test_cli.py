@@ -1,7 +1,12 @@
+import concurrent.futures
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +253,27 @@ class TestBudgets:
         code = main(["simulate"] + COINS + ["--sequence", "AB", "--steps", str(10**6)])
         assert code == EXIT_CAPACITY
         assert "budget" in capsys.readouterr().err
+
+    def test_long_regions_exits_with_capacity_before_any_pool(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "2",
+                                      "--steps", "4096", "--workers", "2"]
+        assert main(argv) == EXIT_CAPACITY
+        assert "budget" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, qparrondo.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestMain:

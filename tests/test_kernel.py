@@ -38,7 +38,9 @@ def every_game(max_period):
 
 
 def kernel(regime, schedules, steps):
-    return evolve_games(regime["coin_a"], regime["coin_b"], regime["eta_deg"], schedules, steps)
+    return evolve_games(
+        [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in schedules], steps
+    )
 
 
 def kernel_rows(columns, g):
@@ -92,6 +94,20 @@ def test_games_are_bitwise_identical_in_any_batch():
         for name in GameColumns._fields:
             joined = np.concatenate([getattr(part, name) for part in parts])
             assert np.array_equal(joined, getattr(whole, name)), (size, name)
+
+
+def test_games_of_mixed_cells_equal_their_own_pair_calls():
+    games = every_game(4)
+    cells = [dict(regime, eta_deg=eta) for regime in REGIMES.values() for eta in (0.0, 90.0, 270.0)]
+    mixed = [(cell["coin_a"], cell["coin_b"], cell["eta_deg"], seq) for cell in cells for seq in games]
+    order = np.random.default_rng(0).permutation(len(mixed))  # neighbours come from other cells
+    together = evolve_games([mixed[i] for i in order], 120)
+    row_of = np.argsort(order)
+    for c, cell in enumerate(cells):
+        rows = row_of[c * len(games):(c + 1) * len(games)]
+        alone = kernel(cell, games, 120)
+        for name in GameColumns._fields:
+            assert np.array_equal(getattr(together, name)[rows], getattr(alone, name)), (c, name)
 
 
 def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):

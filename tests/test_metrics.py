@@ -21,6 +21,7 @@ from qparrondo import (
     step,
     trajectory_with_entropy,
 )
+from qparrondo.metrics import payoff_verdicts
 
 from benchmarks import (
     REFERENCE_TOL,
@@ -148,6 +149,16 @@ class TestClassify:
     def test_rejects_period_beyond_horizon(self):
         with pytest.raises(InvalidParameterError):
             classify(synthetic_trajectory([0.1, 0.2]), period=3)
+
+
+class TestPayoffVerdicts:
+    @pytest.mark.parametrize("periods", [[1], [1, 1, 1]])
+    def test_needs_one_period_per_row(self, periods):
+        with pytest.raises(InvalidParameterError, match="one period per bias row"):
+            payoff_verdicts(np.zeros((2, 5)), periods)
+
+    def test_no_rows_give_no_verdicts(self):
+        assert payoff_verdicts(np.zeros((0, 5)), []) == []
 
 
 class TestReducedDensity:

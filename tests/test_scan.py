@@ -1,8 +1,12 @@
+import concurrent.futures
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qparrondo import (
+    CapacityError,
     CoinParams,
     GameSequence,
     GameVerdict,
@@ -15,7 +19,9 @@ from qparrondo import (
     scan_region_grid,
 )
 
+from qparrondo import scan
 from qparrondo.scan import AXIS_PARAMETERS, _apply_assignments, _pool_size
+from qparrondo.walk import MAX_STEPS
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
 
@@ -235,6 +241,49 @@ class TestRegionGrid:
                 one_sided_config(),
                 [GridAxis("beta_a", (1.0,)), GridAxis("beta_a", (2.0,))],
             )
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (GridAxis.linspace("alpha_b", 0, 180, 3), GridAxis.linspace("eta", 0, 180, 3)),
+            (GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("beta_b", 65, 85, 3)),
+        ],
+        ids=["alpha_b-eta", "beta_a-beta_b"],
+    )
+    def test_every_cell_equals_its_own_scan(self, axes):
+        base = one_sided_config(max_period=4, horizon_steps=120)
+        # 9 cells of 24 games run as two chunks of 108: the fifth cell spans both
+        assert scan.SCAN_CHUNK_GAMES < 9 * 24 <= 2 * scan.SCAN_CHUNK_GAMES
+        grid = scan_region_grid(base, axes)
+        for index in np.ndindex(grid.paradox.shape):
+            cell = {axis.parameter: axis.values[i] for axis, i in zip(axes, index)}
+            report = run_scan(_apply_assignments(base, cell))
+            assert grid.paradox[index] == bool(report.paradox_sequences), cell
+            assert grid.winning_counts[index] == sum(report.winning_by_period.values()), cell
+
+    def test_grid_is_the_same_at_any_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        base = one_sided_config(horizon_steps=60)
+        axes = [GridAxis.linspace("beta_a", 0, 30, 7)]  # 7 cells: blocks of 3+4 and 2+2+3
+        grids = [scan_region_grid(base, axes, workers=workers) for workers in (1, 2, 3)]
+        assert len(set(grids[0].winning_counts.tolist())) > 1
+        for grid in grids[1:]:
+            assert np.array_equal(grid.paradox, grids[0].paradox)
+            assert np.array_equal(grid.winning_counts, grids[0].winning_counts)
+
+    def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
+        with pytest.raises(CapacityError, match="budget"):
+            scan_region_grid(one_sided_config(horizon_steps=MAX_STEPS + 1), axes, workers=2)
+        # within the budget the same grid asks for the pool
+        with pytest.raises(AssertionError, match="pool"):
+            scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=2)
 
 
 @pytest.mark.parametrize("parameter", AXIS_PARAMETERS)
