@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, fields
-from typing import Any, TextIO, get_type_hints
+from itertools import count
+from typing import Any, Iterator, TextIO, get_type_hints
 
-from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult
 from .walk import CoinParams, GameSequence
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 TRAJECTORY_CSV_HEADER = "step,p_left,p_origin,p_right,bias,entropy"
+_TRAJECTORY_KEYS = TRAJECTORY_CSV_HEADER.split(",")
 
 _FLOAT_FORMAT = ".12e"  # 13 significant digits
 
@@ -35,23 +36,16 @@ def _fmt(value: float) -> str:
     return format(value, _FLOAT_FORMAT)
 
 
-def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
-    """Write one row per step under a fixed header.
+def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:
+    """Per step, its number and its value in each trajectory column, as Python numbers."""
+    return zip(count(1), *(getattr(trajectory, key).tolist() for key in _TRAJECTORY_KEYS[1:]))
 
-    Every sample must carry an entropy value; build trajectories with
-    ``trajectory_with_entropy``.
-    """
+
+def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
+    """Write one row per step under a fixed header."""
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
-    for sample in trajectory.samples:
-        if sample.entropy is None:
-            raise InvalidParameterError(
-                f"sample at step {sample.step} has no entropy; "
-                "build the trajectory with trajectory_with_entropy"
-            )
-        sink.write(
-            f"{sample.step},{_fmt(sample.p_left)},{_fmt(sample.p_origin)},"
-            f"{_fmt(sample.p_right)},{_fmt(sample.bias)},{_fmt(sample.entropy)}\n"
-        )
+    for step, *values in _trajectory_rows(trajectory):
+        sink.write(f"{step},{','.join(map(_fmt, values))}\n")
 
 
 def _to_json(value: Any) -> Any:
@@ -87,7 +81,7 @@ def write_trajectory_json(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """JSON equivalent of the CSV trajectory, plus run metadata."""
     document = {
         "metadata": dict(trajectory.metadata),
-        "samples": [_record_to_dict(s) for s in trajectory.samples],
+        "samples": [dict(zip(_TRAJECTORY_KEYS, row)) for row in _trajectory_rows(trajectory)],
     }
     json.dump(document, sink, indent=2, allow_nan=False)
     sink.write("\n")

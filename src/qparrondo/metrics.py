@@ -13,7 +13,7 @@ per-trajectory functions are thin wrappers over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
@@ -59,17 +59,14 @@ class GameVerdict(Enum):
 
 @dataclass(frozen=True)
 class BiasSample:
-    """Observables of one snapshot: side probabilities, bias, entropy.
-
-    ``entropy`` may be deferred (None) when only the bias is needed.
-    """
+    """Side probabilities and bias of one snapshot, as :func:`bias_sample`
+    measures them on the reference path."""
 
     step: int
     p_left: float
     p_origin: float
     p_right: float
     bias: float
-    entropy: float | None = None
 
     def __post_init__(self) -> None:
         total = self.p_left + self.p_origin + self.p_right
@@ -79,36 +76,43 @@ class BiasSample:
             )
         if not -1.0 - _CLOSURE_TOL <= self.bias <= 1.0 + _CLOSURE_TOL:
             raise InvalidParameterError(f"bias out of [-1, 1]: {self.bias!r}")
-        if self.entropy is not None and not -_CLOSURE_TOL <= self.entropy <= 1.0 + _CLOSURE_TOL:
-            raise InvalidParameterError(f"entropy out of [0, 1]: {self.entropy!r}")
 
 
 @dataclass(frozen=True)
 class BiasTrajectory:
-    """Per-step samples for steps 1..T plus run metadata (coins, schedule, eta)."""
+    """Per-step columns of one game, plus run metadata (coins, schedule, eta).
 
-    samples: tuple[BiasSample, ...]
+    ``p_left``, ``p_origin``, ``p_right`` and ``entropy`` are 1-D arrays
+    whose entry ``k`` is step ``k + 1``; ``bias`` is derived from the sides
+    with :func:`bias`. Raises ``InvalidParameterError`` unless the columns
+    have one length of at least 1, the sides sum to 1 at every step, and
+    every entropy lies in [0, 1].
+    """
+
+    p_left: NDArray[np.float64]
+    p_origin: NDArray[np.float64]
+    p_right: NDArray[np.float64]
+    entropy: NDArray[np.float64]
     metadata: Mapping[str, Any] = field(default_factory=dict)
+    bias: NDArray[np.float64] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        if not samples:
-            raise InvalidParameterError("trajectory must contain at least one sample")
-        for i, sample in enumerate(samples):
-            if sample.step != i + 1:
-                raise InvalidParameterError(
-                    f"samples must cover steps 1..T without gaps; "
-                    f"position {i} has step {sample.step}"
-                )
-        object.__setattr__(self, "samples", samples)
-
-    def biases(self) -> NDArray[np.float64]:
-        return np.array([s.bias for s in self.samples])
-
-    def entropies(self) -> NDArray[np.float64]:
-        if any(s.entropy is None for s in self.samples):
-            raise InvalidParameterError("trajectory has deferred entropy values")
-        return np.array([s.entropy for s in self.samples])
+        names = ("p_left", "p_origin", "p_right", "entropy")
+        columns = [np.asarray(getattr(self, name), np.float64) for name in names]
+        p_left, p_origin, p_right, entropy = columns
+        if p_left.ndim != 1 or not p_left.size or any(c.shape != p_left.shape for c in columns):
+            raise InvalidParameterError(f"columns must be 1-D, of equal length and at least one "
+                                        f"step long, got shapes {[c.shape for c in columns]}")
+        total = p_left + p_origin + p_right
+        closed = np.abs(total - 1.0) <= _CLOSURE_TOL
+        if not closed.all():
+            k = int(closed.argmin())
+            raise InvalidParameterError(f"probabilities must sum to 1, got {total[k]} at step {k + 1}")
+        if not ((entropy >= -_CLOSURE_TOL) & (entropy <= 1.0 + _CLOSURE_TOL)).all():
+            raise InvalidParameterError(f"entropy out of [0, 1]: {entropy.min()} to {entropy.max()}")
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "bias", bias(p_left, p_right))
 
 
 def bias_sample(state: WalkerState) -> BiasSample:
@@ -116,7 +120,7 @@ def bias_sample(state: WalkerState) -> BiasSample:
 
     ``p_left`` sums probability over sites x < 0, ``p_right`` over x > 0,
     and ``p_origin`` is the mass at x = 0, which counts toward neither
-    side. Entropy is left deferred.
+    side.
     """
     per_site = state.site_probabilities()
     center = state.half_width
@@ -204,7 +208,7 @@ def classify(
         If ``period < 1`` or the trajectory contains no sample at a
         multiple of ``period``.
     """
-    return payoff_verdicts(trajectory.biases()[None, :], [period], epsilon)[0]
+    return payoff_verdicts(trajectory.bias[None, :], [period], epsilon)[0]
 
 
 def reduced_density(state: WalkerState) -> ReducedCoinDensity:
@@ -274,10 +278,7 @@ def trajectory_with_entropy(
                 f"snapshots must be ordered by step and start at 1; "
                 f"position {i} has step {snap.step}"
             )
+    sides = [(s.p_left, s.p_origin, s.p_right) for s in map(bias_sample, snapshots)]
     rho = np.array([reduced_density(snap) for snap in snapshots])
-    entropies = entropy_bits(rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1])
-    samples = tuple(
-        replace(bias_sample(snap), entropy=entropy)
-        for snap, entropy in zip(snapshots, entropies.tolist())
-    )
-    return BiasTrajectory(samples=samples, metadata=dict(metadata or {}))
+    entropy = entropy_bits(rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1])
+    return BiasTrajectory(*np.transpose(sides), entropy, dict(metadata or {}))

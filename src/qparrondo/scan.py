@@ -21,7 +21,6 @@ from numpy.typing import NDArray
 from .errors import InvalidParameterError
 from .metrics import (
     DEFAULT_EPSILON,
-    BiasSample,
     BiasTrajectory,
     GameVerdict,
     bias,
@@ -88,9 +87,10 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         InitialStateSpec(eta_deg=self.eta_deg)  # rejects a non-finite phase up front
-        if self.max_period < 2:
+        if not 2 <= self.max_period <= MAX_ENUMERATION_PERIOD:
             raise InvalidParameterError(
-                f"max_period must be >= 2 (period 1 is a pure game), got {self.max_period}"
+                f"max_period must be in [2, {MAX_ENUMERATION_PERIOD}] (period 1 is a pure game), "
+                f"got {self.max_period}"
             )
         if self.horizon_steps < self.max_period:
             raise InvalidParameterError(
@@ -169,21 +169,16 @@ def game_trajectory(
 ) -> BiasTrajectory:
     """Evolve one game and return its full trajectory with entropy."""
     columns = evolve_games([(coin_a, coin_b, eta_deg, seq)], steps)
-    rows = zip(
-        columns.p_left[0].tolist(),
-        columns.p_origin[0].tolist(),
-        columns.p_right[0].tolist(),
-        bias(columns.p_left, columns.p_right)[0].tolist(),
-        entropy_bits(columns.rho00, columns.rho11, columns.rho01)[0].tolist(),
-    )
-    samples = tuple(BiasSample(k, *row) for k, row in enumerate(rows, start=1))
     metadata = {
         "coin_a": astuple(coin_a),
         "coin_b": astuple(coin_b),
         "eta_deg": eta_deg,
         "sequence": seq.tokens,
     }
-    return BiasTrajectory(samples=samples, metadata=metadata)
+    entropy = entropy_bits(columns.rho00, columns.rho11, columns.rho01)[0]
+    return BiasTrajectory(
+        columns.p_left[0], columns.p_origin[0], columns.p_right[0], entropy, metadata
+    )
 
 
 def _evolve_cells(

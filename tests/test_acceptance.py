@@ -69,9 +69,9 @@ from qparrondo import (
     run_scan,
     scan_region_grid,
     step,
+    trajectory_with_entropy,
 )
 from qparrondo.io import write_scan_json
-from qparrondo.metrics import BiasTrajectory
 
 from benchmarks import (
     REFERENCE_TOL,
@@ -156,9 +156,7 @@ def run_game(regime, tokens, steps):
 
 
 def bias_trajectory(regime, tokens, steps):
-    return BiasTrajectory(
-        samples=tuple(bias_sample(s) for s in run_game(regime, tokens, steps))
-    )
+    return trajectory_with_entropy(run_game(regime, tokens, steps))
 
 
 def site_probability_grid(expected, half_width):

@@ -265,6 +265,17 @@ class TestBudgets:
         assert main(argv) == EXIT_CAPACITY
         assert "budget" in capsys.readouterr().err
 
+    def test_long_period_regions_exits_with_two_before_any_pool(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "13",
+                                      "--steps", "24", "--workers", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert "max_period" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_the_pool_modules_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,13 +1,11 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from qparrondo import (
-    BiasSample,
-    BiasTrajectory,
     GameSequence,
-    InvalidParameterError,
     ScanConfig,
     game_trajectory,
     run_scan,
@@ -77,11 +75,6 @@ class TestTrajectoryCsv:
         second = render_csv(one_sided_trajectory(steps=4))
         assert first.encode() == second.encode()
 
-    def test_rejects_deferred_entropy(self):
-        samples = (BiasSample(step=1, p_left=0.5, p_origin=0.0, p_right=0.5, bias=0.0),)
-        with pytest.raises(InvalidParameterError):
-            write_trajectory_csv(BiasTrajectory(samples=samples), io.StringIO())
-
 
 class TestTrajectoryJson:
     def test_document_shape(self):
@@ -97,7 +90,7 @@ class TestTrajectoryJson:
 
     def test_refuses_values_json_cannot_hold(self):
         trajectory = one_sided_trajectory(steps=3)
-        broken = BiasTrajectory(trajectory.samples, {"eta_deg": float("inf")})
+        broken = replace(trajectory, metadata={"eta_deg": float("inf")})
         with pytest.raises(ValueError):
             write_trajectory_json(broken, io.StringIO())
 

@@ -59,10 +59,11 @@ def reference_rows(regime, seq, steps):
         InitialStateSpec(eta_deg=regime["eta_deg"]), regime["coin_a"], regime["coin_b"],
         seq, steps,
     )
-    samples = trajectory_with_entropy(snapshots).samples
+    trajectory = trajectory_with_entropy(snapshots)
     rho = np.array([reduced_density(snap) for snap in snapshots])
     return np.column_stack([
-        [(s.p_left, s.p_origin, s.p_right, s.bias, s.entropy) for s in samples],
+        trajectory.p_left, trajectory.p_origin, trajectory.p_right,
+        trajectory.bias, trajectory.entropy,
         rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1],
     ])
 
@@ -123,9 +124,9 @@ def test_simulate_equals_the_scan_game():
     trajectory = game_trajectory(
         config.coin_a, config.coin_b, config.eta_deg, GameSequence("ABB"), 90
     )
-    assert result.final_bias == trajectory.samples[-1].bias
-    assert result.min_bias == trajectory.biases().min()
-    assert result.max_entropy == trajectory.entropies().max()
+    assert result.final_bias == trajectory.bias[-1]
+    assert result.min_bias == trajectory.bias.min()
+    assert result.max_entropy == trajectory.entropy.max()
 
 
 def test_long_trajectory_keeps_no_snapshots():
@@ -138,7 +139,7 @@ def test_long_trajectory_keeps_no_snapshots():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(trajectory.samples) == 2400
+    assert len(trajectory.bias) == 2400
     assert peak < 16 << 20
 
 
@@ -151,11 +152,12 @@ def test_step_cap_is_the_snapshot_budget_horizon():
 
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**6])
 def test_rejects_walks_over_the_step_budget_before_allocating(steps):
-    games = every_game(12)
+    regime = REGIME_ONE_SIDED
+    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in every_game(12)]
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            kernel(REGIME_ONE_SIDED, games, steps)
+            evolve_games(games, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,6 +11,7 @@ from qparrondo import (
     InvalidParameterError,
     BiasSample,
     BiasTrajectory,
+    game_trajectory,
     bias_sample,
     classify,
     entanglement_entropy,
@@ -46,17 +47,13 @@ def one_sided_snapshots(tokens, steps):
 
 
 def synthetic_trajectory(biases):
-    samples = tuple(
-        BiasSample(
-            step=i + 1,
-            p_left=(1 - b) / 2,
-            p_origin=0.0,
-            p_right=(1 + b) / 2,
-            bias=b,
-        )
-        for i, b in enumerate(biases)
+    biases = np.asarray(biases, dtype=float)
+    return BiasTrajectory(
+        p_left=(1 - biases) / 2,
+        p_origin=np.zeros_like(biases),
+        p_right=(1 + biases) / 2,
+        entropy=np.zeros_like(biases),
     )
-    return BiasTrajectory(samples=samples)
 
 
 class TestBiasSample:
@@ -214,14 +211,14 @@ class TestTrajectoryWithEntropy:
             ("B", GAME_B_BIASES, GAME_B_SITE_PROBS),
         ):
             trajectory = trajectory_with_entropy(one_sided_snapshots(tokens, 3))
-            for sample, t in zip(trajectory.samples, (1, 2, 3)):
-                assert sample.step == t
-                assert sample.bias == pytest.approx(biases[t], abs=REFERENCE_TOL)
-                assert sample.entropy is not None
+            assert len(trajectory.bias) == len(trajectory.entropy) == 3
+            for t in (1, 2, 3):
+                assert trajectory.bias[t - 1] == pytest.approx(biases[t], abs=REFERENCE_TOL)
+                assert np.isfinite(trajectory.entropy[t - 1])
 
     def test_entropy_within_subsystem_bound(self):
         trajectory = trajectory_with_entropy(one_sided_snapshots("ABB", 60))
-        entropies = trajectory.entropies()
+        entropies = trajectory.entropy
         assert np.all(entropies >= 0.0)
         assert np.all(entropies <= 1.0 + 1e-10)
 
@@ -241,15 +238,50 @@ class TestTrajectoryWithEntropy:
             trajectory_with_entropy(snapshots[::-1])
 
 
-class TestBiasTrajectory:
-    def test_rejects_gap_in_steps(self):
-        samples = (
-            BiasSample(step=1, p_left=0.5, p_origin=0.0, p_right=0.5, bias=0.0),
-            BiasSample(step=3, p_left=0.5, p_origin=0.0, p_right=0.5, bias=0.0),
-        )
-        with pytest.raises(InvalidParameterError):
-            BiasTrajectory(samples=samples)
+def valid_columns(steps=40):
+    """Columns of a valid trajectory whose bias runs from -0.5 to 0.5."""
+    biases = np.linspace(-0.5, 0.5, steps)
+    return {
+        "p_left": (1 - biases) / 2, "p_origin": np.zeros(steps),
+        "p_right": (1 + biases) / 2, "entropy": np.full(steps, 0.5),
+    }
 
+
+def one_step_changed(name, step, value):
+    columns = valid_columns()
+    columns[name][step - 1] = value
+    return columns
+
+
+class TestBiasTrajectory:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
-            BiasTrajectory(samples=())
+            BiasTrajectory(p_left=[], p_origin=[], p_right=[], entropy=[])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (valid_columns(0), "at least one step"),
+            (dict(valid_columns(), p_right=np.full(39, 0.5)), "equal length"),
+            ({name: column[None, :] for name, column in valid_columns().items()}, "1-D"),
+            (one_step_changed("p_origin", 18, 1e-9), "sum to 1, got .* at step 18"),
+            (one_step_changed("p_left", 40, np.nan), "sum to 1, got nan at step 40"),
+            (one_step_changed("entropy", 7, 1.0 + 1e-9), "entropy out of"),
+            (one_step_changed("entropy", 7, -1e-9), "entropy out of"),
+            (one_step_changed("entropy", 7, np.nan), "entropy out of"),
+        ],
+        ids=["empty", "unequal-length", "two-dimensional", "sides-miss-1-at-one-step",
+             "nan-side", "entropy-above-1", "entropy-below-0", "nan-entropy"],
+    )
+    def test_rejects_invalid_columns(self, columns, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            BiasTrajectory(**columns)
+
+    def test_bias_is_bitwise_right_minus_left(self):
+        trajectory = game_trajectory(
+            REGIME_DOUBLE_1["coin_a"], REGIME_DOUBLE_1["coin_b"], REGIME_DOUBLE_1["eta_deg"],
+            GameSequence("ABB"), 240,
+        )
+        expected = trajectory.p_right - trajectory.p_left
+        assert trajectory.bias.dtype == expected.dtype
+        assert trajectory.bias.tobytes() == expected.tobytes()

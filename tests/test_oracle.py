@@ -136,8 +136,8 @@ def test_package_matches_oracle_at_every_step(oracle_runs, name):
             GameSequence(tokens), STEPS,
         )
         biases, entropies = oracle_runs[name][tokens]
-        worst_bias = max(worst_bias, np.abs(trajectory.biases() - biases).max())
-        worst_entropy = max(worst_entropy, np.abs(trajectory.entropies() - entropies).max())
+        worst_bias = max(worst_bias, np.abs(trajectory.bias - biases).max())
+        worst_entropy = max(worst_entropy, np.abs(trajectory.entropy - entropies).max())
     assert worst_bias <= PACKAGE_TOL, f"bias differs by {worst_bias:.2e}"
     assert worst_entropy <= PACKAGE_TOL, f"entropy differs by {worst_entropy:.2e}"
 

@@ -30,7 +30,6 @@ from qparrondo import (
     trajectory_with_entropy,
 )
 from qparrondo.io import write_scan_json
-from qparrondo.metrics import BiasTrajectory
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED
 
@@ -195,9 +194,7 @@ class TestVerdictStability:
                 InitialStateSpec(eta_deg=regime["eta_deg"]),
                 regime["coin_a"], regime["coin_b"], seq, total_steps=240,
             )
-            trajectory = BiasTrajectory(
-                samples=tuple(bias_sample(s) for s in snapshots)
-            )
+            trajectory = trajectory_with_entropy(snapshots)
             verdicts = {
                 classify(trajectory, epsilon=eps, period=seq.period)
                 for eps in (1e-12, 1e-9, 1e-6)

@@ -22,4 +22,4 @@ def test_python_example_prints_its_comments():
         if "  # " in statement:
             assert line == statement.split("  # ", 1)[1].strip(), statement
             checked += 1
-    assert checked == 2
+    assert checked == 3

@@ -74,7 +74,7 @@ class TestScanConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", -1e-9),
-         ("eta_deg", float("nan")), ("eta_deg", float("inf"))],
+         ("eta_deg", float("nan")), ("eta_deg", float("inf")), ("max_period", 13)],
     )
     def test_rejects_non_finite_epsilon_and_phase(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
