@@ -12,7 +12,7 @@ import inspect
 import io as stringio
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any
 
 from .errors import CapacityError, InvalidParameterError
@@ -31,7 +31,7 @@ from .scan import (
 )
 from .walk import CoinParams, GameSequence
 
-__all__ = ["CliConfig", "parse_cli", "main"]
+__all__ = ["parse_cli", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,29 +44,6 @@ _GRID_DEFAULTS = {
     name: parameter.default
     for name, parameter in inspect.signature(scan_region_grid).parameters.items()
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation: subcommand plus every resolved option.
-
-    Options the subcommand has no flag for are None.
-    """
-
-    command: str
-    coin_a: CoinParams
-    coin_b: CoinParams
-    eta_deg: float
-    steps: int
-    max_period: int | None
-    epsilon: float
-    fmt: str
-    out: str | None
-    sequence: GameSequence | None
-    axes: tuple[GridAxis, ...] | None
-    max_cells: int | None
-    workers: int | None
-    verdict_each_step: bool | None
 
 
 def _coin_triple(text: str) -> CoinParams:
@@ -178,6 +155,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     ]
 
     flags = {"simulate": simulate_flags, "scan": scan_flags, "regions": regions_flags}
+    # a subcommand's own defaults override these, so only dests it lacks read None
+    parser.set_defaults(**{action.dest: None for actions in flags.values() for action in actions})
     return parser, {
         command: {action.option_strings[0][2:]: action for action in actions}
         for command, actions in flags.items()
@@ -240,11 +219,14 @@ def _apply_config_file(
         action.default = value
 
 
-def parse_cli(argv: list[str] | None = None) -> CliConfig:
+def parse_cli(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse and validate an invocation; exits with a usage error otherwise.
 
-    A ``--config`` file's values become the flags' defaults and the
-    command line is parsed again over them, so flags win.
+    Returns the namespace of every option by dest (``--format`` is
+    ``fmt``, ``--axis`` is ``axes``, a tuple of ``GridAxis``); options the
+    subcommand has no flag for are None. A ``--config`` file's values
+    become the flags' defaults and the command line is parsed again over
+    them, so flags win.
     """
     parser, flags = build_parser()
     ns = parser.parse_args(argv)
@@ -261,15 +243,15 @@ def parse_cli(argv: list[str] | None = None) -> CliConfig:
         if cells > ns.max_cells:
             parser.error(f"grid of {cells} cells exceeds the --max-cells budget of {ns.max_cells}")
         ns.axes = tuple(GridAxis.linspace(*axis) for axis in ns.axes)
-    return CliConfig(**{f.name: getattr(ns, f.name, None) for f in fields(CliConfig)})
+    return ns
 
 
-def _scan_config(config: CliConfig) -> ScanConfig:
+def _scan_config(config: argparse.Namespace) -> ScanConfig:
     values = vars(config) | {"horizon_steps": config.steps}
     return ScanConfig(**{f.name: values[f.name] for f in fields(ScanConfig)})
 
 
-def _render(config: CliConfig) -> str:
+def _render(config: argparse.Namespace) -> str:
     sink = stringio.StringIO()
     if config.command == "simulate":
         trajectory = game_trajectory(

@@ -13,6 +13,8 @@ per-trajectory functions are thin wrappers over them.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -29,6 +31,7 @@ __all__ = [
     "BiasTrajectory",
     "ReducedCoinDensity",
     "DEFAULT_EPSILON",
+    "check_epsilon",
     "bias",
     "entropy_bits",
     "payoff_verdicts",
@@ -46,6 +49,13 @@ _CLOSURE_TOL = 1e-10
 
 DEFAULT_EPSILON = 1e-9
 """Bias magnitude at or below which a payoff point counts as a draw."""
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``InvalidParameterError`` unless the draw threshold is a
+    finite number >= 0."""
+    if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon < math.inf):  # NaN fails too
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 class GameVerdict(Enum):
@@ -157,9 +167,10 @@ def payoff_verdicts(
     Raises
     ------
     InvalidParameterError
-        If there is not one period per row, or a period is below 1 or
-        longer than the ``T`` steps.
+        If ``epsilon`` is negative or not finite, there is not one period
+        per row, or a period is below 1 or longer than the ``T`` steps.
     """
+    check_epsilon(epsilon)
     biases = np.asarray(biases, dtype=np.float64)
     periods = np.asarray(periods)
     if periods.shape != biases.shape[:1]:
@@ -205,8 +216,8 @@ def classify(
     Raises
     ------
     InvalidParameterError
-        If ``period < 1`` or the trajectory contains no sample at a
-        multiple of ``period``.
+        If ``epsilon`` is negative or not finite, ``period < 1``, or the
+        trajectory contains no sample at a multiple of ``period``.
     """
     return payoff_verdicts(trajectory.bias[None, :], [period], epsilon)[0]
 

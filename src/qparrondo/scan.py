@@ -10,8 +10,9 @@ evolve their games, across cells, in chunks through one kernel call each.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -24,11 +25,12 @@ from .metrics import (
     BiasTrajectory,
     GameVerdict,
     bias,
+    check_epsilon,
     entropy_bits,
     payoff_verdicts,
 )
 from .walk import CoinParams, GameColumns, GameSequence, InitialStateSpec
-from .walk import check_steps, evolve_games
+from .walk import check_count, check_steps, evolve_games
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
@@ -55,16 +57,20 @@ SCAN_CHUNK_GAMES = 128
 working set (a few hundred bytes per game and step) when the longest periods
 enumerate thousands of games; larger batches run no faster."""
 
-AXIS_PARAMETERS = (
-    "alpha_a",
-    "beta_a",
-    "gamma_a",
-    "alpha_b",
-    "beta_b",
-    "gamma_b",
-    "eta",
-)
-"""Scalar inputs a region sweep may vary."""
+AXIS_PARAMETERS = tuple(
+    f"{angle.name.removesuffix('_deg')}_{coin}" for coin in "ab" for angle in fields(CoinParams)
+) + ("eta",)
+"""Scalar inputs a region sweep may vary: each coin angle (``beta_a`` sets
+``coin_a.beta_deg``), then the initial phase."""
+
+
+def _check_max_period(max_period: int) -> None:
+    check_count("max_period", max_period)
+    if not 2 <= max_period <= MAX_ENUMERATION_PERIOD:
+        raise InvalidParameterError(
+            f"max_period must be in [2, {MAX_ENUMERATION_PERIOD}] (period 1 is a pure game), "
+            f"got {max_period}"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,9 @@ class ScanConfig:
     Verdicts are taken at whole-period boundaries of each sequence; set
     ``verdict_each_step`` to require the winning/losing condition at every
     elementary step instead (a much stricter quantifier, useful for
-    sensitivity analysis).
+    sensitivity analysis). Construction raises ``InvalidParameterError``
+    for an invalid field and ``CapacityError`` for a horizon over
+    ``walk.MAX_STEPS``, so a scan or grid fails before it evolves anything.
     """
 
     coin_a: CoinParams
@@ -87,17 +95,10 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         InitialStateSpec(eta_deg=self.eta_deg)  # rejects a non-finite phase up front
-        if not 2 <= self.max_period <= MAX_ENUMERATION_PERIOD:
-            raise InvalidParameterError(
-                f"max_period must be in [2, {MAX_ENUMERATION_PERIOD}] (period 1 is a pure game), "
-                f"got {self.max_period}"
-            )
-        if self.horizon_steps < self.max_period:
-            raise InvalidParameterError(
-                f"horizon_steps must be >= max_period, got {self.horizon_steps} < {self.max_period}"
-            )
-        if not 0 <= self.epsilon < math.inf:
-            raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        _check_max_period(self.max_period)
+        check_count("horizon_steps", self.horizon_steps, least=self.max_period)
+        check_epsilon(self.epsilon)
+        check_steps(self.horizon_steps)  # last, so a usage error wins over the budget
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,10 @@ def enumerate_sequences(max_period: int) -> list[GameSequence]:
     Raises
     ------
     InvalidParameterError
-        If ``max_period`` is outside [2, 12]; the listing doubles per
-        extra period.
+        If ``max_period`` is not an integer in [2, 12]; the listing
+        doubles per extra period.
     """
-    if not 2 <= max_period <= MAX_ENUMERATION_PERIOD:
-        raise InvalidParameterError(
-            f"max_period must be in [2, {MAX_ENUMERATION_PERIOD}], got {max_period}"
-        )
+    _check_max_period(max_period)
     sequences = []
     for length in range(2, max_period + 1):
         for letters in product("AB", repeat=length):
@@ -263,17 +261,16 @@ class GridAxis:
                 f"unknown axis parameter {self.parameter!r}; "
                 f"choose one of {', '.join(AXIS_PARAMETERS)}"
             )
-        values = tuple(float(v) for v in self.values)
+        values = tuple(self.values)
         if not values:
             raise InvalidParameterError(f"axis {self.parameter} has no values")
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidParameterError(f"axis {self.parameter} has non-finite values")
-        object.__setattr__(self, "values", values)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+            raise InvalidParameterError(f"axis {self.parameter} values must be finite numbers")
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, count: int) -> "GridAxis":
-        if count < 1:
-            raise InvalidParameterError(f"axis {parameter} needs count >= 1, got {count}")
+        check_count(f"axis {parameter} count", count)
         return cls(parameter, tuple(np.linspace(start, stop, count)))
 
 
@@ -347,11 +344,10 @@ def scan_region_grid(
     Raises
     ------
     InvalidParameterError
-        If no axis or more than two axes are given, or the grid exceeds
-        ``max_cells``.
-    CapacityError
-        If the horizon exceeds ``walk.MAX_STEPS``; no process starts then.
+        If no axis or more than two axes are given, the grid exceeds
+        ``max_cells``, or ``workers`` is not an integer of at least 1.
     """
+    check_count("workers", workers)
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
@@ -364,7 +360,6 @@ def scan_region_grid(
         raise InvalidParameterError(
             f"grid of {n_cells} cells exceeds the budget of {max_cells}"
         )
-    check_steps(base.horizon_steps)
     cell_configs = []
     for index in np.ndindex(shape):
         assignments = {

@@ -18,8 +18,9 @@ observables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,7 +35,6 @@ __all__ = [
     "WalkerState",
     "GameColumns",
     "MAX_DENSE_HALF_WIDTH",
-    "MAX_SNAPSHOT_BYTES",
     "MAX_STEPS",
     "make_coin",
     "initial_state",
@@ -42,6 +42,7 @@ __all__ = [
     "apply_shift",
     "step",
     "evolve_sequence",
+    "check_count",
     "check_steps",
     "evolve_games",
     "dense_step_matrix",
@@ -54,15 +55,11 @@ CoinMatrix = NDArray[np.complex128]
 MAX_DENSE_HALF_WIDTH = 12
 """Largest half-width accepted by the dense-matrix verification path."""
 
-MAX_SNAPSHOT_BYTES = 1 << 30
-"""Largest snapshot list ``evolve_sequence`` allocates: 1 GiB, which is
-4095 steps at the default half-width."""
-
 MAX_STEPS = 4095
-"""Longest walk ``evolve_games`` runs. Its memory is O(G*T), but its work
-per game grows as T**2; the cap is the horizon at which the snapshots of
-``evolve_sequence`` reach ``MAX_SNAPSHOT_BYTES``, so both paths accept the
-same step counts."""
+"""The one walk budget. ``evolve_games`` runs at most this many steps: its
+memory is O(G*T), but its work per game grows as T**2. ``evolve_sequence``
+takes at most this half-width, which keeps its snapshots, at most
+4095*2*8191*16 bytes, under 1 GiB."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -96,17 +93,13 @@ class CoinParams:
 class InitialStateSpec:
     """Unbiased coin superposition (|0> + e^{i eta}|1>)/sqrt(2) at the origin.
 
-    ``eta_deg`` is the relative phase in degrees. The walk always starts at
-    the center site; ``origin`` exists for explicitness and must be 0.
+    ``eta_deg`` is the relative phase in degrees.
     """
 
     eta_deg: float
-    origin: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta_deg", _require_finite("eta_deg", self.eta_deg))
-        if self.origin != 0:
-            raise InvalidParameterError(f"origin is fixed at the center site, got {self.origin}")
 
 
 @dataclass(frozen=True)
@@ -309,25 +302,19 @@ def evolve_sequence(
     Raises
     ------
     InvalidParameterError
-        If ``total_steps < 1``.
+        If ``total_steps`` is not an integer of at least 1.
     CapacityError
-        If ``half_width`` is given and is smaller than ``total_steps``, or
-        the snapshots would take more than ``MAX_SNAPSHOT_BYTES``.
+        If ``half_width`` is smaller than ``total_steps`` or larger than
+        ``MAX_STEPS``; nothing is allocated then.
     """
-    if total_steps < 1:
-        raise InvalidParameterError(f"total_steps must be >= 1, got {total_steps}")
+    check_count("total_steps", total_steps)
     if half_width is None:
         half_width = total_steps
     if half_width < total_steps:
         raise CapacityError(
             f"half_width {half_width} cannot hold a walk of {total_steps} steps"
         )
-    snapshot_bytes = total_steps * 2 * (2 * half_width + 1) * 16  # complex128 amplitudes
-    if snapshot_bytes > MAX_SNAPSHOT_BYTES:
-        raise CapacityError(
-            f"{total_steps} snapshots of half_width {half_width} need {snapshot_bytes} bytes, "
-            f"more than the budget of {MAX_SNAPSHOT_BYTES}"
-        )
+    check_steps(half_width)
     coins = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
     state = initial_state(spec, half_width)
     snapshots: list[WalkerState] = []
@@ -402,11 +389,19 @@ class GameColumns(NamedTuple):
     rho01: NDArray[np.complex128]
 
 
+def check_count(name: str, value: Any, least: int = 1) -> None:
+    """Raise ``InvalidParameterError`` unless ``value`` is an integer, not a
+    bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+
+
 def check_steps(steps: int) -> None:
-    """Raise ``InvalidParameterError`` below 1 step, ``CapacityError`` above
-    ``MAX_STEPS``."""
-    if steps < 1:
-        raise InvalidParameterError(f"steps must be >= 1, got {steps}")
+    """Raise ``InvalidParameterError`` unless ``steps`` is an integer of at
+    least 1, and ``CapacityError`` above ``MAX_STEPS``."""
+    check_count("steps", steps)
     if steps > MAX_STEPS:
         raise CapacityError(
             f"{steps} steps exceed the budget of {MAX_STEPS} steps per game "
@@ -438,8 +433,8 @@ def evolve_games(
     Raises
     ------
     InvalidParameterError
-        If ``steps < 1``, no game is given, or an ``eta_deg`` is not
-        finite.
+        If ``steps`` is not an integer of at least 1, no game is given, or
+        an ``eta_deg`` is not finite.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """

@@ -25,7 +25,7 @@ from qparrondo import (
 )
 from qparrondo import scan
 from qparrondo.metrics import bias, entropy_bits
-from qparrondo.walk import MAX_SNAPSHOT_BYTES, MAX_STEPS, GameColumns, evolve_games
+from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED
 
@@ -143,13 +143,6 @@ def test_long_trajectory_keeps_no_snapshots():
     assert peak < 16 << 20
 
 
-def test_step_cap_is_the_snapshot_budget_horizon():
-    def snapshot_bytes(steps):
-        return steps * 2 * (2 * steps + 1) * 16
-
-    assert snapshot_bytes(MAX_STEPS) <= MAX_SNAPSHOT_BYTES < snapshot_bytes(MAX_STEPS + 1)
-
-
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**6])
 def test_rejects_walks_over_the_step_budget_before_allocating(steps):
     regime = REGIME_ONE_SIDED
@@ -171,6 +164,8 @@ def test_rejects_walks_over_the_step_budget_before_allocating(steps):
         ([], 10, 90.0),
         ([GameSequence("AB")], 10, float("nan")),
         ([GameSequence("AB")], 10, float("inf")),
+        ([GameSequence("AB")], 12.5, 90.0),
+        ([GameSequence("AB")], True, 90.0),
     ],
 )
 def test_rejects_invalid_input(schedules, steps, eta):

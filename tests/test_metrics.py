@@ -157,6 +157,16 @@ class TestPayoffVerdicts:
     def test_no_rows_give_no_verdicts(self):
         assert payoff_verdicts(np.zeros((0, 5)), []) == []
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.inf, math.nan, "0.1"])
+    def test_rejects_negative_or_non_finite_epsilon(self, epsilon):
+        # such thresholds would read a draw as Winning (-1), a 0.5 bias as Draw (inf)
+        # and every row as Mixed (nan)
+        biases = np.array([[0.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            payoff_verdicts(biases, [1, 1], epsilon)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            classify(synthetic_trajectory([0.0, 0.0]), epsilon=epsilon)
+
 
 class TestReducedDensity:
     def test_initial_product_state_is_rank_one(self):

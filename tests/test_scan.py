@@ -74,7 +74,8 @@ class TestScanConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", -1e-9),
-         ("eta_deg", float("nan")), ("eta_deg", float("inf")), ("max_period", 13)],
+         ("eta_deg", float("nan")), ("eta_deg", float("inf")), ("max_period", 13),
+         ("max_period", 3.0), ("horizon_steps", 12.5)],
     )
     def test_rejects_non_finite_epsilon_and_phase(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
@@ -241,6 +242,27 @@ class TestRegionGrid:
                 one_sided_config(),
                 [GridAxis("beta_a", (1.0,)), GridAxis("beta_a", (2.0,))],
             )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GridAxis("beta_a", "12"),  # a string is not a list of two angles
+            lambda: GridAxis("beta_a", (1.0, "2")),
+            lambda: GridAxis.linspace("beta_a", 0, 1, 2.5),
+            lambda: GridAxis.linspace("beta_a", 0, 1, True),
+            lambda: GridAxis.linspace("beta_a", 0, 1, 0),
+        ],
+        ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count"],
+    )
+    def test_rejects_values_and_counts_of_the_wrong_type(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+    @pytest.mark.parametrize("workers", [0, -5, 1.5, True])
+    def test_rejects_worker_counts_that_are_not_positive_integers(self, workers):
+        axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
+        with pytest.raises(InvalidParameterError, match="workers"):
+            scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=workers)
 
     @pytest.mark.parametrize(
         "axes",

@@ -18,6 +18,7 @@ from qparrondo import (
     make_coin,
     step,
 )
+from qparrondo.walk import MAX_STEPS
 
 from benchmarks import (
     REFERENCE_TOL,
@@ -107,10 +108,6 @@ class TestInitialState:
     def test_half_width_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             initial_state(InitialStateSpec(eta_deg=0), half_width=0)
-
-    def test_origin_is_pinned_to_center(self):
-        with pytest.raises(InvalidParameterError):
-            InitialStateSpec(eta_deg=0, origin=2)
 
 
 class TestWalkerState:
@@ -293,6 +290,22 @@ class TestEvolveSequence:
     def test_rejects_snapshots_over_the_memory_budget(self, total_steps):
         # raised before any lattice is allocated; 10**6 steps would need 64 TB
         with pytest.raises(CapacityError, match="budget"):
+            evolve_sequence(
+                InitialStateSpec(eta_deg=0), ONE_SIDED_A, ONE_SIDED_B,
+                GameSequence("AB"), total_steps=total_steps,
+            )
+
+    def test_rejects_a_grid_wider_than_the_step_budget(self):
+        # one budget: a short walk may not ask for a lattice wider than MAX_STEPS
+        with pytest.raises(CapacityError, match="budget"):
+            evolve_sequence(
+                InitialStateSpec(eta_deg=0), ONE_SIDED_A, ONE_SIDED_B,
+                GameSequence("AB"), total_steps=10, half_width=MAX_STEPS + 1,
+            )
+
+    @pytest.mark.parametrize("total_steps", [12.5, True, "12"])
+    def test_rejects_step_counts_that_are_not_integers(self, total_steps):
+        with pytest.raises(InvalidParameterError, match="integer"):
             evolve_sequence(
                 InitialStateSpec(eta_deg=0), ONE_SIDED_A, ONE_SIDED_B,
                 GameSequence("AB"), total_steps=total_steps,
