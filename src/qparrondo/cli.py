@@ -48,8 +48,8 @@ _GRID_DEFAULTS = {
 
 def _coin_triple(text: str) -> CoinParams:
     try:
-        return CoinParams(*text.split(","))
-    except (TypeError, InvalidParameterError):  # not three parts, or not finite numbers
+        return CoinParams(*map(float, text.split(",")))
+    except (TypeError, ValueError, InvalidParameterError):  # not three parts, or not finite numbers
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated angles in degrees, got {text!r}"
         ) from None

@@ -4,17 +4,24 @@ Output is deterministic byte-for-byte: fixed key order, fixed float
 formatting, ``\\n`` line endings. CSV carries full-precision decimals so
 external plotting loses nothing. JSON is strict: a NaN or infinity raises
 ``ValueError`` instead of being written as ``NaN`` or ``Infinity``.
+
+Scan and grid documents are derived from the records: their keys are the
+fields of ``ScanReport``, ``ScanConfig``, ``SequenceResult``,
+``RegionGrid`` and ``GridAxis`` in declaration order, and
+``read_scan_json`` rebuilds a report from its declared field types.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, is_dataclass
 from itertools import count
-from typing import Any, Iterator, TextIO, get_type_hints
+from typing import Any, Iterator, TextIO, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .metrics import BiasTrajectory, GameVerdict
-from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult
+from .scan import RegionGrid, ScanConfig, ScanReport
 from .walk import CoinParams, GameSequence
 
 __all__ = [
@@ -49,88 +56,70 @@ def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
 
 
 def _to_json(value: Any) -> Any:
+    """A value as JSON: coins as angle lists, sequences as token strings,
+    verdicts by name, other dataclasses as objects of their fields in
+    declaration order, dict keys as strings, and tuples, lists and arrays as
+    lists."""
     if isinstance(value, CoinParams):
         return list(astuple(value))
     if isinstance(value, GameSequence):
         return value.tokens
     if isinstance(value, GameVerdict):
         return value.value
+    if is_dataclass(value):
+        return _to_json({f.name: getattr(value, f.name) for f in fields(value)})
+    if isinstance(value, dict):
+        return {str(key): _to_json(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
     return value
 
 
-def _from_json(kind: type, value: Any) -> Any:
+def _from_json(kind: Any, value: Any) -> Any:
+    """The inverse of :func:`_to_json` for a value of the declared type ``kind``."""
     if kind is CoinParams:
         return CoinParams(*value)
     if kind in (GameSequence, GameVerdict):
         return kind(value)
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(kind)})
+    args = get_args(kind)
+    if get_origin(kind) is tuple:  # tuple[X, ...]
+        return tuple(_from_json(args[0], item) for item in value)
+    if get_origin(kind) is dict:
+        return {args[0](key): _from_json(args[1], item) for key, item in value.items()}
     return value
 
 
-def _record_to_dict(record: Any) -> dict[str, Any]:
-    """A dataclass's fields in declaration order, as JSON values: coins as
-    angle lists, sequences as token strings, verdicts by name."""
-    return {f.name: _to_json(getattr(record, f.name)) for f in fields(record)}
-
-
-def _record_from_dict(cls: type, data: dict[str, Any]) -> Any:
-    kinds = get_type_hints(cls)
-    return cls(**{f.name: _from_json(kinds[f.name], data[f.name]) for f in fields(cls)})
+def _dump(document: Any, sink: TextIO) -> None:
+    json.dump(document, sink, indent=2, allow_nan=False)
+    sink.write("\n")
 
 
 def write_trajectory_json(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """JSON equivalent of the CSV trajectory, plus run metadata."""
-    document = {
+    _dump({
         "metadata": dict(trajectory.metadata),
         "samples": [dict(zip(_TRAJECTORY_KEYS, row)) for row in _trajectory_rows(trajectory)],
-    }
-    json.dump(document, sink, indent=2, allow_nan=False)
-    sink.write("\n")
+    }, sink)
 
 
 def write_scan_json(report: ScanReport, sink: TextIO) -> None:
-    """Serialize a scan report as one JSON document.
-
-    Keys, in order: ``config`` (the fields of :class:`ScanConfig`),
-    ``verdict_a``, ``verdict_b``, ``results`` (objects with the fields of
-    :class:`SequenceResult`: ``sequence``, ``verdict``, ``final_bias``,
-    ``min_bias``, ``max_entropy``, in enumeration order),
-    ``paradox_sequences``, and ``winning_by_period``.
-    """
-    document = {
-        "config": _record_to_dict(report.config),
-        "verdict_a": report.verdict_a.value,
-        "verdict_b": report.verdict_b.value,
-        "results": [_record_to_dict(r) for r in report.results],
-        "paradox_sequences": list(report.paradox_sequences),
-        "winning_by_period": {str(p): n for p, n in report.winning_by_period.items()},
-    }
-    json.dump(document, sink, indent=2, allow_nan=False)
-    sink.write("\n")
+    """Serialize a scan report as one JSON document whose keys are the
+    fields of :class:`ScanReport`, with ``config`` and each of ``results``
+    an object of the fields of :class:`ScanConfig` and :class:`SequenceResult`."""
+    _dump(_to_json(report), sink)
 
 
 def read_scan_json(source: TextIO) -> ScanReport:
     """Parse a document produced by :func:`write_scan_json`."""
-    data = json.load(source)
-    return ScanReport(
-        config=_record_from_dict(ScanConfig, data["config"]),
-        verdict_a=GameVerdict(data["verdict_a"]),
-        verdict_b=GameVerdict(data["verdict_b"]),
-        results=tuple(_record_from_dict(SequenceResult, entry) for entry in data["results"]),
-        paradox_sequences=tuple(data["paradox_sequences"]),
-        winning_by_period={int(p): n for p, n in data["winning_by_period"].items()},
-    )
+    return _from_json(ScanReport, json.load(source))
 
 
 def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:
-    """Serialize a region sweep: base config, axes, and both cell grids."""
-    document = {
-        "config": _record_to_dict(base),
-        "axes": [
-            {"parameter": axis.parameter, "values": list(axis.values)}
-            for axis in grid.axes
-        ],
-        "paradox": grid.paradox.tolist(),
-        "winning_counts": grid.winning_counts.tolist(),
-    }
-    json.dump(document, sink, indent=2, allow_nan=False)
-    sink.write("\n")
+    """Serialize a region sweep: ``config`` (the fields of the base
+    :class:`ScanConfig`), then the fields of :class:`RegionGrid`."""
+    _dump({"config": _to_json(base), **_to_json(grid)}, sink)

@@ -13,8 +13,6 @@ per-trajectory functions are thin wrappers over them.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -23,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState
+from .walk import WalkerState, check_real
 
 __all__ = [
     "GameVerdict",
@@ -51,11 +49,13 @@ DEFAULT_EPSILON = 1e-9
 """Bias magnitude at or below which a payoff point counts as a draw."""
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Raise ``InvalidParameterError`` unless the draw threshold is a
-    finite number >= 0."""
-    if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon < math.inf):  # NaN fails too
-        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
+def check_epsilon(epsilon: float) -> float:
+    """The draw threshold as a float; raise ``InvalidParameterError`` unless
+    it is a finite real number >= 0."""
+    epsilon = check_real("epsilon", epsilon)
+    if epsilon < 0:
+        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    return epsilon
 
 
 class GameVerdict(Enum):

@@ -9,12 +9,10 @@ evolve their games, across cells, in chunks through one kernel call each.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,8 +27,8 @@ from .metrics import (
     entropy_bits,
     payoff_verdicts,
 )
-from .walk import CoinParams, GameColumns, GameSequence, InitialStateSpec
-from .walk import check_count, check_steps, evolve_games
+from .walk import CoinParams, GameColumns, GameSequence
+from .walk import check_count, check_real, check_steps, evolve_games
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
@@ -80,9 +78,10 @@ class ScanConfig:
     Verdicts are taken at whole-period boundaries of each sequence; set
     ``verdict_each_step`` to require the winning/losing condition at every
     elementary step instead (a much stricter quantifier, useful for
-    sensitivity analysis). Construction raises ``InvalidParameterError``
-    for an invalid field and ``CapacityError`` for a horizon over
-    ``walk.MAX_STEPS``, so a scan or grid fails before it evolves anything.
+    sensitivity analysis). Construction stores ``eta_deg`` and ``epsilon``
+    as floats, and raises ``InvalidParameterError`` for an invalid field and
+    ``CapacityError`` for a horizon over ``walk.MAX_STEPS``, so a scan or
+    grid fails before it evolves anything.
     """
 
     coin_a: CoinParams
@@ -94,10 +93,14 @@ class ScanConfig:
     verdict_each_step: bool = False
 
     def __post_init__(self) -> None:
-        InitialStateSpec(eta_deg=self.eta_deg)  # rejects a non-finite phase up front
+        kinds = {"coin_a": CoinParams, "coin_b": CoinParams, "verdict_each_step": bool}
+        for name, kind in kinds.items():
+            if not isinstance(value := getattr(self, name), kind):
+                raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+        object.__setattr__(self, "eta_deg", check_real("eta_deg", self.eta_deg))
         _check_max_period(self.max_period)
         check_count("horizon_steps", self.horizon_steps, least=self.max_period)
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         check_steps(self.horizon_steps)  # last, so a usage error wins over the budget
 
 
@@ -261,12 +264,11 @@ class GridAxis:
                 f"unknown axis parameter {self.parameter!r}; "
                 f"choose one of {', '.join(AXIS_PARAMETERS)}"
             )
-        values = tuple(self.values)
+        values = tuple(self.values) if isinstance(self.values, Iterable) else ()
         if not values:
-            raise InvalidParameterError(f"axis {self.parameter} has no values")
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
-            raise InvalidParameterError(f"axis {self.parameter} values must be finite numbers")
-        object.__setattr__(self, "values", tuple(map(float, values)))
+            raise InvalidParameterError(f"axis {self.parameter} needs values, got {self.values!r}")
+        name = f"axis {self.parameter} value"
+        object.__setattr__(self, "values", tuple(check_real(name, v) for v in values))
 
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, count: int) -> "GridAxis":
@@ -345,8 +347,9 @@ def scan_region_grid(
     ------
     InvalidParameterError
         If no axis or more than two axes are given, the grid exceeds
-        ``max_cells``, or ``workers`` is not an integer of at least 1.
+        ``max_cells``, or ``max_cells`` or ``workers`` is not a positive integer.
     """
+    check_count("max_cells", max_cells)
     check_count("workers", workers)
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
@@ -43,6 +44,7 @@ __all__ = [
     "step",
     "evolve_sequence",
     "check_count",
+    "check_real",
     "check_steps",
     "evolve_games",
     "dense_step_matrix",
@@ -62,21 +64,21 @@ takes at most this half-width, which keeps its snapshots, at most
 4095*2*8191*16 bytes, under 1 GiB."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(value):
+def check_real(name: str, value: Any) -> float:
+    """``value`` as a float; raise ``InvalidParameterError`` unless it is a
+    finite real number. A bool or a string is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN fails too, and so do ints beyond any float
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
 @dataclass(frozen=True)
 class CoinParams:
     """Angle triple, in degrees, defining one coin rotation.
 
-    Any finite values are legal; the trigonometric construction is
+    Any finite real values are legal; the trigonometric construction is
     periodic, so no range restriction applies.
     """
 
@@ -86,7 +88,7 @@ class CoinParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha_deg", "beta_deg", "gamma_deg"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class InitialStateSpec:
     eta_deg: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eta_deg", _require_finite("eta_deg", self.eta_deg))
+        object.__setattr__(self, "eta_deg", check_real("eta_deg", self.eta_deg))
 
 
 @dataclass(frozen=True)
@@ -434,7 +436,7 @@ def evolve_games(
     ------
     InvalidParameterError
         If ``steps`` is not an integer of at least 1, no game is given, or
-        an ``eta_deg`` is not finite.
+        an ``eta_deg`` is not a finite real number.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
@@ -445,7 +447,7 @@ def evolve_games(
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     choice, phases = [], []
     for coin_a, coin_b, eta_deg, seq in games:
-        eta = math.radians(InitialStateSpec(eta_deg=eta_deg).eta_deg)
+        eta = math.radians(check_real("eta_deg", eta_deg))
         phases.append(np.exp(1j * eta) / math.sqrt(2.0))
         is_b = np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B")
         choice.append(2 * pairs.setdefault((coin_a, coin_b), len(pairs)) + np.resize(is_b, steps))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from qparrondo import (
+    CoinParams,
     GameSequence,
     ScanConfig,
     game_trajectory,
@@ -12,6 +13,7 @@ from qparrondo import (
     scan_region_grid,
     GridAxis,
 )
+from qparrondo.cli import main
 from qparrondo.io import (
     TRAJECTORY_CSV_HEADER,
     read_scan_json,
@@ -132,10 +134,23 @@ class TestScanJson:
         assert "ABB" in document["paradox_sequences"]
 
     def test_round_trip(self, small_report):
+        each_step = run_scan(replace(small_report.config, horizon_steps=24, verdict_each_step=True))
+        for report in (small_report, each_step):
+            sink = io.StringIO()
+            write_scan_json(report, sink)
+            recovered = read_scan_json(io.StringIO(sink.getvalue()))
+            assert recovered == report
+
+    def test_api_with_integer_inputs_writes_what_the_cli_writes(self, tmp_path):
+        config = ScanConfig(coin_a=CoinParams(156, 16, 0), coin_b=CoinParams(0, 75, 160),
+                            eta_deg=90, max_period=3, horizon_steps=24, epsilon=0)
         sink = io.StringIO()
-        write_scan_json(small_report, sink)
-        recovered = read_scan_json(io.StringIO(sink.getvalue()))
-        assert recovered == small_report
+        write_scan_json(run_scan(config), sink)
+        path = tmp_path / "report.json"
+        assert main(["scan", "--coin-a", "156,16,0", "--coin-b", "0,75,160", "--eta-deg", "90",
+                     "--max-period", "3", "--steps", "24", "--epsilon", "0",
+                     "--out", str(path)]) == 0
+        assert sink.getvalue().encode() == path.read_bytes()
 
     def test_identical_coins_emit_empty_paradox_list(self):
         coin = REGIME_DOUBLE_1["coin_a"]

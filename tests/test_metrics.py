@@ -157,7 +157,7 @@ class TestPayoffVerdicts:
     def test_no_rows_give_no_verdicts(self):
         assert payoff_verdicts(np.zeros((0, 5)), []) == []
 
-    @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.inf, math.nan, "0.1"])
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.inf, math.nan, "0.1", True])
     def test_rejects_negative_or_non_finite_epsilon(self, epsilon):
         # such thresholds would read a draw as Winning (-1), a 0.5 bias as Draw (inf)
         # and every row as Mixed (nan)

@@ -1,9 +1,15 @@
-"""The README's Python example runs and prints what its comments say."""
+"""The README's examples run: the Python block prints what its comments
+say, and the command-line block writes the files it names."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from qparrondo.cli import main
+from qparrondo.io import TRAJECTORY_CSV_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +29,19 @@ def test_python_example_prints_its_comments():
             assert line == statement.split("  # ", 1)[1].strip(), statement
             checked += 1
     assert checked == 3
+
+
+def test_cli_examples_run_and_write_what_they_say(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("qparrondo ")]
+    assert [argv[1] for argv in commands] == ["simulate", "scan", "regions"]
+    for _, *argv in commands:
+        out = tmp_path / argv[argv.index("--out") + 1]
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0, argv  # --workers 4 is capped at the CPU count
+        text = out.read_text(encoding="utf-8")
+        if out.suffix == ".csv":
+            assert text.splitlines()[0] == TRAJECTORY_CSV_HEADER
+        else:
+            assert isinstance(json.loads(text), dict)

@@ -74,8 +74,12 @@ class TestScanConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", -1e-9),
-         ("eta_deg", float("nan")), ("eta_deg", float("inf")), ("max_period", 13),
-         ("max_period", 3.0), ("horizon_steps", 12.5)],
+         ("epsilon", True), ("epsilon", "0.1"),
+         ("eta_deg", float("nan")), ("eta_deg", float("inf")), ("eta_deg", True),
+         ("eta_deg", "90"), ("max_period", 13),
+         ("max_period", 3.0), ("horizon_steps", 12.5),
+         ("verdict_each_step", "no"), ("verdict_each_step", 1), ("verdict_each_step", None),
+         ("coin_a", None), ("coin_b", (0, 75, 160))],
     )
     def test_rejects_non_finite_epsilon_and_phase(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
@@ -251,8 +255,11 @@ class TestRegionGrid:
             lambda: GridAxis.linspace("beta_a", 0, 1, 2.5),
             lambda: GridAxis.linspace("beta_a", 0, 1, True),
             lambda: GridAxis.linspace("beta_a", 0, 1, 0),
+            lambda: GridAxis("beta_a", 12),  # one number is not a list of values
+            lambda: GridAxis("beta_a", (1.0, True)),
         ],
-        ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count"],
+        ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count",
+             "number-values", "bool-value"],
     )
     def test_rejects_values_and_counts_of_the_wrong_type(self, build):
         with pytest.raises(InvalidParameterError):
@@ -263,6 +270,13 @@ class TestRegionGrid:
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         with pytest.raises(InvalidParameterError, match="workers"):
             scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=workers)
+
+    @pytest.mark.parametrize("max_cells", ["10", True, 0.5, 0])
+    def test_rejects_cell_budgets_that_are_not_positive_integers(self, max_cells):
+        axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
+        with pytest.raises(InvalidParameterError, match="max_cells"):
+            scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes,
+                             max_cells=max_cells)
 
     @pytest.mark.parametrize(
         "axes",

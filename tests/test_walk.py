@@ -77,10 +77,15 @@ class TestMakeCoin:
             matrix = make_coin(CoinParams(*rng.uniform(-720, 720, size=3)))
             assert np.abs(matrix @ matrix.conj().T - np.eye(2)).max() < 1e-12
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), "x", None, "1.5", True,
+                pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_non_finite_angles_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
             CoinParams(bad, 0, 0)
+        with pytest.raises(InvalidParameterError, match="eta_deg"):
+            InitialStateSpec(eta_deg=bad)
 
     @pytest.mark.parametrize("beta", [0.0, 90.0])
     def test_degenerate_betas_are_legal(self, beta):
