@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ def game_trajectory(
     metadata = {
         "coin_a": astuple(coin_a),
         "coin_b": astuple(coin_b),
-        "eta_deg": eta_deg,
+        "eta_deg": check_real("eta_deg", eta_deg),
         "sequence": seq.tokens,
     }
     entropy = entropy_bits(columns.rho00, columns.rho11, columns.rho01)[0]
@@ -182,33 +182,39 @@ def game_trajectory(
     )
 
 
-def _evolve_cells(
-    configs: Sequence[ScanConfig],
-) -> Iterator[tuple[list[tuple[int, GameSequence]], GameColumns, NDArray[np.float64], list[GameVerdict]]]:
-    """Evolve pure A, pure B and every enumerated sequence at each config.
+Cell = tuple[CoinParams, CoinParams, float]
+"""What varies between the cells of a grid: the ``(coin_a, coin_b, eta_deg)``
+that all of a cell's games share."""
 
-    The configs may differ only in their coins and phase. Their games, in
-    cell order and then enumeration order, run in equal chunks of at most
-    ``SCAN_CHUNK_GAMES``; a cell's games may span two chunks. Yields, per
-    chunk, its games as ``(cell index, sequence)``, their columns, biases
-    and verdicts.
+
+def _evolve_cells(
+    config: ScanConfig, cells: Sequence[Cell]
+) -> Iterator[tuple[list[tuple[int, GameSequence]], GameColumns, NDArray[np.float64], list[GameVerdict]]]:
+    """Evolve pure A, pure B and every enumerated sequence at each cell.
+
+    A cell is only the coins and phase of its games; the sequences, horizon,
+    epsilon and verdict rule come from ``config`` and are shared by all cells.
+    The games, in cell order and then enumeration order, run in equal chunks
+    of at most ``SCAN_CHUNK_GAMES``; a cell's games may span two chunks.
+    Yields, per chunk, its games as ``(cell index, sequence)``, their columns,
+    biases and verdicts.
     """
-    first = configs[0]
-    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(first.max_period)]
+    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
     per_cell = len(sequences)
-    total = len(configs) * per_cell
+    total = len(cells) * per_cell
     chunks = -(-total // SCAN_CHUNK_GAMES)
     for k in range(chunks):
         games = [(i // per_cell, sequences[i % per_cell])
                  for i in range(k * total // chunks, (k + 1) * total // chunks)]
-        columns = evolve_games(
-            [(configs[cell].coin_a, configs[cell].coin_b, configs[cell].eta_deg, seq)
-             for cell, seq in games],
-            first.horizon_steps,
-        )
+        columns = evolve_games([(*cells[cell], seq) for cell, seq in games], config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
-        periods = [1 if first.verdict_each_step else seq.period for _, seq in games]
-        yield games, columns, biases, payoff_verdicts(biases, periods, first.epsilon)
+        periods = [1 if config.verdict_each_step else seq.period for _, seq in games]
+        yield games, columns, biases, payoff_verdicts(biases, periods, config.epsilon)
+
+
+def _paradox(verdict_a: GameVerdict, verdict_b: GameVerdict, winners: int) -> bool:
+    """The paradox rule: both pure games lose and at least one sequence wins."""
+    return verdict_a is GameVerdict.LOSING and verdict_b is GameVerdict.LOSING and winners > 0
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
@@ -218,7 +224,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
     identical configurations produce identical reports.
     """
     results: list[SequenceResult] = []
-    for games, columns, biases, verdicts in _evolve_cells([config]):
+    cell = (config.coin_a, config.coin_b, config.eta_deg)
+    for games, columns, biases, verdicts in _evolve_cells(config, [cell]):
         entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
         results += map(
             SequenceResult,
@@ -229,24 +236,17 @@ def run_scan(config: ScanConfig) -> ScanReport:
             entropies.max(axis=1).tolist(),
         )
     pure_a, pure_b, *results = results
-    both_losing = (
-        pure_a.verdict is GameVerdict.LOSING and pure_b.verdict is GameVerdict.LOSING
-    )
-    paradox = tuple(
-        r.sequence.tokens
-        for r in results
-        if both_losing and r.verdict is GameVerdict.WINNING
-    )
+    winners = [r for r in results if r.verdict is GameVerdict.WINNING]
+    paradox = _paradox(pure_a.verdict, pure_b.verdict, len(winners))
     winning_by_period: dict[int, int] = {p: 0 for p in range(2, config.max_period + 1)}
-    for r in results:
-        if r.verdict is GameVerdict.WINNING:
-            winning_by_period[r.sequence.period] += 1
+    for r in winners:
+        winning_by_period[r.sequence.period] += 1
     return ScanReport(
         config=config,
         verdict_a=pure_a.verdict,
         verdict_b=pure_b.verdict,
         results=tuple(results),
-        paradox_sequences=paradox,
+        paradox_sequences=tuple(r.sequence.tokens for r in winners) if paradox else (),
         winning_by_period=winning_by_period,
     )
 
@@ -273,6 +273,8 @@ class GridAxis:
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, count: int) -> "GridAxis":
         check_count(f"axis {parameter} count", count)
+        start = check_real(f"axis {parameter} start", start)
+        stop = check_real(f"axis {parameter} stop", stop)
         return cls(parameter, tuple(np.linspace(start, stop, count)))
 
 
@@ -299,30 +301,32 @@ class RegionGrid:
         object.__setattr__(self, "winning_counts", counts)
 
 
-def _apply_assignments(config: ScanConfig, assignments: dict[str, float]) -> ScanConfig:
+def _cell(config: ScanConfig, assignments: dict[str, float]) -> Cell:
+    """The coins and phase of ``config`` with each swept parameter set to its value."""
+    coins = {"a": config.coin_a, "b": config.coin_b}
+    eta_deg = config.eta_deg
     for name, value in assignments.items():
         if name == "eta":
-            config = replace(config, eta_deg=value)
+            eta_deg = value
         else:
             angle, coin = name.split("_")  # beta_a sets coin_a.beta_deg
-            coin_field = f"coin_{coin}"
-            coin_params = replace(getattr(config, coin_field), **{f"{angle}_deg": value})
-            config = replace(config, **{coin_field: coin_params})
-    return config
+            coins[coin] = replace(coins[coin], **{f"{angle}_deg": value})
+    return coins["a"], coins["b"], eta_deg
 
 
-def _block_outcomes(configs: Sequence[ScanConfig]) -> list[tuple[bool, int]]:
+def _block_outcomes(config: ScanConfig, cells: Sequence[Cell]) -> list[tuple[bool, int]]:
     """Paradox flag and winning-sequence count of each cell of a block, as
-    ``run_scan`` reports them, reduced chunk by chunk."""
-    pure_losing = [0] * len(configs)
-    winning = [0] * len(configs)
-    for games, _, _, verdicts in _evolve_cells(configs):
+    ``run_scan`` reports them at ``config`` with the cell's coins and phase,
+    reduced chunk by chunk."""
+    pure: list[list[GameVerdict]] = [[] for _ in cells]  # [verdict_a, verdict_b]
+    winning = [0] * len(cells)
+    for games, _, _, verdicts in _evolve_cells(config, cells):
         for (cell, seq), verdict in zip(games, verdicts):
             if seq.period == 1:
-                pure_losing[cell] += verdict is GameVerdict.LOSING
+                pure[cell].append(verdict)
             else:
                 winning[cell] += verdict is GameVerdict.WINNING
-    return [(both == 2 and count > 0, count) for both, count in zip(pure_losing, winning)]
+    return [(_paradox(*verdicts, count), count) for verdicts, count in zip(pure, winning)]
 
 
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
@@ -338,6 +342,9 @@ def scan_region_grid(
 ) -> RegionGrid:
     """Run a full scan at every cell of a parameter grid.
 
+    A cell is the coins and phase of ``base`` with its axis values set;
+    every other setting (periods, horizon, epsilon, verdict rule) is
+    ``base``'s, shared by all cells.
     Cells are evaluated in row-major order over the axes. With
     ``workers > 1`` the cells are split into one contiguous block per
     process (at most one per cell and per CPU); blocks are collected in
@@ -354,8 +361,8 @@ def scan_region_grid(
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
-    seen = {axis.parameter for axis in axes}
-    if len(seen) != len(axes):
+    parameters = [axis.parameter for axis in axes]
+    if len(set(parameters)) != len(axes):
         raise InvalidParameterError("axes must sweep distinct parameters")
     shape = tuple(len(axis.values) for axis in axes)
     n_cells = int(np.prod(shape))
@@ -363,22 +370,19 @@ def scan_region_grid(
         raise InvalidParameterError(
             f"grid of {n_cells} cells exceeds the budget of {max_cells}"
         )
-    cell_configs = []
-    for index in np.ndindex(shape):
-        assignments = {
-            axis.parameter: axis.values[i] for axis, i in zip(axes, index)
-        }
-        cell_configs.append(_apply_assignments(base, assignments))
+    cells = [_cell(base, dict(zip(parameters, values)))
+             for values in product(*(axis.values for axis in axes))]
     processes = _pool_size(workers, n_cells, os.cpu_count())
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
         bounds = [n_cells * k // processes for k in range(processes + 1)]
-        blocks = [cell_configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = [cell for block in pool.map(_block_outcomes, blocks) for cell in block]
+            outcomes = [cell for block in pool.map(_block_outcomes, repeat(base), blocks)
+                        for cell in block]
     else:
-        outcomes = _block_outcomes(cell_configs)
+        outcomes = _block_outcomes(base, cells)
     paradox = np.array([flag for flag, _ in outcomes], dtype=bool).reshape(shape)
     counts = np.array([count for _, count in outcomes], dtype=int).reshape(shape)
     return RegionGrid(axes=axes, paradox=paradox, winning_counts=counts)

@@ -60,8 +60,8 @@ MAX_DENSE_HALF_WIDTH = 12
 MAX_STEPS = 4095
 """The one walk budget. ``evolve_games`` runs at most this many steps: its
 memory is O(G*T), but its work per game grows as T**2. ``evolve_sequence``
-takes at most this half-width, which keeps its snapshots, at most
-4095*2*8191*16 bytes, under 1 GiB."""
+runs at most this many steps on a lattice of that half-width, which keeps
+its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB."""
 
 
 def check_real(name: str, value: Any) -> float:
@@ -277,7 +277,6 @@ def evolve_sequence(
     coin_b: CoinParams,
     seq: GameSequence,
     total_steps: int,
-    half_width: int | None = None,
 ) -> list[WalkerState]:
     """Run ``total_steps`` elementary steps under a cyclic coin schedule.
 
@@ -296,29 +295,21 @@ def evolve_sequence(
     seq:
         Cyclic token schedule over the two coins.
     total_steps:
-        Number of elementary steps, at least 1.
-    half_width:
-        Grid half-width; defaults to ``total_steps``, the exact ballistic
-        bound.
+        Number of elementary steps, at least 1; also the grid half-width,
+        the exact ballistic bound.
 
     Raises
     ------
     InvalidParameterError
         If ``total_steps`` is not an integer of at least 1.
     CapacityError
-        If ``half_width`` is smaller than ``total_steps`` or larger than
-        ``MAX_STEPS``; nothing is allocated then.
+        If ``total_steps`` is larger than ``MAX_STEPS``; nothing is
+        allocated then.
     """
     check_count("total_steps", total_steps)
-    if half_width is None:
-        half_width = total_steps
-    if half_width < total_steps:
-        raise CapacityError(
-            f"half_width {half_width} cannot hold a walk of {total_steps} steps"
-        )
-    check_steps(half_width)
+    check_steps(total_steps)
     coins = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
-    state = initial_state(spec, half_width)
+    state = initial_state(spec, total_steps)
     snapshots: list[WalkerState] = []
     for k in range(total_steps):
         state = step(state, coins[seq.tokens[k % seq.period]])

@@ -90,6 +90,17 @@ class TestTrajectoryJson:
         ]
         assert document["metadata"]["sequence"] == "A"
 
+    def test_api_with_integer_inputs_writes_what_the_cli_writes(self, tmp_path):
+        sink = io.StringIO()
+        trajectory = game_trajectory(CoinParams(156, 16, 0), CoinParams(0, 75, 160), 90,
+                                     GameSequence("ABB"), 6)
+        write_trajectory_json(trajectory, sink)
+        path = tmp_path / "trajectory.json"
+        assert main(["simulate", "--coin-a", "156,16,0", "--coin-b", "0,75,160",
+                     "--eta-deg", "90", "--sequence", "ABB", "--steps", "6",
+                     "--format", "json", "--out", str(path)]) == 0
+        assert sink.getvalue().encode() == path.read_bytes()
+
     def test_refuses_values_json_cannot_hold(self):
         trajectory = one_sided_trajectory(steps=3)
         broken = replace(trajectory, metadata={"eta_deg": float("inf")})

@@ -124,7 +124,7 @@ class TestComposition:
         half_width = seq.period * periods
         snapshots = evolve_sequence(
             InitialStateSpec(eta_deg=90), coin_a, coin_b, seq,
-            total_steps=seq.period * periods, half_width=half_width,
+            total_steps=half_width,
         )
         matrices = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
         composite = np.eye(2 * (2 * half_width + 1), dtype=complex)

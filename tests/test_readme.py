@@ -1,13 +1,16 @@
 """The README's examples run: the Python block prints what its comments
-say, and the command-line block writes the files it names."""
+say, the command-line block writes the files it names, and the budgets it
+quotes are the code's."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
 import shlex
 from pathlib import Path
 
+from qparrondo import scan, walk
 from qparrondo.cli import main
 from qparrondo.io import TRAJECTORY_CSV_HEADER
 
@@ -45,3 +48,15 @@ def test_cli_examples_run_and_write_what_they_say(tmp_path):
             assert text.splitlines()[0] == TRAJECTORY_CSV_HEADER
         else:
             assert isinstance(json.loads(text), dict)
+
+
+def test_budgets_quote_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    max_cells = inspect.signature(scan.scan_region_grid).parameters["max_cells"].default
+    for pattern, value in [
+        (r"`qparrondo\.walk\.MAX_STEPS` = (\d+)", walk.MAX_STEPS),
+        (r"at most (\d+) \(`qparrondo\.scan\.SCAN_CHUNK_GAMES`\)", scan.SCAN_CHUNK_GAMES),
+        (r"`--max-cells` \(default (\d+)\)", max_cells),
+    ]:
+        quoted = re.search(pattern, text)
+        assert quoted and int(quoted.group(1)) == value, pattern

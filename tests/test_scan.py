@@ -20,7 +20,7 @@ from qparrondo import (
 )
 
 from qparrondo import scan
-from qparrondo.scan import AXIS_PARAMETERS, _apply_assignments, _pool_size
+from qparrondo.scan import AXIS_PARAMETERS, _cell, _pool_size
 from qparrondo.walk import MAX_STEPS
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
@@ -257,9 +257,11 @@ class TestRegionGrid:
             lambda: GridAxis.linspace("beta_a", 0, 1, 0),
             lambda: GridAxis("beta_a", 12),  # one number is not a list of values
             lambda: GridAxis("beta_a", (1.0, True)),
+            lambda: GridAxis.linspace("beta_a", True, 3.0, 2),
+            lambda: GridAxis.linspace("beta_a", "1", 3.0, 2),
         ],
         ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count",
-             "number-values", "bool-value"],
+             "number-values", "bool-value", "bool-start", "string-start"],
     )
     def test_rejects_values_and_counts_of_the_wrong_type(self, build):
         with pytest.raises(InvalidParameterError):
@@ -279,21 +281,29 @@ class TestRegionGrid:
                              max_cells=max_cells)
 
     @pytest.mark.parametrize(
-        "axes",
+        "axes, base",
         [
-            (GridAxis.linspace("alpha_b", 0, 180, 3), GridAxis.linspace("eta", 0, 180, 3)),
-            (GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("beta_b", 65, 85, 3)),
+            pytest.param(
+                (GridAxis.linspace("alpha_b", 0, 180, 3), GridAxis.linspace("eta", 0, 180, 3)),
+                one_sided_config(max_period=4, horizon_steps=120), id="alpha_b-eta"),
+            pytest.param(
+                (GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("beta_b", 65, 85, 3)),
+                one_sided_config(max_period=4, horizon_steps=120), id="beta_a-beta_b"),
+            pytest.param(  # shared settings other than the defaults reach every cell
+                (GridAxis.linspace("eta", 0, 270, 3), GridAxis.linspace("alpha_b", 0, 90, 3)),
+                one_sided_config(max_period=4, horizon_steps=60, verdict_each_step=True,
+                                 epsilon=1e-3),
+                id="eta-alpha_b-each-step-epsilon"),
         ],
-        ids=["alpha_b-eta", "beta_a-beta_b"],
     )
-    def test_every_cell_equals_its_own_scan(self, axes):
-        base = one_sided_config(max_period=4, horizon_steps=120)
+    def test_every_cell_equals_its_own_scan(self, axes, base):
         # 9 cells of 24 games run as two chunks of 108: the fifth cell spans both
         assert scan.SCAN_CHUNK_GAMES < 9 * 24 <= 2 * scan.SCAN_CHUNK_GAMES
         grid = scan_region_grid(base, axes)
         for index in np.ndindex(grid.paradox.shape):
             cell = {axis.parameter: axis.values[i] for axis, i in zip(axes, index)}
-            report = run_scan(_apply_assignments(base, cell))
+            coin_a, coin_b, eta_deg = _cell(base, cell)
+            report = run_scan(replace(base, coin_a=coin_a, coin_b=coin_b, eta_deg=eta_deg))
             assert grid.paradox[index] == bool(report.paradox_sequences), cell
             assert grid.winning_counts[index] == sum(report.winning_by_period.values()), cell
 
@@ -325,7 +335,8 @@ class TestRegionGrid:
 @pytest.mark.parametrize("parameter", AXIS_PARAMETERS)
 def test_axis_parameter_sets_its_own_field(parameter):
     base = one_sided_config()
-    cell = _apply_assignments(base, {parameter: 1.5})
+    coin_a, coin_b, eta_deg = _cell(base, {parameter: 1.5})
+    cell = replace(base, coin_a=coin_a, coin_b=coin_b, eta_deg=eta_deg)
     if parameter == "eta":
         assert cell == replace(base, eta_deg=1.5)
     else:
