@@ -102,8 +102,6 @@ def _add_common_arguments(
                             help="initial coin phase eta in degrees"),
         parser.add_argument("--steps", type=_positive_int, default=ScanConfig.horizon_steps,
                             metavar="N", help="number of elementary steps (default %(default)s)"),
-        parser.add_argument("--epsilon", type=float, default=ScanConfig.epsilon, metavar="E",
-                            help="draw threshold for verdicts (default %(default)s)"),
         parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)"),
         parser.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
                             help="output format (default %(default)s)"),
@@ -114,6 +112,8 @@ def _add_common_arguments(
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     return [
+        parser.add_argument("--epsilon", type=float, default=ScanConfig.epsilon, metavar="E",
+                            help="draw threshold for verdicts (default %(default)s)"),
         parser.add_argument("--max-period", type=_positive_int, default=ScanConfig.max_period,
                             metavar="K", help="largest sequence period (default %(default)s)"),
         parser.add_argument("--verdict-each-step", action="store_true",

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, check_real
+from .walk import WalkerState, check_epsilon
 
 __all__ = [
     "GameVerdict",
@@ -47,15 +47,6 @@ _CLOSURE_TOL = 1e-10
 
 DEFAULT_EPSILON = 1e-9
 """Bias magnitude at or below which a payoff point counts as a draw."""
-
-
-def check_epsilon(epsilon: float) -> float:
-    """The draw threshold as a float; raise ``InvalidParameterError`` unless
-    it is a finite real number >= 0."""
-    epsilon = check_real("epsilon", epsilon)
-    if epsilon < 0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    return epsilon
 
 
 class GameVerdict(Enum):

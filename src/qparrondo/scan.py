@@ -4,14 +4,17 @@ A paradox point is a configuration where both pure games lose while at
 least one periodic alternation of the same two coins wins. ``run_scan``
 checks every sequence up to a maximum period at one configuration;
 ``scan_region_grid`` repeats that over a grid of coin parameters. Both
-evolve their games, across cells, in chunks through one kernel call each.
+evolve their games, across cells, in chunks through one kernel call each:
+a scan observes every column of every step, a grid only each game's bias
+at its payoff points, until its verdict is decided.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import product, repeat
+from itertools import groupby, islice, product, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,8 +30,8 @@ from .metrics import (
     entropy_bits,
     payoff_verdicts,
 )
-from .walk import CoinParams, GameColumns, GameSequence
-from .walk import check_count, check_real, check_steps, evolve_games
+from .walk import CoinParams, GameSequence
+from .walk import check_count, check_real, check_steps, evolve_games, evolve_verdicts
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
@@ -53,7 +56,10 @@ MAX_ENUMERATION_PERIOD = 12
 SCAN_CHUNK_GAMES = 128
 """Most games one kernel call evolves, across cells. It bounds the kernel's
 working set (a few hundred bytes per game and step) when the longest periods
-enumerate thousands of games; larger batches run no faster."""
+enumerate thousands of games; larger batches run no faster. A grid's batch
+keeps only each game's bias at its payoff points and shrinks as its games
+retire, each at its first payoff point that breaks its verdict; no pending
+game joins a running batch, since a batch shares one step and one window."""
 
 AXIS_PARAMETERS = tuple(
     f"{angle.name.removesuffix('_deg')}_{coin}" for coin in "ab" for angle in fields(CoinParams)
@@ -187,34 +193,36 @@ Cell = tuple[CoinParams, CoinParams, float]
 that all of a cell's games share."""
 
 
-def _evolve_cells(
-    config: ScanConfig, cells: Sequence[Cell]
-) -> Iterator[tuple[list[tuple[int, GameSequence]], GameColumns, NDArray[np.float64], list[GameVerdict]]]:
-    """Evolve pure A, pure B and every enumerated sequence at each cell.
+def _chunks(
+    config: ScanConfig, cells: Sequence[Cell], by_period: bool = False
+) -> Iterator[list[tuple[int, GameSequence]]]:
+    """Pure A, pure B and every enumerated sequence at each cell, as
+    ``(cell index, sequence)`` in chunks for one kernel call each.
 
-    A cell is only the coins and phase of its games; the sequences, horizon,
-    epsilon and verdict rule come from ``config`` and are shared by all cells.
-    The games, in cell order and then enumeration order, run in equal chunks
-    of at most ``SCAN_CHUNK_GAMES``; a cell's games may span two chunks.
-    Yields, per chunk, its games as ``(cell index, sequence)``, their columns,
-    biases and verdicts.
+    A cell is only the coins and phase of its games; the sequences come
+    from ``config`` and are shared by all cells. The games run in cell order
+    and then enumeration order, or with ``by_period`` period by period in
+    that order, in equal chunks of at most ``SCAN_CHUNK_GAMES``; a cell's
+    games may span chunks.
     """
     sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
-    per_cell = len(sequences)
-    total = len(cells) * per_cell
+    groups = ([list(group) for _, group in groupby(sequences, attrgetter("period"))]
+              if by_period else [sequences])
+    games = ((cell, seq) for group in groups for cell in range(len(cells)) for seq in group)
+    total = len(cells) * len(sequences)
     chunks = -(-total // SCAN_CHUNK_GAMES)
     for k in range(chunks):
-        games = [(i // per_cell, sequences[i % per_cell])
-                 for i in range(k * total // chunks, (k + 1) * total // chunks)]
-        columns = evolve_games([(*cells[cell], seq) for cell, seq in games], config.horizon_steps)
-        biases = bias(columns.p_left, columns.p_right)
-        periods = [1 if config.verdict_each_step else seq.period for _, seq in games]
-        yield games, columns, biases, payoff_verdicts(biases, periods, config.epsilon)
+        yield list(islice(games, (k + 1) * total // chunks - k * total // chunks))
 
 
-def _paradox(verdict_a: GameVerdict, verdict_b: GameVerdict, winners: int) -> bool:
+def _periods(config: ScanConfig, games: Sequence[tuple[int, GameSequence]]) -> list[int]:
+    """The spacing of each game's payoff points under ``config``'s verdict rule."""
+    return [1 if config.verdict_each_step else seq.period for _, seq in games]
+
+
+def _paradox(a_loses: bool, b_loses: bool, winners: int) -> bool:
     """The paradox rule: both pure games lose and at least one sequence wins."""
-    return verdict_a is GameVerdict.LOSING and verdict_b is GameVerdict.LOSING and winners > 0
+    return a_loses and b_loses and winners > 0
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
@@ -225,19 +233,22 @@ def run_scan(config: ScanConfig) -> ScanReport:
     """
     results: list[SequenceResult] = []
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    for games, columns, biases, verdicts in _evolve_cells(config, [cell]):
+    for games in _chunks(config, [cell]):
+        columns = evolve_games([(*cell, seq) for _, seq in games], config.horizon_steps)
+        biases = bias(columns.p_left, columns.p_right)
         entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
         results += map(
             SequenceResult,
             [seq for _, seq in games],
-            verdicts,
+            payoff_verdicts(biases, _periods(config, games), config.epsilon),
             biases[:, -1].tolist(),
             biases.min(axis=1).tolist(),
             entropies.max(axis=1).tolist(),
         )
     pure_a, pure_b, *results = results
     winners = [r for r in results if r.verdict is GameVerdict.WINNING]
-    paradox = _paradox(pure_a.verdict, pure_b.verdict, len(winners))
+    paradox = _paradox(pure_a.verdict is GameVerdict.LOSING, pure_b.verdict is GameVerdict.LOSING,
+                       len(winners))
     winning_by_period: dict[int, int] = {p: 0 for p in range(2, config.max_period + 1)}
     for r in winners:
         winning_by_period[r.sequence.period] += 1
@@ -316,22 +327,42 @@ def _cell(config: ScanConfig, assignments: dict[str, float]) -> Cell:
 
 def _block_outcomes(config: ScanConfig, cells: Sequence[Cell]) -> list[tuple[bool, int]]:
     """Paradox flag and winning-sequence count of each cell of a block, as
-    ``run_scan`` reports them at ``config`` with the cell's coins and phase,
-    reduced chunk by chunk."""
-    pure: list[list[GameVerdict]] = [[] for _ in cells]  # [verdict_a, verdict_b]
+    ``run_scan`` reports them at ``config`` with the cell's coins and phase.
+
+    Each game evolves only until its verdict is decided: a sequence while
+    it may still be Winning, a pure game while it may still be Losing. The
+    games run period by period, so the games of a chunk mostly share their
+    payoff points and the steps at which any bias is needed are fewer.
+    """
+    pure_losing: list[list[bool]] = [[] for _ in cells]  # [A loses, B loses]
     winning = [0] * len(cells)
-    for games, _, _, verdicts in _evolve_cells(config, cells):
-        for (cell, seq), verdict in zip(games, verdicts):
+    for games in _chunks(config, cells, by_period=True):
+        held = evolve_verdicts(
+            [(*cells[cell], seq) for cell, seq in games],
+            config.horizon_steps,
+            _periods(config, games),
+            [-1 if seq.period == 1 else 1 for _, seq in games],
+            config.epsilon,
+        )
+        for (cell, seq), holds in zip(games, held.tolist()):
             if seq.period == 1:
-                pure[cell].append(verdict)
+                pure_losing[cell].append(holds)
             else:
-                winning[cell] += verdict is GameVerdict.WINNING
-    return [(_paradox(*verdicts, count), count) for verdicts, count in zip(pure, winning)]
+                winning[cell] += holds
+    return [(_paradox(*loses, count), count) for loses, count in zip(pure_losing, winning)]
 
 
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
     """Processes for a grid: never more than asked, than cells, or than CPUs."""
     return min(workers, cells, cpus or 1)
+
+
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def scan_region_grid(
@@ -347,8 +378,8 @@ def scan_region_grid(
     ``base``'s, shared by all cells.
     Cells are evaluated in row-major order over the axes. With
     ``workers > 1`` the cells are split into one contiguous block per
-    process (at most one per cell and per CPU); blocks are collected in
-    order, so the grid is identical either way.
+    process (at most one per cell and per CPU the process may run on);
+    blocks are collected in order, so the grid is identical either way.
 
     Raises
     ------
@@ -372,7 +403,7 @@ def scan_region_grid(
         )
     cells = [_cell(base, dict(zip(parameters, values)))
              for values in product(*(axis.values for axis in axes))]
-    processes = _pool_size(workers, n_cells, os.cpu_count())
+    processes = _pool_size(workers, n_cells, _usable_cpus())
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 

@@ -9,10 +9,13 @@ elementary step, with the first token applied first.
 
 The per-step functions (``step``, ``evolve_sequence``) are pure: they never
 mutate the state they are given and return freshly allocated amplitude
-grids. They are the reference path. ``evolve_games`` is the batched
-kernel that scans use: it evolves many games, each with its own coin pair,
-initial phase and schedule, together in place and keeps only per-step
-observables.
+grids. They are the reference path. The batched kernel evolves many games,
+each with its own coin pair, initial phase and schedule, together in place,
+in one loop that hands each step to an observer. ``evolve_games`` observes
+all six per-step columns; scans and simulations use it. ``evolve_verdicts``
+keeps only each game's bias at its payoff points, retires a game at its
+first payoff point that breaks its verdict, and shrinks the batch as games
+retire; region grids use it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,9 +47,11 @@ __all__ = [
     "step",
     "evolve_sequence",
     "check_count",
+    "check_epsilon",
     "check_real",
     "check_steps",
     "evolve_games",
+    "evolve_verdicts",
     "dense_step_matrix",
     "dense_step_oracle",
 ]
@@ -402,6 +407,15 @@ def check_steps(steps: int) -> None:
         )
 
 
+def check_epsilon(epsilon: float) -> float:
+    """The draw threshold as a float; raise ``InvalidParameterError`` unless
+    it is a finite real number >= 0."""
+    epsilon = check_real("epsilon", epsilon)
+    if epsilon < 0:
+        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    return epsilon
+
+
 def evolve_games(
     games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]],
     steps: int,
@@ -411,17 +425,8 @@ def evolve_games(
     Each game has its own coin pair, initial phase and schedule. Gives, at
     every step, what ``evolve_sequence`` followed by ``bias_sample`` and
     ``reduced_density`` give for each game alone, but keeps no snapshot:
-    memory is O(G*T) for G games of T steps.
-
-    After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
-    occupied, so each coin component is stored on that sublattice alone,
-    one row per site and one column per game. Coin |1> keeps row ``j`` of
-    ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
-    ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
-    ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
-    nothing, and the row it uncovers is still zero. Games never mix, and
-    every sum over sites adds one site at a time, so each game's columns
-    are bitwise the same whatever else is batched with it.
+    memory is O(G*T) for G games of T steps. Every game runs all T steps
+    and every column is observed at every step.
 
     Raises
     ------
@@ -431,30 +436,157 @@ def evolve_games(
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
+    batch = _batch(games, steps)
+    probs = np.empty((2, steps + 1, len(games)))
+    prob0, prob1 = probs
+    # rho01's product reuses the memory of both, whose sums are taken by then
+    cross = probs.reshape(-1).view(np.complex128).reshape(steps + 1, len(games))
+    out = GameColumns(
+        *(np.zeros((len(games), steps)) for _ in range(5)),
+        rho01=np.empty((len(games), steps), dtype=np.complex128),
+    )
+
+    def observe(t, w0, w1, columns):
+        n = t + 2  # occupied sites after step t + 1; site j lies at x = 2j - (t + 1)
+        q0 = _abs2(w0, prob0[:n])
+        q1 = _abs2(w1, prob1[:n])
+        out.rho00[:, t] = _site_sum(q0)
+        out.rho11[:, t] = _site_sum(q1)
+        q = np.add(q0, q1, out=q0)
+        left_end, right_start = _sides(t)
+        out.p_left[:, t] = _site_sum(q[:left_end])
+        if left_end < right_start:  # an even step count reaches the origin
+            out.p_origin[:, t] = q[left_end]
+        out.p_right[:, t] = _site_sum(q[right_start:])
+        np.conjugate(w1, out=cross[:n])
+        out.rho01[:, t] = _site_sum(np.multiply(w0, cross[:n], out=cross[:n]))
+        return None
+
+    _evolve(*batch, observe)
+    return out
+
+
+def evolve_verdicts(
+    games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]],
+    steps: int,
+    periods: Sequence[int],
+    signs: Sequence[int],
+    epsilon: float,
+) -> NDArray[np.bool_]:
+    """Whether ``sign * bias > epsilon`` holds at every payoff point of each
+    game, ``bias`` being ``p_right - p_left`` after that many steps.
+
+    A game's payoff points are the multiples of its ``period`` up to
+    ``steps``. Sign +1 asks whether a game is Winning and -1 whether it is
+    Losing, exactly as ``metrics.payoff_verdicts`` decides on the columns of
+    ``evolve_games``: each bias is bitwise the one those columns give. Only
+    the bias of a game at one of its payoff points is computed. A game is
+    retired at its first payoff point that fails; every ``_COMPACT_EVERY``
+    steps the batch drops its retired games, and the walk ends as soon as
+    none is left.
+
+    Raises
+    ------
+    InvalidParameterError
+        For what ``evolve_games`` rejects, an ``epsilon`` that is not a
+        finite real number >= 0, or not one period in ``[1, steps]`` and one
+        sign in {-1, 1} per game.
+    CapacityError
+        If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
+    """
+    batch = _batch(games, steps)
+    epsilon = check_epsilon(epsilon)
+    periods, signs = np.asarray(periods), np.asarray(signs)
+    if periods.shape != (len(games),) or signs.shape != (len(games),):
+        raise InvalidParameterError(
+            f"need one period and one sign per game, got {periods.size} and {signs.size} "
+            f"for {len(games)} games"
+        )
+    if not ((periods >= 1) & (periods <= steps)).all():
+        raise InvalidParameterError(f"periods must lie in [1, {steps}], got {periods.tolist()}")
+    if not np.isin(signs, (-1, 1)).all():
+        raise InvalidParameterError(f"signs must be -1 or 1, got {signs.tolist()}")
+    held = np.ones(len(games), dtype=bool)
+    prob0, prob1 = np.empty((steps + 1) * len(games)), np.empty((steps + 1) * len(games))
+
+    def observe(t, w0, w1, columns):
+        live = held[columns]
+        due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
+        if due.size:
+            if due.size < len(columns):
+                w0, w1 = np.take(w0, due, axis=1), np.take(w1, due, axis=1)
+            shape = w0.shape  # the buffers' first n * k entries, so contiguous like w0
+            q0 = _abs2(w0, prob0[:w0.size].reshape(shape))
+            q = np.add(q0, _abs2(w1, prob1[:w1.size].reshape(shape)), out=q0)
+            left_end, right_start = _sides(t)
+            payoff = _site_sum(q[right_start:]) - _site_sum(q[:left_end])
+            games_due = columns[due]
+            live[due] = held[games_due] = signs[games_due] * payoff > epsilon
+        return live
+
+    _evolve(*batch, observe)
+    return held
+
+
+def _batch(
+    games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
+) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
+    """Check a batch and give its coin table, the ``(T, G)`` table rows each
+    game applies at each step, and each game's initial coin-|1> amplitude."""
     check_steps(steps)
     if not games:
         raise InvalidParameterError("no game to evolve")
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
-    choice, phases = [], []
-    for coin_a, coin_b, eta_deg, seq in games:
+    schedules: dict[str, NDArray[np.intp]] = {}  # per schedule, 1 where it plays B
+    choice = np.empty((steps, len(games)), dtype=np.intp)
+    phases = []
+    for g, (coin_a, coin_b, eta_deg, seq) in enumerate(games):
         eta = math.radians(check_real("eta_deg", eta_deg))
         phases.append(np.exp(1j * eta) / math.sqrt(2.0))
-        is_b = np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B")
-        choice.append(2 * pairs.setdefault((coin_a, coin_b), len(pairs)) + np.resize(is_b, steps))
+        if seq.tokens not in schedules:
+            is_b = np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B")
+            schedules[seq.tokens] = np.resize(is_b.astype(np.intp), steps)
+        choice[:, g] = 2 * pairs.setdefault((coin_a, coin_b), len(pairs)) + schedules[seq.tokens]
     coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
-    choice = np.stack(choice, axis=1)  # (T, G): the table row each game applies at each step
+    return coins, choice, np.array(phases)
 
-    a0 = np.zeros((steps + 1, len(games)), dtype=np.complex128)
+
+_COMPACT_EVERY = 8
+"""Steps between two drops of retired games from an ``evolve_verdicts`` batch."""
+
+
+def _evolve(
+    coins: NDArray[np.complex128],
+    choice: NDArray[np.intp],
+    phases: NDArray[np.complex128],
+    observe: Callable[..., NDArray[np.bool_] | None],
+) -> None:
+    """The one evolution loop of the batched kernel.
+
+    After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
+    occupied, so each coin component is stored on that sublattice alone,
+    one row per site and one column per game. Coin |1> keeps row ``j`` of
+    ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
+    ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
+    ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
+    nothing, and the row it uncovers is still zero. Games never mix, and
+    every sum over sites adds one site at a time, so each game's
+    observables are bitwise the same whatever else is batched with it.
+
+    After step ``t + 1`` it calls ``observe(t, w0, w1, columns)`` with the
+    occupied rows of both components and the index of the game in each
+    column. ``observe`` gives None, or a mask of the columns whose games are
+    still live: the loop returns once none is, and every ``_COMPACT_EVERY``
+    steps it drops the others' columns.
+    """
+    steps, width = choice.shape
+    columns = np.arange(width)
+    a0 = np.zeros((steps + 1, width), dtype=np.complex128)
     a1 = np.zeros_like(a0)
     a0[steps] = 1.0 / math.sqrt(2.0)
     a1[0] = phases
     scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
-    prob0, prob1 = np.empty(a0.shape), np.empty(a0.shape)
-    out = GameColumns(
-        *(np.zeros((len(games), steps)) for _ in range(5)),
-        rho01=np.empty((len(games), steps), dtype=np.complex128),
-    )
 
     off = steps
     for t in range(steps):
@@ -469,21 +601,23 @@ def evolve_games(
         np.add(c0, c1, out=w0)
         off -= 1
 
-        n += 1  # occupied sites after it; site j lies at x = 2j - (t + 1)
-        w0, w1 = a0[off:off + n], a1[:n]
-        q0 = _abs2(w0, prob0[:n])
-        q1 = _abs2(w1, prob1[:n])
-        out.rho00[:, t] = _site_sum(q0)
-        out.rho11[:, t] = _site_sum(q1)
-        q = np.add(q0, q1, out=q0)
-        left_end, right_start = (t + 2) // 2, (t + 1) // 2 + 1
-        out.p_left[:, t] = _site_sum(q[:left_end])
-        if left_end < right_start:  # an even step count reaches the origin
-            out.p_origin[:, t] = q[left_end]
-        out.p_right[:, t] = _site_sum(q[right_start:])
-        cross = np.conjugate(w1, out=scratch1[:n])
-        out.rho01[:, t] = _site_sum(np.multiply(w0, cross, out=cross))
-    return out
+        live = observe(t, a0[off:], a1[:n + 1], columns)
+        if live is None or live.all():
+            continue
+        if not live.any():
+            return
+        if t % _COMPACT_EVERY == _COMPACT_EVERY - 1:
+            keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
+            a0, a1, choice = (np.take(rows, keep, axis=1) for rows in (a0, a1, choice))
+            columns = columns[keep]
+            scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+
+
+def _sides(t: int) -> tuple[int, int]:
+    """After step ``t + 1``, the rows left of the origin end at the first
+    value and those right of it start at the second; an even step count
+    leaves the origin between them."""
+    return (t + 2) // 2, (t + 1) // 2 + 1
 
 
 def _abs2(amplitudes: NDArray[np.complex128], out: NDArray[np.float64]) -> NDArray[np.float64]:

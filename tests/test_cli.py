@@ -122,17 +122,16 @@ class TestParseCli:
 
 COINS = ["--coin-a", "1,2,3", "--coin-b", "4,5,6", "--eta-deg", "90"]
 
-COMMON_OPTIONS = ["--coin-a", "--coin-b", "--eta-deg", "--steps", "--epsilon", "--out",
-                  "--format", "--config"]
+COMMON_OPTIONS = ["--coin-a", "--coin-b", "--eta-deg", "--steps", "--out", "--format", "--config"]
 
 
 @pytest.mark.parametrize(
     "command, options",
     [
         ("simulate", COMMON_OPTIONS + ["--sequence"]),
-        ("scan", COMMON_OPTIONS + ["--max-period", "--verdict-each-step"]),
-        ("regions", COMMON_OPTIONS + ["--max-period", "--verdict-each-step", "--axis",
-                                      "--max-cells", "--workers"]),
+        ("scan", COMMON_OPTIONS + ["--epsilon", "--max-period", "--verdict-each-step"]),
+        ("regions", COMMON_OPTIONS + ["--epsilon", "--max-period", "--verdict-each-step",
+                                      "--axis", "--max-cells", "--workers"]),
     ],
 )
 def test_help_lists_each_option_once(command, options, capsys):
@@ -174,6 +173,8 @@ class TestConfigFile:
             (["max-cells=3", "workers=2", "format=json", "out=x.json"],
              ["regions"] + COINS + ["--axis", "eta=0:90:3"],
              {"max_cells": 3, "workers": 2, "fmt": "json", "out": "x.json"}),
+            # simulate has no verdict, so no draw threshold
+            (["epsilon=1"], ["simulate"] + COINS + ["--sequence", "A"], {"epsilon": None}),
         ],
     )
     def test_resolution(self, tmp_path, lines, argv, expected):
@@ -259,7 +260,7 @@ class TestBudgets:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "2",
                                       "--steps", "4096", "--workers", "2"]
         assert main(argv) == EXIT_CAPACITY
@@ -270,7 +271,7 @@ class TestBudgets:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "13",
                                       "--steps", "24", "--workers", "2"]
         assert main(argv) == EXIT_USAGE
@@ -368,6 +369,12 @@ class TestMain:
         )
         assert code == EXIT_USAGE
         assert "epsilon" in capsys.readouterr().err
+
+    def test_simulate_takes_no_epsilon(self, capsys):
+        code = main(["simulate"] + COINS + ["--sequence", "AB", "--steps", "2", "--epsilon", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--epsilon" in err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "not" / "here" / "x.csv"

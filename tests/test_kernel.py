@@ -3,7 +3,9 @@
 The reference is ``evolve_sequence`` (one full-width snapshot per step)
 followed by ``trajectory_with_entropy`` and ``reduced_density``; the kernel
 must equal it within 1e-12 at every step of every game, give each game the
-same bits in any batch, and hold only O(G*T) memory.
+same bits in any batch, and hold only O(G*T) memory. ``evolve_verdicts``,
+the same loop observing one bias per payoff point, must give the verdicts
+``payoff_verdicts`` gives on the full columns, however its batch shrinks.
 """
 
 import tracemalloc
@@ -12,7 +14,10 @@ import pytest
 
 from qparrondo import (
     CapacityError,
+    CoinParams,
     GameSequence,
+    GameVerdict,
+    GridAxis,
     InitialStateSpec,
     InvalidParameterError,
     ScanConfig,
@@ -21,11 +26,12 @@ from qparrondo import (
     game_trajectory,
     reduced_density,
     run_scan,
+    scan_region_grid,
     trajectory_with_entropy,
 )
-from qparrondo import scan
-from qparrondo.metrics import bias, entropy_bits
-from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games
+from qparrondo import scan, walk
+from qparrondo.metrics import bias, entropy_bits, payoff_verdicts
+from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED
 
@@ -116,6 +122,165 @@ def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):
     whole = run_scan(config)
     monkeypatch.setattr(scan, "SCAN_CHUNK_GAMES", 5)
     assert run_scan(config) == whole
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+def test_region_grid_does_not_depend_on_the_chunk_size(monkeypatch, chunk, each_step):
+    base = ScanConfig(**REGIME_ONE_SIDED, max_period=4, horizon_steps=60,
+                      verdict_each_step=each_step, epsilon=1e-3 if each_step else 1e-9)
+    axes = [GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("eta", 0, 270, 3)]
+    whole = scan_region_grid(base, axes)
+    assert whole.winning_counts.any()
+    monkeypatch.setattr(scan, "SCAN_CHUNK_GAMES", chunk)
+    grid = scan_region_grid(base, axes)
+    assert np.array_equal(grid.paradox, whole.paradox)
+    assert np.array_equal(grid.winning_counts, whole.winning_counts)
+
+
+def expected_holds(biases, periods, signs, epsilon):
+    """Per game: is it Winning (sign 1) or Losing (sign -1) by ``payoff_verdicts``?"""
+    verdicts = payoff_verdicts(biases, periods, epsilon)
+    return [v is (GameVerdict.WINNING if s > 0 else GameVerdict.LOSING)
+            for v, s in zip(verdicts, signs)]
+
+
+def margins(biases, periods, signs):
+    """Per game, the least ``sign * bias`` over its payoff points."""
+    steps = np.arange(1, biases.shape[1] + 1)
+    return [float((sign * row[steps % period == 0]).min())
+            for row, period, sign in zip(biases, periods, signs)]
+
+
+def sharp_epsilons(biases, periods, signs):
+    """0, 1e-3, and both sides of the largest positive margin: there a game
+    holds or fails by one ulp of one bias."""
+    best = max(margins(biases, periods, signs))
+    epsilons = [0.0, 1e-3]
+    if best > 0:
+        epsilons += [best, float(np.nextafter(best, 0.0))]
+    return epsilons
+
+
+def traced_verdicts(monkeypatch, games, steps, periods, signs, epsilon):
+    """``evolve_verdicts``, and the number of games in its batch at each step run."""
+    widths = []
+    evolve = walk._evolve
+
+    def traced(coins, choice, phases, observe):
+        def counted(t, w0, w1, columns):
+            widths.append(len(columns))
+            return observe(t, w0, w1, columns)
+        evolve(coins, choice, phases, counted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "_evolve", traced)
+        held = evolve_verdicts(games, steps, periods, signs, epsilon)
+    return held.tolist(), widths
+
+
+def random_coin(rng):
+    return CoinParams(*rng.uniform(0.0, 360.0, 3))
+
+
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+@pytest.mark.parametrize("seed", range(4))
+def test_verdicts_equal_payoff_verdicts_on_the_full_columns(seed, each_step):
+    rng = np.random.default_rng(seed)
+    schedules = every_game(5)
+    pairs = [(random_coin(rng), random_coin(rng)) for _ in range(3)]
+    games = [(*pairs[rng.integers(len(pairs))], float(rng.uniform(0.0, 360.0)),
+              schedules[rng.integers(len(schedules))]) for _ in range(40)]
+    steps = int(rng.integers(5, 90))
+    columns = evolve_games(games, steps)
+    biases = bias(columns.p_left, columns.p_right)
+    periods = [1 if each_step else seq.period for *_, seq in games]
+    signs = np.where(biases[:, -1] > 0, 1, -1)  # most games keep the sign they end with
+    for epsilon in sharp_epsilons(biases, periods, signs) + [float(rng.uniform(0.0, 0.05))]:
+        held = evolve_verdicts(games, steps, periods, signs, epsilon)
+        assert held.tolist() == expected_holds(biases, periods, signs, epsilon), epsilon
+
+
+def scan_batch(regime, steps):
+    """Every game of period <= 4 in ``regime`` with the scan's signs, and
+    which of them hold."""
+    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in every_game(4)]
+    columns = evolve_games(games, steps)
+    biases = bias(columns.p_left, columns.p_right)
+    periods = [seq.period for *_, seq in games]
+    signs = [-1 if period == 1 else 1 for period in periods]
+    return games, biases, periods, signs, expected_holds(biases, periods, signs, 1e-9)
+
+
+def test_a_batch_that_shrinks_to_one_game_keeps_its_bits(monkeypatch):
+    games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, 120)
+    keep = [holds.index(True)] + [g for g, held in enumerate(holds) if not held]
+    assert len(keep) > 8
+    picked = [[values[g] for g in keep] for values in (games, periods, signs)]
+    for epsilon in sharp_epsilons(biases[keep], *picked[1:]):
+        held, widths = traced_verdicts(monkeypatch, *picked[:1], 120, *picked[1:], epsilon)
+        assert held == expected_holds(biases[keep], *picked[1:], epsilon), epsilon
+        assert widths[0] == len(keep)
+        if held[0]:  # the last live game ran on alone, to the horizon
+            assert widths[-1] == 1 and len(widths) == 120
+
+
+def test_a_batch_whose_games_all_retire_stops_early(monkeypatch):
+    games, biases, periods, signs, holds = scan_batch(REGIME_DOUBLE_1, 120)
+    lost = [g for g, held in enumerate(holds) if not held]
+    assert len(lost) > 8
+    held, widths = traced_verdicts(monkeypatch, [games[g] for g in lost], 120,
+                                   [periods[g] for g in lost], [signs[g] for g in lost], 1e-9)
+    assert not any(held)
+    assert len(widths) < 120
+    assert widths == sorted(widths, reverse=True)
+
+
+def test_a_lone_game_equals_its_batch(monkeypatch):
+    games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, 120)
+    for g in (holds.index(True), holds.index(False)):
+        held, widths = traced_verdicts(monkeypatch, [games[g]], 120, [periods[g]], [signs[g]], 1e-9)
+        assert held == [holds[g]]
+        assert widths == [1] * len(widths)
+        assert (len(widths) == 120) == holds[g]
+
+
+def test_verdict_walks_over_the_step_budget_allocate_nothing():
+    regime = REGIME_ONE_SIDED
+    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in every_game(12)]
+    ones = [1] * len(games)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="budget"):
+            evolve_verdicts(games, MAX_STEPS + 1, ones, ones, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "count, steps, eta, periods, signs, epsilon",
+    [
+        (1, 0, 90.0, [1], [1], 0.0),
+        (0, 10, 90.0, [], [], 0.0),
+        (1, 10, float("nan"), [1], [1], 0.0),
+        (1, 10, 90.0, [1], [1], float("nan")),
+        (1, 10, 90.0, [1], [1], -1e-9),
+        (1, 10, 90.0, [1], [1], True),
+        (1, 10, 90.0, [0], [1], 0.0),
+        (1, 10, 90.0, [11], [1], 0.0),
+        (2, 10, 90.0, [1], [1, 1], 0.0),
+        (1, 10, 90.0, [1], [0], 0.0),
+    ],
+    ids=["no-steps", "no-game", "nan-eta", "nan-epsilon", "negative-epsilon", "bool-epsilon",
+         "period-0", "period-over-steps", "one-period-short", "sign-0"],
+)
+def test_verdicts_reject_invalid_input(count, steps, eta, periods, signs, epsilon):
+    regime = REGIME_ONE_SIDED
+    games = [(regime["coin_a"], regime["coin_b"], eta, GameSequence("A"))] * count
+    with pytest.raises(InvalidParameterError):
+        evolve_verdicts(games, steps, periods, signs, epsilon)
 
 
 def test_simulate_equals_the_scan_game():

@@ -20,7 +20,7 @@ from qparrondo import (
 )
 
 from qparrondo import scan
-from qparrondo.scan import AXIS_PARAMETERS, _cell, _pool_size
+from qparrondo.scan import AXIS_PARAMETERS, _cell, _pool_size, _usable_cpus
 from qparrondo.walk import MAX_STEPS
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
@@ -297,7 +297,7 @@ class TestRegionGrid:
         ],
     )
     def test_every_cell_equals_its_own_scan(self, axes, base):
-        # 9 cells of 24 games run as two chunks of 108: the fifth cell spans both
+        # 9 cells of 24 games run as two chunks of 108, so some cells span both
         assert scan.SCAN_CHUNK_GAMES < 9 * 24 <= 2 * scan.SCAN_CHUNK_GAMES
         grid = scan_region_grid(base, axes)
         for index in np.ndindex(grid.paradox.shape):
@@ -308,7 +308,7 @@ class TestRegionGrid:
             assert grid.winning_counts[index] == sum(report.winning_by_period.values()), cell
 
     def test_grid_is_the_same_at_any_worker_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         base = one_sided_config(horizon_steps=60)
         axes = [GridAxis.linspace("beta_a", 0, 30, 7)]  # 7 cells: blocks of 3+4 and 2+2+3
         grids = [scan_region_grid(base, axes, workers=workers) for workers in (1, 2, 3)]
@@ -323,7 +323,7 @@ class TestRegionGrid:
                 raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         with pytest.raises(CapacityError, match="budget"):
             scan_region_grid(one_sided_config(horizon_steps=MAX_STEPS + 1), axes, workers=2)
@@ -358,6 +358,23 @@ def test_axis_parameter_sets_its_own_field(parameter):
 )
 def test_pool_size_is_bounded_by_cells_and_cpus(workers, cells, cpus, expected):
     assert _pool_size(workers, cells, cpus) == expected
+
+
+def test_pool_counts_the_cpus_this_process_may_use(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _usable_cpus() == 1
+    base = one_sided_config(max_period=2, horizon_steps=12)
+    axes = [GridAxis.linspace("beta_a", 6, 26, 4)]
+    grid = scan_region_grid(base, axes, workers=4)  # one process: the pool is never asked for
+    assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _usable_cpus() == 2  # where affinity is unknown, the host's count
 
 
 class TestEntropyComparison:
