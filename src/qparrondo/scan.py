@@ -194,20 +194,19 @@ that all of a cell's games share."""
 
 
 def _chunks(
-    config: ScanConfig, cells: Sequence[Cell], by_period: bool = False
+    config: ScanConfig, cells: Sequence[Cell]
 ) -> Iterator[list[tuple[int, GameSequence]]]:
     """Pure A, pure B and every enumerated sequence at each cell, as
     ``(cell index, sequence)`` in chunks for one kernel call each.
 
     A cell is only the coins and phase of its games; the sequences come
-    from ``config`` and are shared by all cells. The games run in cell order
-    and then enumeration order, or with ``by_period`` period by period in
-    that order, in equal chunks of at most ``SCAN_CHUNK_GAMES``; a cell's
-    games may span chunks.
+    from ``config`` and are shared by all cells. The games run period by
+    period, and within a period in cell order and then enumeration order,
+    in equal chunks of at most ``SCAN_CHUNK_GAMES``; a cell's games may span
+    chunks. With one cell this is plain enumeration order.
     """
     sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
-    groups = ([list(group) for _, group in groupby(sequences, attrgetter("period"))]
-              if by_period else [sequences])
+    groups = [list(group) for _, group in groupby(sequences, attrgetter("period"))]
     games = ((cell, seq) for group in groups for cell in range(len(cells)) for seq in group)
     total = len(cells) * len(sequences)
     chunks = -(-total // SCAN_CHUNK_GAMES)
@@ -336,7 +335,7 @@ def _block_outcomes(config: ScanConfig, cells: Sequence[Cell]) -> list[tuple[boo
     """
     pure_losing: list[list[bool]] = [[] for _ in cells]  # [A loses, B loses]
     winning = [0] * len(cells)
-    for games in _chunks(config, cells, by_period=True):
+    for games in _chunks(config, cells):
         held = evolve_verdicts(
             [(*cells[cell], seq) for cell, seq in games],
             config.horizon_steps,
