@@ -150,7 +150,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
                              help="grid cell budget (default %(default)s)"),
         regions.add_argument("--workers", type=_positive_int,
                              default=_GRID_DEFAULTS["workers"], metavar="N",
-                             help="parallel processes for grid cells, at most one per "
+                             help="parallel processes for a grid, each evolving an equal "
+                                  "share of its distinct games; at most one per distinct "
                                   "cell and per CPU (default %(default)s)"),
     ]
 

@@ -3,17 +3,18 @@
 A paradox point is a configuration where both pure games lose while at
 least one periodic alternation of the same two coins wins. ``run_scan``
 checks every sequence up to a maximum period at one configuration;
-``scan_region_grid`` repeats that over a grid of coin parameters. Both
-evolve their games, across cells, in chunks through one kernel call each:
-a scan observes every column of every step, a grid only each game's bias
-at its payoff points, until its verdict is decided.
+``scan_region_grid`` repeats that over a grid of coin parameters, and
+evolves each game that several cells share once. Both evolve their games,
+across cells, in chunks through one kernel call each: a scan observes every
+column of every step, a grid only each game's bias at its payoff points,
+until its verdict is decided.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import groupby, islice, product, repeat
+from itertools import chain, groupby, islice, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -56,10 +57,12 @@ MAX_ENUMERATION_PERIOD = 12
 SCAN_CHUNK_GAMES = 128
 """Most games one kernel call evolves, across cells. It bounds the kernel's
 working set (a few hundred bytes per game and step) when the longest periods
-enumerate thousands of games; larger batches run no faster. A grid's batch
-keeps only each game's bias at its payoff points and shrinks as its games
-retire, each at its first payoff point that breaks its verdict; no pending
-game joins a running batch, since a batch shares one step and one window."""
+enumerate thousands of games. A grid evolves each distinct game once, and its
+chunk count is a multiple of its process count: each process builds every
+n-th chunk itself, an equal share of the games. A grid's batch keeps only
+each game's bias at its payoff points and shrinks as its games retire, each
+at its first payoff point that breaks its verdict; no pending game joins a
+running batch, since a batch shares one step and one window."""
 
 AXIS_PARAMETERS = tuple(
     f"{angle.name.removesuffix('_deg')}_{coin}" for coin in "ab" for angle in fields(CoinParams)
@@ -192,31 +195,51 @@ Cell = tuple[CoinParams, CoinParams, float]
 """What varies between the cells of a grid: the ``(coin_a, coin_b, eta_deg)``
 that all of a cell's games share."""
 
+Game = tuple[CoinParams, CoinParams, float, GameSequence]
+"""One game as the kernel takes it: a cell and the schedule played there."""
+
+_PURE = (GameSequence("A"), GameSequence("B"))
+
 
 def _chunks(
-    config: ScanConfig, cells: Sequence[Cell]
-) -> Iterator[list[tuple[int, GameSequence]]]:
-    """Pure A, pure B and every enumerated sequence at each cell, as
-    ``(cell index, sequence)`` in chunks for one kernel call each.
+    config: ScanConfig,
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    share: tuple[int, int] = (0, 1),
+) -> Iterator[list[tuple[int, Game]]]:
+    """The pure games ``pures``, then every enumerated sequence at each cell,
+    as ``(owner, game)`` in chunks for one kernel call each.
 
-    A cell is only the coins and phase of its games; the sequences come
-    from ``config`` and are shared by all cells. The games run period by
-    period, and within a period in cell order and then enumeration order,
-    in equal chunks of at most ``SCAN_CHUNK_GAMES``; a cell's games may span
-    chunks. With one cell this is plain enumeration order.
+    A pure game is given as a cell and the schedule it plays there. Its
+    owner is its index in ``pures``; a sequence's owner is its cell's index
+    plus ``len(pures)``. The games run period by period, and within a period
+    in cell order and then enumeration order, in equal chunks of at most
+    ``SCAN_CHUNK_GAMES``; a cell's games may span chunks. With one cell and
+    its pure A and B this is plain enumeration order. ``share`` is ``(i, n)``:
+    the chunk count is a multiple of ``n`` and only chunks ``i, i + n, ...``
+    are built, so ``n`` processes can each build their own share.
     """
-    sequences = [GameSequence("A"), GameSequence("B"), *enumerate_sequences(config.max_period)]
-    groups = [list(group) for _, group in groupby(sequences, attrgetter("period"))]
-    games = ((cell, seq) for group in groups for cell in range(len(cells)) for seq in group)
-    total = len(cells) * len(sequences)
-    chunks = -(-total // SCAN_CHUNK_GAMES)
-    for k in range(chunks):
-        yield list(islice(games, (k + 1) * total // chunks - k * total // chunks))
+    index, shares = share
+    groups = [list(group) for _, group in
+              groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
+    players = [cell for cell, _ in pures] + list(cells)
+    stream = chain(  # (owner, schedule), skipped over in C where another share's chunk lies
+        enumerate(seq for _, seq in pures),
+        chain.from_iterable(product(range(len(pures), len(players)), group) for group in groups),
+    )
+    total = len(pures) + len(cells) * sum(map(len, groups))
+    chunks = shares * -(-total // (shares * SCAN_CHUNK_GAMES))
+    done = 0
+    for k in range(index, chunks, shares):
+        lo, hi = k * total // chunks, (k + 1) * total // chunks
+        games = islice(stream, lo - done, hi - done)
+        yield [(owner, (*players[owner], seq)) for owner, seq in games]
+        done = hi
 
 
-def _periods(config: ScanConfig, games: Sequence[tuple[int, GameSequence]]) -> list[int]:
+def _periods(config: ScanConfig, games: Sequence[Game]) -> list[int]:
     """The spacing of each game's payoff points under ``config``'s verdict rule."""
-    return [1 if config.verdict_each_step else seq.period for _, seq in games]
+    return [1 if config.verdict_each_step else seq.period for *_, seq in games]
 
 
 def _paradox(a_loses: bool, b_loses: bool, winners: int) -> bool:
@@ -224,21 +247,33 @@ def _paradox(a_loses: bool, b_loses: bool, winners: int) -> bool:
     return a_loses and b_loses and winners > 0
 
 
+def _check_config(config: ScanConfig) -> None:
+    if not isinstance(config, ScanConfig):
+        raise InvalidParameterError(f"expected a ScanConfig, got {config!r}")
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Simulate pure A, pure B, and every enumerated sequence.
 
     Results keep the enumeration order. The run is fully deterministic:
     identical configurations produce identical reports.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``config`` is not a ``ScanConfig``.
     """
+    _check_config(config)
     results: list[SequenceResult] = []
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    for games in _chunks(config, [cell]):
-        columns = evolve_games([(*cell, seq) for _, seq in games], config.horizon_steps)
+    for chunk in _chunks(config, [(cell, seq) for seq in _PURE], [cell]):
+        games = [game for _, game in chunk]
+        columns = evolve_games(games, config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
         entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
         results += map(
             SequenceResult,
-            [seq for _, seq in games],
+            [seq for *_, seq in games],
             payoff_verdicts(biases, _periods(config, games), config.epsilon),
             biases[:, -1].tolist(),
             biases.min(axis=1).tolist(),
@@ -324,35 +359,40 @@ def _cell(config: ScanConfig, assignments: dict[str, float]) -> Cell:
     return coins["a"], coins["b"], eta_deg
 
 
-def _block_outcomes(config: ScanConfig, cells: Sequence[Cell]) -> list[tuple[bool, int]]:
-    """Paradox flag and winning-sequence count of each cell of a block, as
-    ``run_scan`` reports them at ``config`` with the cell's coins and phase.
+def _tally(
+    config: ScanConfig,
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    share: tuple[int, int] = (0, 1),
+) -> list[int]:
+    """For each game of ``pures``, 1 if it is Losing, then for each cell of
+    ``cells`` its count of Winning sequences, at ``config`` with the cell's
+    coins and phase, over the chunks of ``_chunks`` that ``share`` selects.
 
     Each game evolves only until its verdict is decided: a sequence while
     it may still be Winning, a pure game while it may still be Losing. The
     games run period by period, so the games of a chunk mostly share their
     payoff points and the steps at which any bias is needed are fewer.
     """
-    pure_losing: list[list[bool]] = [[] for _ in cells]  # [A loses, B loses]
-    winning = [0] * len(cells)
-    for games in _chunks(config, cells):
+    tally = [0] * (len(pures) + len(cells))
+    for chunk in _chunks(config, pures, cells, share):
+        games = [game for _, game in chunk]
         held = evolve_verdicts(
-            [(*cells[cell], seq) for cell, seq in games],
+            games,
             config.horizon_steps,
             _periods(config, games),
-            [-1 if seq.period == 1 else 1 for _, seq in games],
+            [-1 if seq.period == 1 else 1 for *_, seq in games],
             config.epsilon,
         )
-        for (cell, seq), holds in zip(games, held.tolist()):
-            if seq.period == 1:
-                pure_losing[cell].append(holds)
-            else:
-                winning[cell] += holds
-    return [(_paradox(*loses, count), count) for loses, count in zip(pure_losing, winning)]
+        for (owner, _), holds in zip(chunk, held.tolist()):
+            tally[owner] += holds
+    return tally
 
 
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
-    """Processes for a grid: never more than asked, than cells, or than CPUs."""
+    """Processes for a grid: never more than asked, than distinct cells, or
+    than CPUs. A grid has at least two games per distinct cell, so each
+    process gets at least one chunk."""
     return min(workers, cells, cpus or 1)
 
 
@@ -375,22 +415,30 @@ def scan_region_grid(
     A cell is the coins and phase of ``base`` with its axis values set;
     every other setting (periods, horizon, epsilon, verdict rule) is
     ``base``'s, shared by all cells.
-    Cells are evaluated in row-major order over the axes. With
-    ``workers > 1`` the cells are split into one contiguous block per
-    process (at most one per cell and per CPU the process may run on);
-    blocks are collected in order, so the grid is identical either way.
+    Cells are evaluated in row-major order over the axes. Each distinct
+    game is evolved once: a pure game plays one coin, so all cells with that
+    coin and phase share it, and equal cells share their sequences. With
+    ``workers > 1`` each process (at most one per distinct cell and per CPU
+    the process may run on) gets the config, the distinct pure games and
+    cells, and the indices of its chunks, an equal share of the games that
+    it builds itself; the processes' counts add up to the same grid either way.
 
     Raises
     ------
     InvalidParameterError
-        If no axis or more than two axes are given, the grid exceeds
+        If ``base`` is not a ``ScanConfig``, an axis is not a ``GridAxis``,
+        no axis or more than two axes are given, the grid exceeds
         ``max_cells``, or ``max_cells`` or ``workers`` is not a positive integer.
     """
+    _check_config(base)
     check_count("max_cells", max_cells)
     check_count("workers", workers)
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
+    for axis in axes:
+        if not isinstance(axis, GridAxis):
+            raise InvalidParameterError(f"an axis must be a GridAxis, got {axis!r}")
     parameters = [axis.parameter for axis in axes]
     if len(set(parameters)) != len(axes):
         raise InvalidParameterError("axes must sweep distinct parameters")
@@ -402,19 +450,26 @@ def scan_region_grid(
         )
     cells = [_cell(base, dict(zip(parameters, values)))
              for values in product(*(axis.values for axis in axes))]
-    processes = _pool_size(workers, n_cells, _usable_cpus())
+    pure: dict[tuple[CoinParams, float], tuple[Cell, GameSequence]] = {}  # by coin and phase
+    for cell in cells:
+        for coin, seq in zip(cell, _PURE):
+            pure.setdefault((coin, cell[2]), (cell, seq))
+    distinct = list(dict.fromkeys(cells))
+    pures = list(pure.values())
+    processes = _pool_size(workers, len(distinct), _usable_cpus())
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
-        bounds = [n_cells * k // processes for k in range(processes + 1)]
-        blocks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        shares = ((k, processes) for k in range(processes))
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = [cell for block in pool.map(_block_outcomes, repeat(base), blocks)
-                        for cell in block]
+            tally = [sum(counts) for counts in zip(*pool.map(
+                _tally, repeat(base), repeat(pures), repeat(distinct), shares))]
     else:
-        outcomes = _block_outcomes(base, cells)
-    paradox = np.array([flag for flag, _ in outcomes], dtype=bool).reshape(shape)
-    counts = np.array([count for _, count in outcomes], dtype=int).reshape(shape)
+        tally = _tally(base, pures, distinct)
+    tallies = dict(zip([*pure, *distinct], tally))
+    paradox = np.array([_paradox(tallies[a, eta] > 0, tallies[b, eta] > 0, tallies[a, b, eta])
+                        for a, b, eta in cells], dtype=bool).reshape(shape)
+    counts = np.array([tallies[cell] for cell in cells], dtype=int).reshape(shape)
     return RegionGrid(axes=axes, paradox=paradox, winning_counts=counts)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,24 @@ from qparrondo import (
 
 from qparrondo import scan
 from qparrondo.scan import AXIS_PARAMETERS, _cell, _pool_size, _usable_cpus
-from qparrondo.walk import MAX_STEPS
+from qparrondo.walk import MAX_STEPS, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make starting a process pool fail the test."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+
+
+README_AXES = (GridAxis.linspace("beta_a", 6, 26, 5), GridAxis.linspace("beta_b", 65, 85, 5))
+REPEATED_AXIS = GridAxis("beta_a", (10.0, 10.0, 20.0))
 
 
 def one_sided_config(**overrides):
@@ -92,6 +108,10 @@ def one_sided_report():
 
 
 class TestRunScan:
+    def test_rejects_a_config_of_the_wrong_type(self):
+        with pytest.raises(InvalidParameterError, match="ScanConfig"):
+            run_scan("max_period=3")
+
     def test_pure_games_lose(self, one_sided_report):
         assert one_sided_report.verdict_a is GameVerdict.LOSING
         assert one_sided_report.verdict_b is GameVerdict.LOSING
@@ -267,6 +287,18 @@ class TestRegionGrid:
         with pytest.raises(InvalidParameterError):
             build()
 
+    @pytest.mark.parametrize(
+        "base, axes",
+        [
+            pytest.param("beta_a=6:26:2", [GridAxis("beta_a", (6.0, 26.0))], id="string-base"),
+            pytest.param(one_sided_config(), [("beta_a", (6.0, 26.0))], id="tuple-axis"),
+        ],
+    )
+    def test_rejects_a_base_or_an_axis_of_the_wrong_type(self, monkeypatch, no_pool, base, axes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(InvalidParameterError, match="ScanConfig|GridAxis"):
+            scan_region_grid(base, axes, workers=2)
+
     @pytest.mark.parametrize("workers", [0, -5, 1.5, True])
     def test_rejects_worker_counts_that_are_not_positive_integers(self, workers):
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
@@ -297,32 +329,84 @@ class TestRegionGrid:
         ],
     )
     def test_every_cell_equals_its_own_scan(self, axes, base):
-        # 9 cells of 24 games run as two chunks of 108, so some cells span both
+        # 9 cells of 24 games, fewer once shared, run as two chunks, so some cells span both
         assert scan.SCAN_CHUNK_GAMES < 9 * 24 <= 2 * scan.SCAN_CHUNK_GAMES
-        grid = scan_region_grid(base, axes)
-        for index in np.ndindex(grid.paradox.shape):
-            cell = {axis.parameter: axis.values[i] for axis, i in zip(axes, index)}
-            coin_a, coin_b, eta_deg = _cell(base, cell)
-            report = run_scan(replace(base, coin_a=coin_a, coin_b=coin_b, eta_deg=eta_deg))
-            assert grid.paradox[index] == bool(report.paradox_sequences), cell
-            assert grid.winning_counts[index] == sum(report.winning_by_period.values()), cell
+        assert_cells_equal_their_scans(scan_region_grid(base, axes), base)
 
-    def test_grid_is_the_same_at_any_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "axes, pure_a, pure_b, mixed",
+        [
+            pytest.param(README_AXES, 5, 5, 25 * 22, id="readme"),
+            pytest.param((GridAxis.linspace("beta_a", 6, 26, 5),), 5, 1, 5 * 22, id="beta_a"),
+            pytest.param((REPEATED_AXIS,), 2, 1, 2 * 22, id="repeated-value"),
+        ],
+    )
+    def test_each_distinct_game_is_evolved_once(self, monkeypatch, axes, pure_a, pure_b, mixed):
+        handed = []
+
+        def counted(games, *args):
+            handed.extend(games)
+            return evolve_verdicts(games, *args)
+
+        monkeypatch.setattr(scan, "evolve_verdicts", counted)
+        base = one_sided_config(max_period=4, horizon_steps=240)
+        grid = scan_region_grid(base, axes, workers=1)
+        pure = [game[3].tokens for game in handed if game[3].period == 1]
+        assert (pure.count("A"), pure.count("B")) == (pure_a, pure_b)
+        assert len(handed) - len(pure) == mixed
+        # no two handed games play the same coins from the same phase
+        played = {(game[2], tuple(game[0] if t == "A" else game[1] for t in game[3].tokens))
+                  for game in handed}
+        assert len(played) == len(handed)
+        assert_cells_equal_their_scans(grid, base)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            pytest.param((GridAxis.linspace("beta_a", 0, 30, 7),), id="beta_a"),
+            # a pure game serves cells whose sequences other processes evolve
+            pytest.param((GridAxis.linspace("beta_a", 0, 30, 3),
+                          GridAxis.linspace("beta_b", 65, 85, 3)), id="beta_a-beta_b"),
+            pytest.param((REPEATED_AXIS,), id="repeated-value"),
+        ],
+    )
+    def test_grid_is_the_same_at_any_worker_count(self, monkeypatch, axes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         base = one_sided_config(horizon_steps=60)
-        axes = [GridAxis.linspace("beta_a", 0, 30, 7)]  # 7 cells: blocks of 3+4 and 2+2+3
         grids = [scan_region_grid(base, axes, workers=workers) for workers in (1, 2, 3)]
-        assert len(set(grids[0].winning_counts.tolist())) > 1
+        assert len(set(grids[0].winning_counts.flatten().tolist())) > 1
         for grid in grids[1:]:
             assert np.array_equal(grid.paradox, grids[0].paradox)
             assert np.array_equal(grid.winning_counts, grids[0].winning_counts)
 
-    def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a process pool was started")
+    def test_pool_tasks_do_not_grow_with_the_games(self, monkeypatch):
+        sizes = []
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        class RecordingPool:  # runs each task in this process, as the pool would
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                sizes.extend(len(pickle.dumps(args)) for args in tasks)
+                return [fn(*args) for args in tasks]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
+        base = one_sided_config(max_period=12, horizon_steps=12)
+        grid = scan_region_grid(base, axes, workers=2)
+        games = 2 * (2 + len(enumerate_sequences(12)))
+        assert len(sizes) == 2 and max(sizes) < games / 8  # far below a byte per game
+        assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
+
+    def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch, no_pool):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         with pytest.raises(CapacityError, match="budget"):
@@ -330,6 +414,15 @@ class TestRegionGrid:
         # within the budget the same grid asks for the pool
         with pytest.raises(AssertionError, match="pool"):
             scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=2)
+
+
+def assert_cells_equal_their_scans(grid, base):
+    for index in np.ndindex(grid.paradox.shape):
+        cell = {axis.parameter: axis.values[i] for axis, i in zip(grid.axes, index)}
+        coin_a, coin_b, eta_deg = _cell(base, cell)
+        report = run_scan(replace(base, coin_a=coin_a, coin_b=coin_b, eta_deg=eta_deg))
+        assert grid.paradox[index] == bool(report.paradox_sequences), cell
+        assert grid.winning_counts[index] == sum(report.winning_by_period.values()), cell
 
 
 @pytest.mark.parametrize("parameter", AXIS_PARAMETERS)
@@ -360,12 +453,7 @@ def test_pool_size_is_bounded_by_cells_and_cpus(workers, cells, cpus, expected):
     assert _pool_size(workers, cells, cpus) == expected
 
 
-def test_pool_counts_the_cpus_this_process_may_use(monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+def test_pool_counts_the_cpus_this_process_may_use(monkeypatch, no_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _usable_cpus() == 1
