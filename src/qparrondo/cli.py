@@ -150,9 +150,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
                              help="grid cell budget (default %(default)s)"),
         regions.add_argument("--workers", type=_positive_int,
                              default=_GRID_DEFAULTS["workers"], metavar="N",
-                             help="parallel processes for a grid, each evolving an equal "
-                                  "share of its distinct games; at most one per distinct "
-                                  "cell and per CPU (default %(default)s)"),
+                             help="processes for a grid, this one included, each evolving "
+                                  "the same number (+-1) of its distinct games of each "
+                                  "period; at most one per distinct cell and per CPU "
+                                  "(default %(default)s)"),
     ]
 
     flags = {"simulate": simulate_flags, "scan": scan_flags, "regions": regions_flags}

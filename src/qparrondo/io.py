@@ -36,11 +36,7 @@ __all__ = [
 TRAJECTORY_CSV_HEADER = "step,p_left,p_origin,p_right,bias,entropy"
 _TRAJECTORY_KEYS = TRAJECTORY_CSV_HEADER.split(",")
 
-_FLOAT_FORMAT = ".12e"  # 13 significant digits
-
-
-def _fmt(value: float) -> str:
-    return format(value, _FLOAT_FORMAT)
+_CSV_ROW = "%d," + ",".join(["%.12e"] * 5) + "\n"  # 13 significant digits
 
 
 def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:
@@ -51,8 +47,8 @@ def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:
 def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """Write one row per step under a fixed header."""
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
-    for step, *values in _trajectory_rows(trajectory):
-        sink.write(f"{step},{','.join(map(_fmt, values))}\n")
+    for row in _trajectory_rows(trajectory):
+        sink.write(_CSV_ROW % row)
 
 
 def _to_json(value: Any) -> Any:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import chain, groupby, islice, product, repeat
+from heapq import merge
+from itertools import groupby, islice, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -54,15 +55,20 @@ __all__ = [
 
 MAX_ENUMERATION_PERIOD = 12
 
-SCAN_CHUNK_GAMES = 128
-"""Most games one kernel call evolves, across cells. It bounds the kernel's
-working set (a few hundred bytes per game and step) when the longest periods
-enumerate thousands of games. A grid evolves each distinct game once, and its
-chunk count is a multiple of its process count: each process builds every
-n-th chunk itself, an equal share of the games. A grid's batch keeps only
-each game's bias at its payoff points and shrinks as its games retire, each
-at its first payoff point that breaks its verdict; no pending game joins a
-running batch, since a batch shares one step and one window."""
+SCAN_CHUNK_GAME_STEPS = 18 * 4096
+"""Most game-steps (games times horizon steps) one kernel call evolves, across
+cells: 307 games at 240 steps, 18 at ``walk.MAX_STEPS``. A step's working set
+grows with its games times its occupied sites, so this bounds the kernel's
+memory whatever the periods enumerate. A scan or a grid process cuts its
+games into equal chunks only where they exceed it. A scan's batch, whose
+games all run to the horizon, is fastest near 128 games at 240 steps, where
+a step still fits the CPU's cache; a grid's batch runs faster wide, since
+its games retire and its ~20 numpy calls per step are shared by more games.
+The budget is the least multiple of 4096 that evolves a share of the README
+grid at two processes (280 games at 240 steps) in one call. A grid's batch
+keeps only each game's bias at its payoff points and shrinks as its games
+retire, each at its first payoff point that breaks its verdict; no pending
+game joins a running batch, since a batch shares one step and one window."""
 
 AXIS_PARAMETERS = tuple(
     f"{angle.name.removesuffix('_deg')}_{coin}" for coin in "ab" for angle in fields(CoinParams)
@@ -201,6 +207,15 @@ Game = tuple[CoinParams, CoinParams, float, GameSequence]
 _PURE = (GameSequence("A"), GameSequence("B"))
 
 
+def _dealt(size: int, share: tuple[int, int]) -> tuple[range, range]:
+    """The positions in a group of ``size`` games that a snake deal gives to
+    ``share`` = ``(i, n)``: the deal runs 0, 1, ..., n - 1, n - 1, ..., 0, 0,
+    1, ..., so share ``i`` gets every position ``i`` and ``2n - 1 - i`` of
+    each round of ``2n``."""
+    index, shares = share
+    return range(index, size, 2 * shares), range(2 * shares - 1 - index, size, 2 * shares)
+
+
 def _chunks(
     config: ScanConfig,
     pures: Sequence[tuple[Cell, GameSequence]],
@@ -212,29 +227,40 @@ def _chunks(
 
     A pure game is given as a cell and the schedule it plays there. Its
     owner is its index in ``pures``; a sequence's owner is its cell's index
-    plus ``len(pures)``. The games run period by period, and within a period
-    in cell order and then enumeration order, in equal chunks of at most
-    ``SCAN_CHUNK_GAMES``; a cell's games may span chunks. With one cell and
-    its pure A and B this is plain enumeration order. ``share`` is ``(i, n)``:
-    the chunk count is a multiple of ``n`` and only chunks ``i, i + n, ...``
-    are built, so ``n`` processes can each build their own share.
+    plus ``len(pures)``. The games form groups: the pure games, then each
+    period's sequences, in cell order and then enumeration order. ``share``
+    is ``(i, n)``: each group is dealt to ``n`` shares in snake order (see
+    ``_dealt``) and only share ``i`` is built, so each of ``n`` processes
+    builds its own share, which holds the same number (within one) of every
+    group's games. A share keeps the stream's order, period by period, and is
+    cut into equal chunks only where its games times the horizon exceed
+    ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span chunks. With one cell,
+    its pure A and B, and one share, this is plain enumeration order.
     """
-    index, shares = share
     groups = [list(group) for _, group in
               groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
-    players = [cell for cell, _ in pures] + list(cells)
-    stream = chain(  # (owner, schedule), skipped over in C where another share's chunk lies
-        enumerate(seq for _, seq in pures),
-        chain.from_iterable(product(range(len(pures), len(players)), group) for group in groups),
-    )
-    total = len(pures) + len(cells) * sum(map(len, groups))
-    chunks = shares * -(-total // (shares * SCAN_CHUNK_GAMES))
-    done = 0
-    for k in range(index, chunks, shares):
-        lo, hi = k * total // chunks, (k + 1) * total // chunks
-        games = islice(stream, lo - done, hi - done)
-        yield [(owner, (*players[owner], seq)) for owner, seq in games]
-        done = hi
+    sizes = [len(pures)] + [len(cells) * len(group) for group in groups]
+    total = sum(len(positions) for size in sizes for positions in _dealt(size, share))
+    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // config.horizon_steps))
+    stream = _share(pures, cells, groups, share)
+    for k in range(chunks):
+        yield list(islice(stream, (k + 1) * total // chunks - k * total // chunks))
+
+
+def _share(
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    groups: Sequence[Sequence[GameSequence]],
+    share: tuple[int, int],
+) -> Iterator[tuple[int, Game]]:
+    """Share ``share`` of the groups of ``_chunks`` as ``(owner, game)``, in stream order."""
+    for j in merge(*_dealt(len(pures), share)):
+        cell, seq = pures[j]
+        yield j, (*cell, seq)
+    for group in groups:
+        for j in merge(*_dealt(len(cells) * len(group), share)):
+            c, k = divmod(j, len(group))
+            yield len(pures) + c, (*cells[c], group[k])
 
 
 def _periods(config: ScanConfig, games: Sequence[Game]) -> list[int]:
@@ -367,12 +393,13 @@ def _tally(
 ) -> list[int]:
     """For each game of ``pures``, 1 if it is Losing, then for each cell of
     ``cells`` its count of Winning sequences, at ``config`` with the cell's
-    coins and phase, over the chunks of ``_chunks`` that ``share`` selects.
+    coins and phase, over the games of ``_chunks``'s share ``share``.
 
     Each game evolves only until its verdict is decided: a sequence while
     it may still be Winning, a pure game while it may still be Losing. The
     games run period by period, so the games of a chunk mostly share their
-    payoff points and the steps at which any bias is needed are fewer.
+    payoff points and the steps at which any bias is needed are fewer. A
+    share within ``SCAN_CHUNK_GAME_STEPS`` is one kernel call.
     """
     tally = [0] * (len(pures) + len(cells))
     for chunk in _chunks(config, pures, cells, share):
@@ -391,8 +418,8 @@ def _tally(
 
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
     """Processes for a grid: never more than asked, than distinct cells, or
-    than CPUs. A grid has at least two games per distinct cell, so each
-    process gets at least one chunk."""
+    than CPUs. A grid has at least two period-2 games per distinct cell, so
+    the snake deal gives each process at least two games."""
     return min(workers, cells, cpus or 1)
 
 
@@ -418,10 +445,13 @@ def scan_region_grid(
     Cells are evaluated in row-major order over the axes. Each distinct
     game is evolved once: a pure game plays one coin, so all cells with that
     coin and phase share it, and equal cells share their sequences. With
-    ``workers > 1`` each process (at most one per distinct cell and per CPU
-    the process may run on) gets the config, the distinct pure games and
-    cells, and the indices of its chunks, an equal share of the games that
-    it builds itself; the processes' counts add up to the same grid either way.
+    ``workers > 1`` the games are dealt to n processes (at most one per
+    distinct cell and per CPU the process may run on): each gets the same
+    number, within one, of the pure games and of each period's games, and
+    builds its share itself from the config, the distinct pure games and
+    cells, and its index. This process evolves share 0 while a pool of
+    n - 1 processes evolves the others; their counts add up to the same grid
+    either way.
 
     Raises
     ------
@@ -460,10 +490,11 @@ def scan_region_grid(
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
-        shares = ((k, processes) for k in range(processes))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            tally = [sum(counts) for counts in zip(*pool.map(
-                _tally, repeat(base), repeat(pures), repeat(distinct), shares))]
+        shares = [(k, processes) for k in range(1, processes)]
+        with ProcessPoolExecutor(max_workers=processes - 1) as pool:
+            others = pool.map(_tally, repeat(base), repeat(pures), repeat(distinct), shares)
+            own = _tally(base, pures, distinct, (0, processes))  # while the pool runs the rest
+            tally = [sum(counts) for counts in zip(own, *others)]
     else:
         tally = _tally(base, pures, distinct)
     tallies = dict(zip([*pure, *distinct], tally))

@@ -120,7 +120,7 @@ def test_games_of_mixed_cells_equal_their_own_pair_calls():
 def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):
     config = ScanConfig(**REGIME_ONE_SIDED, max_period=4, horizon_steps=60)
     whole = run_scan(config)
-    monkeypatch.setattr(scan, "SCAN_CHUNK_GAMES", 5)
+    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 5 * 60)  # 5 games a call
     assert run_scan(config) == whole
 
 
@@ -132,7 +132,7 @@ def test_region_grid_does_not_depend_on_the_chunk_size(monkeypatch, chunk, each_
     axes = [GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("eta", 0, 270, 3)]
     whole = scan_region_grid(base, axes)
     assert whole.winning_counts.any()
-    monkeypatch.setattr(scan, "SCAN_CHUNK_GAMES", chunk)
+    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", chunk * base.horizon_steps)
     grid = scan_region_grid(base, axes)
     assert np.array_equal(grid.paradox, whole.paradox)
     assert np.array_equal(grid.winning_counts, whole.winning_counts)

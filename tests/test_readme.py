@@ -55,7 +55,8 @@ def test_budgets_quote_the_code():
     max_cells = inspect.signature(scan.scan_region_grid).parameters["max_cells"].default
     for pattern, value in [
         (r"`qparrondo\.walk\.MAX_STEPS` = (\d+)", walk.MAX_STEPS),
-        (r"at most (\d+) \(`qparrondo\.scan\.SCAN_CHUNK_GAMES`\)", scan.SCAN_CHUNK_GAMES),
+        (r"at most (\d+) game-steps \(`qparrondo\.scan\.SCAN_CHUNK_GAME_STEPS`",
+         scan.SCAN_CHUNK_GAME_STEPS),
         (r"`--max-cells` \(default (\d+)\)", max_cells),
     ]:
         quoted = re.search(pattern, text)

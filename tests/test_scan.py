@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from qparrondo import (
 )
 
 from qparrondo import scan
-from qparrondo.scan import AXIS_PARAMETERS, _cell, _pool_size, _usable_cpus
+from qparrondo.scan import AXIS_PARAMETERS, _cell, _chunks, _pool_size, _usable_cpus
 from qparrondo.walk import MAX_STEPS, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
@@ -328,9 +329,10 @@ class TestRegionGrid:
                 id="eta-alpha_b-each-step-epsilon"),
         ],
     )
-    def test_every_cell_equals_its_own_scan(self, axes, base):
-        # 9 cells of 24 games, fewer once shared, run as two chunks, so some cells span both
-        assert scan.SCAN_CHUNK_GAMES < 9 * 24 <= 2 * scan.SCAN_CHUNK_GAMES
+    def test_every_cell_equals_its_own_scan(self, monkeypatch, axes, base):
+        # at most 100 games a call: 9 cells of 22 sequences run as several chunks,
+        # so some cells span two
+        monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 100 * base.horizon_steps)
         assert_cells_equal_their_scans(scan_region_grid(base, axes), base)
 
     @pytest.mark.parametrize(
@@ -380,30 +382,34 @@ class TestRegionGrid:
             assert np.array_equal(grid.winning_counts, grids[0].winning_counts)
 
     def test_pool_tasks_do_not_grow_with_the_games(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:  # runs each task in this process, as the pool would
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                tasks = list(zip(*iterables))
-                sizes.extend(len(pickle.dumps(args)) for args in tasks)
-                return [fn(*args) for args in tasks]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         base = one_sided_config(max_period=12, horizon_steps=12)
-        grid = scan_region_grid(base, axes, workers=2)
-        games = 2 * (2 + len(enumerate_sequences(12)))
-        assert len(sizes) == 2 and max(sizes) < games / 8  # far below a byte per game
+        for processes in (2, 3):
+            tasks = record_pool_tasks(monkeypatch, processes)
+            axes = [GridAxis.linspace("beta_a", 6, 26, processes)]
+            grid = scan_region_grid(base, axes, workers=processes)
+            games = processes * (2 + len(enumerate_sequences(12)))
+            sizes = [len(pickle.dumps(args)) for args in tasks]
+            # this process evolves one share, the pool the others
+            assert len(sizes) == processes - 1
+            assert max(sizes) < games / 8  # far below a byte per game
+            assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_each_share_is_counted_once(self, monkeypatch, processes):
+        tasks = record_pool_tasks(monkeypatch, processes)
+        shares, tally_share = [], scan._tally
+
+        def tally(config, pures, cells, share=(0, 1)):
+            shares.append(share)
+            return tally_share(config, pures, cells, share)
+
+        monkeypatch.setattr(scan, "_tally", tally)
+        axes = [GridAxis.linspace("beta_a", 0, 30, 7)]
+        base = one_sided_config(horizon_steps=60)
+        grid = scan_region_grid(base, axes, workers=processes)
+        assert [args[3] for args in tasks] == [(k, processes) for k in range(1, processes)]
+        assert sorted(shares) == [(k, processes) for k in range(processes)]
+        assert grid.winning_counts.any()
         assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
 
     def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch, no_pool):
@@ -414,6 +420,83 @@ class TestRegionGrid:
         # within the budget the same grid asks for the pool
         with pytest.raises(AssertionError, match="pool"):
             scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=2)
+
+
+def record_pool_tasks(monkeypatch, cpus):
+    """Replace the process pool by one that runs each task in this process,
+    as the pool would, and give the list its tasks' arguments are added to."""
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            mapped = list(zip(*iterables))
+            assert len(mapped) <= self.max_workers
+            tasks.extend(mapped)
+            return [fn(*args) for args in mapped]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return tasks
+
+
+def grid_games(monkeypatch, base, axes):
+    """The config, distinct pure games and distinct cells that a one-process
+    grid hands to ``_tally``; nothing is evolved."""
+    handed = []
+
+    def tally(config, pures, cells, share=(0, 1)):
+        handed.append((config, pures, cells))
+        return [0] * (len(pures) + len(cells))
+
+    monkeypatch.setattr(scan, "_tally", tally)
+    scan_region_grid(base, axes, workers=1)
+    return handed[0]
+
+
+def share_games(config, pures, cells, share=(0, 1)):
+    return [pair for chunk in _chunks(config, pures, cells, share) for pair in chunk]
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+@pytest.mark.parametrize(
+    "axes", [pytest.param(README_AXES, id="readme"),
+             pytest.param((GridAxis.linspace("beta_a", 6, 26, 5),), id="beta_a")])
+def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
+    config, pures, cells = grid_games(monkeypatch, one_sided_config(max_period=4), axes)
+    dealt = [share_games(config, pures, cells, (i, shares)) for i in range(shares)]
+    for period in range(1, config.max_period + 1):  # period 1: the pure games
+        held = [sum(game[3].period == period for _, game in games) for games in dealt]
+        assert max(held) - min(held) <= 1, (period, held)
+    for games in dealt:  # each share keeps the stream's period order
+        periods = [game[3].period for _, game in games]
+        assert periods == sorted(periods)
+    whole = share_games(config, pures, cells)
+    assert Counter(pair for games in dealt for pair in games) == Counter(whole)
+    if len(axes) == 2:  # a README share is one kernel call
+        assert all(len(list(_chunks(config, pures, cells, (i, shares)))) == 1
+                   for i in range(shares))
+
+
+@pytest.mark.parametrize("steps", [240, MAX_STEPS])
+@pytest.mark.parametrize("share", [(0, 1), (1, 2)])
+def test_chunks_stay_within_the_game_step_budget(steps, share):
+    config = one_sided_config(max_period=12, horizon_steps=steps)
+    cell = (config.coin_a, config.coin_b, config.eta_deg)
+    pures = [(cell, GameSequence("A")), (cell, GameSequence("B"))]
+    sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], share)]
+    widest = scan.SCAN_CHUNK_GAME_STEPS // steps
+    assert max(sizes) <= widest and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
+    assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
 
 
 def assert_cells_equal_their_scans(grid, base):
