@@ -33,7 +33,7 @@ from .metrics import (
     payoff_verdicts,
 )
 from .walk import CoinParams, GameSequence
-from .walk import check_count, check_real, check_steps, evolve_games, evolve_verdicts
+from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games, evolve_verdicts
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
@@ -55,19 +55,24 @@ __all__ = [
 
 MAX_ENUMERATION_PERIOD = 12
 
-SCAN_CHUNK_GAME_STEPS = 18 * 4096
-"""Most game-steps (games times horizon steps) one kernel call evolves, across
-cells: 307 games at 240 steps, 18 at ``walk.MAX_STEPS``. A step's working set
-grows with its games times its occupied sites, so this bounds the kernel's
-memory whatever the periods enumerate. A scan or a grid process cuts its
-games into equal chunks only where they exceed it. A scan's batch, whose
-games all run to the horizon, is fastest near 128 games at 240 steps, where
-a step still fits the CPU's cache; a grid's batch runs faster wide, since
-its games retire and its ~20 numpy calls per step are shared by more games.
-The budget is the least multiple of 4096 that evolves a share of the README
-grid at two processes (280 games at 240 steps) in one call. A grid's batch
-keeps only each game's bias at its payoff points and shrinks as its games
-retire, each at its first payoff point that breaks its verdict; no pending
+SCAN_CHUNK_GAME_STEPS = 128 * 4096
+"""Most game-steps (games times steps) one kernel call evolves, across cells:
+128 games at ``walk.MAX_STEPS``. A call allocates each game's amplitudes on
+every site it can reach, so its memory grows with its game-steps, and this
+bounds it at any horizon. A grid process evolves its share in one call
+unless its games times the horizon exceed the budget, and then in equal
+chunks: its games retire, each at its first payoff point that breaks its
+verdict, so its batch shrinks, and a wide call shares its ~20 numpy calls
+per step among more games. A scan, whose games all run to the horizon with
+every column observed at every step, evolves at most the budget's games at
+``walk.MAX_STEPS`` per call at any horizon. Timed in one process on a 2-core
+host against calls of at most 128 games: the README grid (560 games, 240
+steps) took 71-82 ms in one call against 101-111 ms, and a 5x5 grid of
+max-period 4 took the same time at 1024 steps (1.05-1.15 s against
+1.07-1.18 s, peak RSS 44 against 36 MiB); at 4095 steps the calls are the
+same. A max-period-10 scan at 240 steps took 1.65-1.68 s and 107 MiB in
+one call of 2,030 games, against 1.29-1.66 s and 39 MiB in 16 calls. A
+grid's batch keeps only each game's bias at its payoff points; no pending
 game joins a running batch, since a batch shares one step and one window."""
 
 AXIS_PARAMETERS = tuple(
@@ -220,6 +225,7 @@ def _chunks(
     config: ScanConfig,
     pures: Sequence[tuple[Cell, GameSequence]],
     cells: Sequence[Cell],
+    budget_steps: int,
     share: tuple[int, int] = (0, 1),
 ) -> Iterator[list[tuple[int, Game]]]:
     """The pure games ``pures``, then every enumerated sequence at each cell,
@@ -233,15 +239,16 @@ def _chunks(
     ``_dealt``) and only share ``i`` is built, so each of ``n`` processes
     builds its own share, which holds the same number (within one) of every
     group's games. A share keeps the stream's order, period by period, and is
-    cut into equal chunks only where its games times the horizon exceed
-    ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span chunks. With one cell,
-    its pure A and B, and one share, this is plain enumeration order.
+    cut into the fewest equal chunks whose games times ``budget_steps`` stay
+    within ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span chunks. With
+    one cell, its pure A and B, and one share, this is plain enumeration
+    order.
     """
     groups = [list(group) for _, group in
               groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
     sizes = [len(pures)] + [len(cells) * len(group) for group in groups]
     total = sum(len(positions) for size in sizes for positions in _dealt(size, share))
-    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // config.horizon_steps))
+    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // budget_steps))
     stream = _share(pures, cells, groups, share)
     for k in range(chunks):
         yield list(islice(stream, (k + 1) * total // chunks - k * total // chunks))
@@ -292,7 +299,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     _check_config(config)
     results: list[SequenceResult] = []
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    for chunk in _chunks(config, [(cell, seq) for seq in _PURE], [cell]):
+    for chunk in _chunks(config, [(cell, seq) for seq in _PURE], [cell], MAX_STEPS):
         games = [game for _, game in chunk]
         columns = evolve_games(games, config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
@@ -399,10 +406,11 @@ def _tally(
     it may still be Winning, a pure game while it may still be Losing. The
     games run period by period, so the games of a chunk mostly share their
     payoff points and the steps at which any bias is needed are fewer. A
-    share within ``SCAN_CHUNK_GAME_STEPS`` is one kernel call.
+    share whose games times the horizon stay within ``SCAN_CHUNK_GAME_STEPS``
+    is one kernel call.
     """
     tally = [0] * (len(pures) + len(cells))
-    for chunk in _chunks(config, pures, cells, share):
+    for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
         games = [game for _, game in chunk]
         held = evolve_verdicts(
             games,

@@ -120,7 +120,7 @@ def test_games_of_mixed_cells_equal_their_own_pair_calls():
 def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):
     config = ScanConfig(**REGIME_ONE_SIDED, max_period=4, horizon_steps=60)
     whole = run_scan(config)
-    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 5 * 60)  # 5 games a call
+    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 5 * MAX_STEPS)  # 5 games a scan's call
     assert run_scan(config) == whole
 
 

@@ -57,6 +57,8 @@ def test_budgets_quote_the_code():
         (r"`qparrondo\.walk\.MAX_STEPS` = (\d+)", walk.MAX_STEPS),
         (r"at most (\d+) game-steps \(`qparrondo\.scan\.SCAN_CHUNK_GAME_STEPS`",
          scan.SCAN_CHUNK_GAME_STEPS),
+        (r"equal chunks of at most (\d+), the budget's games at the longest walk",
+         scan.SCAN_CHUNK_GAME_STEPS // walk.MAX_STEPS),
         (r"`--max-cells` \(default (\d+)\)", max_cells),
     ]:
         quoted = re.search(pattern, text)

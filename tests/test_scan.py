@@ -333,7 +333,9 @@ class TestRegionGrid:
         # at most 100 games a call: 9 cells of 22 sequences run as several chunks,
         # so some cells span two
         monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 100 * base.horizon_steps)
-        assert_cells_equal_their_scans(scan_region_grid(base, axes), base)
+        grid = scan_region_grid(base, axes)
+        monkeypatch.undo()
+        assert_cells_equal_their_scans(grid, base)
 
     @pytest.mark.parametrize(
         "axes, pure_a, pure_b, mixed",
@@ -463,7 +465,8 @@ def grid_games(monkeypatch, base, axes):
 
 
 def share_games(config, pures, cells, share=(0, 1)):
-    return [pair for chunk in _chunks(config, pures, cells, share) for pair in chunk]
+    return [pair for chunk in _chunks(config, pures, cells, config.horizon_steps, share)
+            for pair in chunk]
 
 
 @pytest.mark.parametrize("shares", [2, 3])
@@ -482,21 +485,42 @@ def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
     whole = share_games(config, pures, cells)
     assert Counter(pair for games in dealt for pair in games) == Counter(whole)
     if len(axes) == 2:  # a README share is one kernel call
-        assert all(len(list(_chunks(config, pures, cells, (i, shares)))) == 1
+        assert all(len(list(_chunks(config, pures, cells, config.horizon_steps, (i, shares)))) == 1
                    for i in range(shares))
+
+
+class Sized(Exception):
+    """Raised in place of chunking, with the steps the chunks would be sized at."""
+
+
+def sized_at(monkeypatch, call):
+    """The steps at which ``call`` sizes its kernel calls; nothing is evolved."""
+    def chunks(config, pures, cells, budget_steps, share=(0, 1)):
+        raise Sized(budget_steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "_chunks", chunks)
+        with pytest.raises(Sized) as sized:
+            call()
+    return sized.value.args[0]
 
 
 @pytest.mark.parametrize("steps", [240, MAX_STEPS])
 @pytest.mark.parametrize("share", [(0, 1), (1, 2)])
-def test_chunks_stay_within_the_game_step_budget(steps, share):
+def test_chunks_stay_within_the_game_step_budget(monkeypatch, steps, share):
     config = one_sided_config(max_period=12, horizon_steps=steps)
     cell = (config.coin_a, config.coin_b, config.eta_deg)
     pures = [(cell, GameSequence("A")), (cell, GameSequence("B"))]
-    sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], share)]
-    widest = scan.SCAN_CHUNK_GAME_STEPS // steps
-    assert max(sizes) <= widest and max(sizes) - min(sizes) <= 1
-    assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
-    assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
+    scan_at = sized_at(monkeypatch, lambda: run_scan(config))
+    grid_at = sized_at(monkeypatch, lambda: scan_region_grid(config, [GridAxis("eta", (90.0,))]))
+    assert (scan_at, grid_at) == (MAX_STEPS, steps)  # a scan's calls are as wide at any horizon
+    for budget_steps in (scan_at, grid_at):
+        sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], budget_steps, share)]
+        assert max(sizes) * budget_steps <= scan.SCAN_CHUNK_GAME_STEPS
+        assert max(sizes) - min(sizes) <= 1
+        widest = scan.SCAN_CHUNK_GAME_STEPS // budget_steps
+        assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
+        assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
 
 
 def assert_cells_equal_their_scans(grid, base):
