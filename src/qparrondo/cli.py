@@ -152,7 +152,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
                              default=_GRID_DEFAULTS["workers"], metavar="N",
                              help="processes for a grid, this one included, each evolving "
                                   "the same number (+-1) of its distinct games of each "
-                                  "period; at most one per distinct cell and per CPU "
+                                  "period on a CPU of its own (the k-th of the affinity "
+                                  "set); at most one per distinct cell and per CPU "
                                   "(default %(default)s)"),
     ]
 

@@ -13,11 +13,12 @@ until its verdict is decided.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from heapq import merge
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, islice, product
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,6 +39,10 @@ from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games,
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
 from .walk import evolve_sequence  # noqa: F401
+
+if TYPE_CHECKING:
+    from multiprocessing import Process
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "AXIS_PARAMETERS",
@@ -397,6 +402,7 @@ def _tally(
     pures: Sequence[tuple[Cell, GameSequence]],
     cells: Sequence[Cell],
     share: tuple[int, int] = (0, 1),
+    cpu: int | None = None,
 ) -> list[int]:
     """For each game of ``pures``, 1 if it is Losing, then for each cell of
     ``cells`` its count of Winning sequences, at ``config`` with the cell's
@@ -407,36 +413,155 @@ def _tally(
     games run period by period, so the games of a chunk mostly share their
     payoff points and the steps at which any bias is needed are fewer. A
     share whose games times the horizon stay within ``SCAN_CHUNK_GAME_STEPS``
-    is one kernel call.
+    is one kernel call. With ``cpu`` given, the calling thread runs on that
+    CPU alone for the call (see ``_on_cpu``); without it, its placement is
+    not touched.
     """
     tally = [0] * (len(pures) + len(cells))
-    for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
-        games = [game for _, game in chunk]
-        held = evolve_verdicts(
-            games,
-            config.horizon_steps,
-            _periods(config, games),
-            [-1 if seq.period == 1 else 1 for *_, seq in games],
-            config.epsilon,
-        )
-        for (owner, _), holds in zip(chunk, held.tolist()):
-            tally[owner] += holds
+    with _on_cpu(cpu):
+        for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
+            games = [game for _, game in chunk]
+            held = evolve_verdicts(
+                games,
+                config.horizon_steps,
+                _periods(config, games),
+                [-1 if seq.period == 1 else 1 for *_, seq in games],
+                config.epsilon,
+            )
+            for (owner, _), holds in zip(chunk, held.tolist()):
+                tally[owner] += holds
     return tally
 
 
+@contextmanager
+def _on_cpu(cpu: int | None) -> Iterator[None]:
+    """Run the block with the calling thread on CPU ``cpu`` alone, then give
+    the thread back the CPUs it had. With ``cpu`` None, where the platform
+    cannot place a thread, or where it refuses the CPU, the block runs
+    unplaced."""
+    before = None
+    if cpu is not None and hasattr(os, "sched_setaffinity"):
+        try:
+            before = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, (cpu,))
+        except OSError:
+            before = None
+    try:
+        yield
+    finally:
+        if before is not None:
+            os.sched_setaffinity(0, before)
+
+
+def _run_share(
+    writer: Connection,
+    config: ScanConfig,
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    share: tuple[int, int],
+    cpu: int | None,
+) -> None:
+    """The body of a share process: send on ``writer`` the counts of
+    ``_tally`` for ``share``, run on CPU ``cpu``, or the exception it raised
+    with its traceback as a note, since a traceback does not pickle."""
+    try:
+        result = _tally(config, pures, cells, share, cpu)
+    except Exception as exc:
+        from traceback import format_exc
+
+        note = f"in grid share {share[0]}:\n{format_exc()}"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        result = exc
+    writer.send(result)
+
+
+def _start(
+    config: ScanConfig,
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    share: tuple[int, int],
+    cpu: int | None,
+) -> tuple[Process, Connection]:
+    """Start a process that runs ``_run_share`` for ``share`` on CPU ``cpu``;
+    return it and the read end of the one-way pipe it sends its result on."""
+    import multiprocessing  # only a multi-process grid needs it
+
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(
+        target=_run_share, args=(writer, config, pures, cells, share, cpu))
+    process.start()
+    writer.close()  # the process holds the only write end, so its death ends the pipe
+    return process, reader
+
+
+def _receive(process: Process, reader: Connection, share: tuple[int, int]) -> list[int]:
+    """The counts a share process sent; the exception it sent is raised here."""
+    try:
+        result = reader.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(
+            f"grid share {share[0]} of {share[1]} exited with code {process.exitcode} "
+            "without sending its counts"
+        ) from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _shares(
+    config: ScanConfig,
+    pures: Sequence[tuple[Cell, GameSequence]],
+    cells: Sequence[Cell],
+    processes: int,
+) -> list[int]:
+    """``_tally``'s counts over ``processes`` shares, added up. Shares 1 to
+    n - 1 each start in a process of their own; then this thread evolves
+    share 0. Share k runs on the k-th CPU of ``_share_cpus``. Every process
+    is joined before this returns or raises, and is stopped first if this
+    raises."""
+    cpus = _share_cpus(processes)
+    started: list[tuple[Process, Connection]] = []
+    try:
+        for k in range(1, processes):
+            started.append(_start(config, pures, cells, (k, processes), cpus[k]))
+        own = _tally(config, pures, cells, (0, processes), cpus[0])
+        others = [_receive(process, reader, (k, processes))
+                  for k, (process, reader) in enumerate(started, 1)]
+    except BaseException:
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, reader in started:
+            process.join()
+            reader.close()
+    return [sum(counts) for counts in zip(own, *others)]
+
+
 def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
-    """Processes for a grid: never more than asked, than distinct cells, or
-    than CPUs. A grid has at least two period-2 games per distinct cell, so
-    the snake deal gives each process at least two games."""
+    """Processes for a grid, this one included: never more than asked, than
+    distinct cells, or than CPUs, so each process has a CPU of its own. A
+    grid has at least two period-2 games per distinct cell, so the snake
+    deal gives each process at least two games."""
     return min(workers, cells, cpus or 1)
 
 
 def _usable_cpus() -> int | None:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the host's count."""
+    """How many CPUs this process may run on: its affinity set where the
+    platform reports one, else the host's count. ``_share_cpus`` places the
+    shares on the same set."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count()
+
+
+def _share_cpus(processes: int) -> list[int | None]:
+    """The CPU of each of ``processes`` shares: share k's is the k-th of this
+    process's affinity set in ascending order, or None (unplaced) where the
+    platform reports no set or the set has fewer CPUs."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    return [*cpus[:processes], *[None] * (processes - len(cpus))]
 
 
 def scan_region_grid(
@@ -457,9 +582,16 @@ def scan_region_grid(
     distinct cell and per CPU the process may run on): each gets the same
     number, within one, of the pure games and of each period's games, and
     builds its share itself from the config, the distinct pure games and
-    cells, and its index. This process evolves share 0 while a pool of
-    n - 1 processes evolves the others; their counts add up to the same grid
-    either way.
+    cells, and its index. Shares 1 to n - 1 each start in a process of their
+    own, which sends back its counts over a pipe, and this process evolves
+    share 0 meanwhile; the counts add up to the same grid either way. Share
+    k runs on the k-th CPU of this process's affinity set in ascending
+    order, where the platform can place it, so the shares do not share a
+    CPU; this thread gets its own CPUs back afterwards. Grids run at the same
+    time in one affinity set all use its first CPUs, so give each its own
+    set (``taskset``, say). A share's exception is raised here, with the
+    share's traceback as a note, and a share process that dies without
+    sending raises ``RuntimeError``; no process is left running either way.
 
     Raises
     ------
@@ -496,13 +628,7 @@ def scan_region_grid(
     pures = list(pure.values())
     processes = _pool_size(workers, len(distinct), _usable_cpus())
     if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
-
-        shares = [(k, processes) for k in range(1, processes)]
-        with ProcessPoolExecutor(max_workers=processes - 1) as pool:
-            others = pool.map(_tally, repeat(base), repeat(pures), repeat(distinct), shares)
-            own = _tally(base, pures, distinct, (0, processes))  # while the pool runs the rest
-            tally = [sum(counts) for counts in zip(own, *others)]
+        tally = _shares(base, pures, distinct, processes)
     else:
         tally = _tally(base, pures, distinct)
     tallies = dict(zip([*pure, *distinct], tally))

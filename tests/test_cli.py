@@ -1,4 +1,3 @@
-import concurrent.futures
 import inspect
 import json
 import os
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qparrondo import CapacityError, CoinParams, GridAxis, ScanConfig, classify, scan_region_grid
+from qparrondo import CapacityError, CoinParams, GridAxis, ScanConfig, classify, scan, scan_region_grid
 from qparrondo.metrics import DEFAULT_EPSILON
 from qparrondo.cli import EXIT_CAPACITY, EXIT_IO, EXIT_USAGE, main, parse_cli
 
@@ -257,9 +256,9 @@ class TestBudgets:
 
     def test_long_regions_exits_with_capacity_before_any_pool(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+            raise AssertionError("a share process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(scan, "_start", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "2",
                                       "--steps", "4096", "--workers", "2"]
@@ -268,9 +267,9 @@ class TestBudgets:
 
     def test_long_period_regions_exits_with_two_before_any_pool(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+            raise AssertionError("a share process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(scan, "_start", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "13",
                                       "--steps", "24", "--workers", "2"]

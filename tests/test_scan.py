@@ -1,8 +1,13 @@
-import concurrent.futures
+import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,14 +34,13 @@ from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    """Make starting a process pool fail the test."""
+def no_process(monkeypatch):
+    """Make starting a share process fail the test."""
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
+    def start(*args):
+        raise AssertionError("a share process was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(scan, "_start", start)
 
 
 README_AXES = (GridAxis.linspace("beta_a", 6, 26, 5), GridAxis.linspace("beta_b", 65, 85, 5))
@@ -295,7 +299,7 @@ class TestRegionGrid:
             pytest.param(one_sided_config(), [("beta_a", (6.0, 26.0))], id="tuple-axis"),
         ],
     )
-    def test_rejects_a_base_or_an_axis_of_the_wrong_type(self, monkeypatch, no_pool, base, axes):
+    def test_rejects_a_base_or_an_axis_of_the_wrong_type(self, monkeypatch, no_process, base, axes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(InvalidParameterError, match="ScanConfig|GridAxis"):
             scan_region_grid(base, axes, workers=2)
@@ -391,7 +395,7 @@ class TestRegionGrid:
             grid = scan_region_grid(base, axes, workers=processes)
             games = processes * (2 + len(enumerate_sequences(12)))
             sizes = [len(pickle.dumps(args)) for args in tasks]
-            # this process evolves one share, the pool the others
+            # this process evolves one share, a process each of the others
             assert len(sizes) == processes - 1
             assert max(sizes) < games / 8  # far below a byte per game
             assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
@@ -401,9 +405,9 @@ class TestRegionGrid:
         tasks = record_pool_tasks(monkeypatch, processes)
         shares, tally_share = [], scan._tally
 
-        def tally(config, pures, cells, share=(0, 1)):
+        def tally(config, pures, cells, share=(0, 1), cpu=None):
             shares.append(share)
-            return tally_share(config, pures, cells, share)
+            return tally_share(config, pures, cells, share, cpu)
 
         monkeypatch.setattr(scan, "_tally", tally)
         axes = [GridAxis.linspace("beta_a", 0, 30, 7)]
@@ -414,38 +418,56 @@ class TestRegionGrid:
         assert grid.winning_counts.any()
         assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
 
-    def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch, no_pool):
+    def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch, no_process):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         with pytest.raises(CapacityError, match="budget"):
             scan_region_grid(one_sided_config(horizon_steps=MAX_STEPS + 1), axes, workers=2)
-        # within the budget the same grid asks for the pool
-        with pytest.raises(AssertionError, match="pool"):
+        # within the budget the same grid starts a share process
+        with pytest.raises(AssertionError, match="share process"):
             scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=2)
 
 
+class InProcessShare:
+    """A share process and its pipe, run to completion in this process when
+    it starts: ``_run_share`` sends to it, the grid receives from it."""
+
+    exitcode = 0
+
+    def __init__(self, *args):
+        self.sent, self.ended = [], []
+        scan._run_share(self, *args)
+
+    def send(self, result):
+        self.sent.append(result)
+
+    def recv(self):
+        if not self.sent:
+            raise EOFError
+        return self.sent.pop()
+
+    def terminate(self):
+        self.ended.append("terminate")
+
+    def join(self):
+        self.ended.append("join")
+
+    def close(self):
+        pass
+
+
 def record_pool_tasks(monkeypatch, cpus):
-    """Replace the process pool by one that runs each task in this process,
-    as the pool would, and give the list its tasks' arguments are added to."""
+    """Replace the start of a share process by a share run in this process,
+    and give the list each start's arguments are added to. The affinity set
+    is ``range(cpus)``, which may name CPUs this host lacks."""
     tasks = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    def start(*args):
+        tasks.append(args)
+        share = InProcessShare(*args)
+        return share, share
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            mapped = list(zip(*iterables))
-            assert len(mapped) <= self.max_workers
-            tasks.extend(mapped)
-            return [fn(*args) for args in mapped]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan, "_start", start)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return tasks
 
@@ -455,7 +477,7 @@ def grid_games(monkeypatch, base, axes):
     grid hands to ``_tally``; nothing is evolved."""
     handed = []
 
-    def tally(config, pures, cells, share=(0, 1)):
+    def tally(config, pures, cells, share=(0, 1), cpu=None):
         handed.append((config, pures, cells))
         return [0] * (len(pures) + len(cells))
 
@@ -467,6 +489,153 @@ def grid_games(monkeypatch, base, axes):
 def share_games(config, pures, cells, share=(0, 1)):
     return [pair for chunk in _chunks(config, pures, cells, config.horizon_steps, share)
             for pair in chunk]
+
+
+def record_placement(monkeypatch, cpus):
+    """Make ``cpus`` this thread's affinity set and record every placement
+    instead of making it; return the list of placed sets."""
+    placed = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)),
+                        raising=False)
+    return placed
+
+
+class ShareFailed(Exception):
+    """Raised by a share process in place of its counts."""
+
+
+forks = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                           reason="a share process must inherit this test's stubs")
+
+
+@pytest.fixture
+def time_bound():
+    """Fail the test, instead of hanging, if it runs for over a minute."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the grid waited on its share processes for over a minute")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestShareProcesses:
+    AXES = (GridAxis.linspace("beta_a", 6, 26, 3),)
+    BASE = one_sided_config(max_period=3, horizon_steps=24)
+
+    def failing_share(self, monkeypatch, fail):
+        """Make ``fail()`` run in share 1 of 2 in place of its tally."""
+        tally = scan._tally
+
+        def failing(config, pures, cells, share=(0, 1), cpu=None):
+            if share[0] == 1:
+                fail()
+            return tally(config, pures, cells, share, cpu)
+
+        monkeypatch.setattr(scan, "_tally", failing)
+        record_placement(monkeypatch, {0, 1})
+
+    @forks
+    def test_a_share_exception_is_raised_in_the_caller(self, monkeypatch):
+        def fail():
+            raise ShareFailed("share 1")
+
+        self.failing_share(monkeypatch, fail)
+        with pytest.raises(ShareFailed, match="share 1") as raised:
+            scan_region_grid(self.BASE, self.AXES, workers=2)
+        assert multiprocessing.active_children() == []
+        # the share's traceback travels as a note
+        assert "in grid share 1:\nTraceback" in raised.value.__notes__[-1]
+
+    @forks
+    def test_a_share_process_that_dies_without_sending_is_named(self, monkeypatch):
+        self.failing_share(monkeypatch, lambda: os._exit(7))
+        with pytest.raises(RuntimeError, match="share 1 of 2 exited with code 7"):
+            scan_region_grid(self.BASE, self.AXES, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_the_callers_exception_stops_the_share_processes(self, monkeypatch):
+        record_placement(monkeypatch, {0, 1})
+        # the share processes outlive the time bound unless they are stopped
+        monkeypatch.setattr(scan, "_run_share", lambda *args: time.sleep(120))
+        monkeypatch.setattr(scan, "evolve_verdicts", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            scan_region_grid(self.BASE, self.AXES, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 CPUs this process may run on")
+    def test_readme_grid_on_two_cpus(self):
+        before = os.sched_getaffinity(0)
+        base = one_sided_config(max_period=4)
+        grid = scan_region_grid(base, README_AXES, workers=2)
+        assert os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
+        alone = scan_region_grid(base, README_AXES)
+        assert np.array_equal(grid.paradox, alone.paradox)
+        assert np.array_equal(grid.winning_counts, alone.winning_counts)
+
+    def test_share_k_runs_on_the_kth_cpu(self, monkeypatch):
+        tasks = record_pool_tasks(monkeypatch, 3)
+        placed = record_placement(monkeypatch, {9, 3, 7})  # in place of range(3)
+        scan_region_grid(self.BASE, self.AXES, workers=3)
+        assert [args[-1] for args in tasks] == [7, 9]
+        # each in-process share, then this thread: placed, then given its CPUs back
+        assert placed == [{7}, {3, 7, 9}, {9}, {3, 7, 9}, {3}, {3, 7, 9}]
+
+    def test_the_caller_gets_its_cpus_back_when_its_share_raises(self, monkeypatch):
+        shares = []
+
+        def start(config, pures, cells, share, cpu):
+            shares.append(InProcessShare(None, config, pures, cells, share, cpu))
+            return shares[-1], shares[-1]
+
+        monkeypatch.setattr(scan, "_run_share", lambda writer, *args: None)
+        monkeypatch.setattr(scan, "_start", start)
+        placed = record_placement(monkeypatch, {9, 3, 7})
+        monkeypatch.setattr(scan, "evolve_verdicts", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            scan_region_grid(self.BASE, self.AXES, workers=3)
+        assert placed == [{3}, {3, 7, 9}]
+        assert [share.ended for share in shares] == [["terminate", "join"]] * 2
+
+    def test_one_process_is_never_placed(self, monkeypatch, no_process):
+        placed = record_placement(monkeypatch, {0, 1})
+        grid = scan_region_grid(self.BASE, self.AXES, workers=1)
+        assert placed == []
+        assert grid.winning_counts.any()
+        code = ("import sys; from qparrondo import GridAxis, ScanConfig, CoinParams, "
+                "scan_region_grid; base = ScanConfig(CoinParams(156, 16, 0), CoinParams(0, 75, 160), "
+                "90.0, max_period=2, horizon_steps=12); scan_region_grid(base, "
+                "[GridAxis.linspace('beta_a', 6, 26, 3)]); print('multiprocessing' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
+    @forks
+    @pytest.mark.parametrize("placement", ["missing", "refused"])
+    def test_unplaced_shares_give_the_same_counts(self, monkeypatch, placement):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if placement == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        grid = scan_region_grid(self.BASE, self.AXES, workers=2)
+        assert multiprocessing.active_children() == []
+        alone = scan_region_grid(self.BASE, self.AXES)
+        assert grid.winning_counts.any()
+        assert np.array_equal(grid.winning_counts, alone.winning_counts)
 
 
 @pytest.mark.parametrize("shares", [2, 3])
@@ -560,13 +729,13 @@ def test_pool_size_is_bounded_by_cells_and_cpus(workers, cells, cpus, expected):
     assert _pool_size(workers, cells, cpus) == expected
 
 
-def test_pool_counts_the_cpus_this_process_may_use(monkeypatch, no_pool):
+def test_pool_counts_the_cpus_this_process_may_use(monkeypatch, no_process):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _usable_cpus() == 1
     base = one_sided_config(max_period=2, horizon_steps=12)
     axes = [GridAxis.linspace("beta_a", 6, 26, 4)]
-    grid = scan_region_grid(base, axes, workers=4)  # one process: the pool is never asked for
+    grid = scan_region_grid(base, axes, workers=4)  # one process: no share process starts
     assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _usable_cpus() == 2  # where affinity is unknown, the host's count
