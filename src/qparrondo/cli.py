@@ -150,11 +150,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
                              help="grid cell budget (default %(default)s)"),
         regions.add_argument("--workers", type=_positive_int,
                              default=_GRID_DEFAULTS["workers"], metavar="N",
-                             help="processes for a grid, this one included, each evolving "
-                                  "the same number (+-1) of its distinct games of each "
-                                  "period on a CPU of its own (the k-th of the affinity "
-                                  "set); at most one per distinct cell and per CPU "
-                                  "(default %(default)s)"),
+                             help="processes for a grid, this one included: at most one "
+                                  "per distinct cell and per CPU of the affinity set, each "
+                                  "on a CPU of its own; give grids run at once their own "
+                                  "CPUs with taskset (default %(default)s)"),
     ]
 
     flags = {"simulate": simulate_flags, "scan": scan_flags, "regions": regions_flags}

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, check_epsilon
+from .walk import WalkerState, check_epsilon, check_periods
 
 __all__ = [
     "GameVerdict",
@@ -159,24 +159,19 @@ def payoff_verdicts(
     ------
     InvalidParameterError
         If ``epsilon`` is negative or not finite, there is not one period
-        per row, or a period is below 1 or longer than the ``T`` steps.
+        per row, or a period is not an integer (bools are refused) in
+        ``[1, T]``.
     """
     check_epsilon(epsilon)
     biases = np.asarray(biases, dtype=np.float64)
-    periods = np.asarray(periods)
-    if periods.shape != biases.shape[:1]:
+    if np.shape(periods) != biases.shape[:1]:
         raise InvalidParameterError(
-            f"need one period per bias row, got {periods.size} periods for {len(biases)} rows"
+            f"need one period per bias row, got {np.size(periods)} periods for {len(biases)} rows"
         )
-    if not periods.size:
+    if not len(periods):
         return []
     steps = biases.shape[1]
-    if periods.min() < 1:
-        raise InvalidParameterError(f"period must be >= 1, got {periods.min()}")
-    if periods.max() > steps:
-        raise InvalidParameterError(
-            f"no samples at multiples of period {periods.max()} in trajectory of {steps} steps"
-        )
+    periods = check_periods(periods, steps)
     skipped = np.arange(1, steps + 1) % periods[:, None] != 0
     winning = ((biases > epsilon) | skipped).all(axis=1)
     losing = ((biases < -epsilon) | skipped).all(axis=1)
@@ -207,8 +202,9 @@ def classify(
     Raises
     ------
     InvalidParameterError
-        If ``epsilon`` is negative or not finite, ``period < 1``, or the
-        trajectory contains no sample at a multiple of ``period``.
+        If ``epsilon`` is negative or not finite, ``period`` is not an
+        integer (bools are refused) of at least 1, or the trajectory
+        contains no sample at a multiple of ``period``.
     """
     return payoff_verdicts(trajectory.bias[None, :], [period], epsilon)[0]
 

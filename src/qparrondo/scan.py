@@ -228,7 +228,7 @@ def _dealt(size: int, share: tuple[int, int]) -> tuple[range, range]:
 
 def _chunks(
     config: ScanConfig,
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
     budget_steps: int,
     share: tuple[int, int] = (0, 1),
@@ -236,18 +236,17 @@ def _chunks(
     """The pure games ``pures``, then every enumerated sequence at each cell,
     as ``(owner, game)`` in chunks for one kernel call each.
 
-    A pure game is given as a cell and the schedule it plays there. Its
-    owner is its index in ``pures``; a sequence's owner is its cell's index
-    plus ``len(pures)``. The games form groups: the pure games, then each
-    period's sequences, in cell order and then enumeration order. ``share``
-    is ``(i, n)``: each group is dealt to ``n`` shares in snake order (see
-    ``_dealt``) and only share ``i`` is built, so each of ``n`` processes
-    builds its own share, which holds the same number (within one) of every
-    group's games. A share keeps the stream's order, period by period, and is
-    cut into the fewest equal chunks whose games times ``budget_steps`` stay
-    within ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span chunks. With
-    one cell, its pure A and B, and one share, this is plain enumeration
-    order.
+    A pure game's owner is its index in ``pures``; a sequence's owner is its
+    cell's index plus ``len(pures)``. The games form groups: the pure games,
+    then each period's sequences, in cell order and then enumeration order.
+    ``share`` is ``(i, n)``: each group is dealt to ``n`` shares in snake
+    order (see ``_dealt``) and only share ``i`` is built, so each of ``n``
+    processes builds its own share, which holds the same number (within one)
+    of every group's games. A share keeps the stream's order, period by
+    period, and is cut into the fewest equal chunks whose games times
+    ``budget_steps`` stay within ``SCAN_CHUNK_GAME_STEPS``; a cell's games
+    may span chunks. With one cell, its pure A and B, and one share, this is
+    plain enumeration order.
     """
     groups = [list(group) for _, group in
               groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
@@ -260,15 +259,14 @@ def _chunks(
 
 
 def _share(
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
     groups: Sequence[Sequence[GameSequence]],
     share: tuple[int, int],
 ) -> Iterator[tuple[int, Game]]:
     """Share ``share`` of the groups of ``_chunks`` as ``(owner, game)``, in stream order."""
     for j in merge(*_dealt(len(pures), share)):
-        cell, seq = pures[j]
-        yield j, (*cell, seq)
+        yield j, pures[j]
     for group in groups:
         for j in merge(*_dealt(len(cells) * len(group), share)):
             c, k = divmod(j, len(group))
@@ -304,7 +302,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     _check_config(config)
     results: list[SequenceResult] = []
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    for chunk in _chunks(config, [(cell, seq) for seq in _PURE], [cell], MAX_STEPS):
+    for chunk in _chunks(config, [(*cell, seq) for seq in _PURE], [cell], MAX_STEPS):
         games = [game for _, game in chunk]
         columns = evolve_games(games, config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
@@ -399,10 +397,9 @@ def _cell(config: ScanConfig, assignments: dict[str, float]) -> Cell:
 
 def _tally(
     config: ScanConfig,
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
     share: tuple[int, int] = (0, 1),
-    cpu: int | None = None,
 ) -> list[int]:
     """For each game of ``pures``, 1 if it is Losing, then for each cell of
     ``cells`` its count of Winning sequences, at ``config`` with the cell's
@@ -413,23 +410,20 @@ def _tally(
     games run period by period, so the games of a chunk mostly share their
     payoff points and the steps at which any bias is needed are fewer. A
     share whose games times the horizon stay within ``SCAN_CHUNK_GAME_STEPS``
-    is one kernel call. With ``cpu`` given, the calling thread runs on that
-    CPU alone for the call (see ``_on_cpu``); without it, its placement is
-    not touched.
+    is one kernel call.
     """
     tally = [0] * (len(pures) + len(cells))
-    with _on_cpu(cpu):
-        for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
-            games = [game for _, game in chunk]
-            held = evolve_verdicts(
-                games,
-                config.horizon_steps,
-                _periods(config, games),
-                [-1 if seq.period == 1 else 1 for *_, seq in games],
-                config.epsilon,
-            )
-            for (owner, _), holds in zip(chunk, held.tolist()):
-                tally[owner] += holds
+    for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
+        games = [game for _, game in chunk]
+        held = evolve_verdicts(
+            games,
+            config.horizon_steps,
+            _periods(config, games),
+            [-1 if seq.period == 1 else 1 for *_, seq in games],
+            config.epsilon,
+        )
+        for (owner, _), holds in zip(chunk, held.tolist()):
+            tally[owner] += holds
     return tally
 
 
@@ -456,16 +450,18 @@ def _on_cpu(cpu: int | None) -> Iterator[None]:
 def _run_share(
     writer: Connection,
     config: ScanConfig,
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
     share: tuple[int, int],
     cpu: int | None,
 ) -> None:
     """The body of a share process: send on ``writer`` the counts of
-    ``_tally`` for ``share``, run on CPU ``cpu``, or the exception it raised
-    with its traceback as a note, since a traceback does not pickle."""
+    ``_tally`` for ``share``, run on CPU ``cpu`` (see ``_on_cpu``), or the
+    exception it raised with its traceback as a note, since a traceback does
+    not pickle."""
     try:
-        result = _tally(config, pures, cells, share, cpu)
+        with _on_cpu(cpu):
+            result = _tally(config, pures, cells, share)
     except Exception as exc:
         from traceback import format_exc
 
@@ -477,7 +473,7 @@ def _run_share(
 
 def _start(
     config: ScanConfig,
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
     share: tuple[int, int],
     cpu: int | None,
@@ -511,21 +507,22 @@ def _receive(process: Process, reader: Connection, share: tuple[int, int]) -> li
 
 def _shares(
     config: ScanConfig,
-    pures: Sequence[tuple[Cell, GameSequence]],
+    pures: Sequence[Game],
     cells: Sequence[Cell],
-    processes: int,
+    cpus: Sequence[int | None],
 ) -> list[int]:
-    """``_tally``'s counts over ``processes`` shares, added up. Shares 1 to
-    n - 1 each start in a process of their own; then this thread evolves
-    share 0. Share k runs on the k-th CPU of ``_share_cpus``. Every process
+    """``_tally``'s counts over one share per entry of ``cpus``, added up.
+    Shares 1 to n - 1 each start in a process of their own; then this
+    thread evolves share 0. Share k runs on CPU ``cpus[k]``. Every process
     is joined before this returns or raises, and is stopped first if this
     raises."""
-    cpus = _share_cpus(processes)
+    processes = len(cpus)
     started: list[tuple[Process, Connection]] = []
     try:
         for k in range(1, processes):
             started.append(_start(config, pures, cells, (k, processes), cpus[k]))
-        own = _tally(config, pures, cells, (0, processes), cpus[0])
+        with _on_cpu(cpus[0]):
+            own = _tally(config, pures, cells, (0, processes))
         others = [_receive(process, reader, (k, processes))
                   for k, (process, reader) in enumerate(started, 1)]
     except BaseException:
@@ -539,29 +536,13 @@ def _shares(
     return [sum(counts) for counts in zip(own, *others)]
 
 
-def _pool_size(workers: int, cells: int, cpus: int | None) -> int:
-    """Processes for a grid, this one included: never more than asked, than
-    distinct cells, or than CPUs, so each process has a CPU of its own. A
-    grid has at least two period-2 games per distinct cell, so the snake
-    deal gives each process at least two games."""
-    return min(workers, cells, cpus or 1)
-
-
-def _usable_cpus() -> int | None:
-    """How many CPUs this process may run on: its affinity set where the
-    platform reports one, else the host's count. ``_share_cpus`` places the
-    shares on the same set."""
+def _cpus() -> list[int | None]:
+    """The CPUs this process may run on: its affinity set in ascending
+    order, or one None (a CPU that cannot be named) per CPU of the host where
+    the platform reports no set."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
-def _share_cpus(processes: int) -> list[int | None]:
-    """The CPU of each of ``processes`` shares: share k's is the k-th of this
-    process's affinity set in ascending order, or None (unplaced) where the
-    platform reports no set or the set has fewer CPUs."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    return [*cpus[:processes], *[None] * (processes - len(cpus))]
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
 
 
 def scan_region_grid(
@@ -578,18 +559,19 @@ def scan_region_grid(
     Cells are evaluated in row-major order over the axes. Each distinct
     game is evolved once: a pure game plays one coin, so all cells with that
     coin and phase share it, and equal cells share their sequences. With
-    ``workers > 1`` the games are dealt to n processes (at most one per
-    distinct cell and per CPU the process may run on): each gets the same
-    number, within one, of the pure games and of each period's games, and
-    builds its share itself from the config, the distinct pure games and
-    cells, and its index. Shares 1 to n - 1 each start in a process of their
-    own, which sends back its counts over a pipe, and this process evolves
-    share 0 meanwhile; the counts add up to the same grid either way. Share
-    k runs on the k-th CPU of this process's affinity set in ascending
-    order, where the platform can place it, so the shares do not share a
-    CPU; this thread gets its own CPUs back afterwards. Grids run at the same
-    time in one affinity set all use its first CPUs, so give each its own
-    set (``taskset``, say). A share's exception is raised here, with the
+    ``workers > 1`` the games are split among n processes, this one
+    included: n is at most ``workers``, the distinct cells, and the CPUs in
+    this process's affinity set (where the platform reports one). The pure
+    games, then each period's games, are dealt in snake order (see
+    ``_dealt``), so each share holds the same number, within one, of every
+    group's games, and at least two. Each share process builds its share
+    from the config, the distinct pure games and cells, and its index, and
+    sends back its counts over a pipe, while this thread evolves share 0.
+    Share k runs on the k-th CPU of the affinity set in ascending order,
+    where the platform can place it; this thread gets its own CPUs back
+    afterwards. The grid is the same at any n. Grids run at the same time in
+    one affinity set place their shares on the same CPUs, so give each its
+    own set (``taskset``, say). A share's exception is raised here, with the
     share's traceback as a note, and a share process that dies without
     sending raises ``RuntimeError``; no process is left running either way.
 
@@ -620,15 +602,15 @@ def scan_region_grid(
         )
     cells = [_cell(base, dict(zip(parameters, values)))
              for values in product(*(axis.values for axis in axes))]
-    pure: dict[tuple[CoinParams, float], tuple[Cell, GameSequence]] = {}  # by coin and phase
+    pure: dict[tuple[CoinParams, float], Game] = {}  # by coin and phase
     for cell in cells:
         for coin, seq in zip(cell, _PURE):
-            pure.setdefault((coin, cell[2]), (cell, seq))
+            pure.setdefault((coin, cell[2]), (*cell, seq))
     distinct = list(dict.fromkeys(cells))
     pures = list(pure.values())
-    processes = _pool_size(workers, len(distinct), _usable_cpus())
-    if processes > 1:
-        tally = _shares(base, pures, distinct, processes)
+    cpus = _cpus()[:min(workers, len(distinct))]
+    if len(cpus) > 1:
+        tally = _shares(base, pures, distinct, cpus)
     else:
         tally = _tally(base, pures, distinct)
     tallies = dict(zip([*pure, *distinct], tally))

@@ -48,6 +48,7 @@ __all__ = [
     "evolve_sequence",
     "check_count",
     "check_epsilon",
+    "check_periods",
     "check_real",
     "check_steps",
     "evolve_games",
@@ -396,6 +397,17 @@ def check_count(name: str, value: Any, least: int = 1) -> None:
         raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
 
 
+def check_periods(periods: Sequence[int], steps: int) -> NDArray[np.intp]:
+    """The payoff-point spacings ``periods`` as an array; raise
+    ``InvalidParameterError`` unless each is an integer, not a bool, in
+    ``[1, steps]``."""
+    for period in periods:
+        check_count("period", period)
+        if period > steps:
+            raise InvalidParameterError(f"period {period} exceeds the {steps} steps")
+    return np.asarray(periods, dtype=np.intp)
+
+
 def check_steps(steps: int) -> None:
     """Raise ``InvalidParameterError`` unless ``steps`` is an integer of at
     least 1, and ``CapacityError`` above ``MAX_STEPS``."""
@@ -489,21 +501,19 @@ def evolve_verdicts(
     ------
     InvalidParameterError
         For what ``evolve_games`` rejects, an ``epsilon`` that is not a
-        finite real number >= 0, or not one period in ``[1, steps]`` and one
-        sign in {-1, 1} per game.
+        finite real number >= 0, or not one period (an integer, not a bool,
+        in ``[1, steps]``) and one sign in {-1, 1} per game.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
     batch = _batch(games, steps)
     epsilon = check_epsilon(epsilon)
-    periods, signs = np.asarray(periods), np.asarray(signs)
-    if periods.shape != (len(games),) or signs.shape != (len(games),):
+    if np.shape(periods) != (len(games),) or np.shape(signs) != (len(games),):
         raise InvalidParameterError(
-            f"need one period and one sign per game, got {periods.size} and {signs.size} "
-            f"for {len(games)} games"
+            f"need one period and one sign per game, got {np.size(periods)} and "
+            f"{np.size(signs)} for {len(games)} games"
         )
-    if not ((periods >= 1) & (periods <= steps)).all():
-        raise InvalidParameterError(f"periods must lie in [1, {steps}], got {periods.tolist()}")
+    periods, signs = check_periods(periods, steps), np.asarray(signs)
     if not np.isin(signs, (-1, 1)).all():
         raise InvalidParameterError(f"signs must be -1 or 1, got {signs.tolist()}")
     held = np.ones(len(games), dtype=bool)

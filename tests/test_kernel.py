@@ -272,9 +272,13 @@ def test_verdict_walks_over_the_step_budget_allocate_nothing():
         (1, 10, 90.0, [11], [1], 0.0),
         (2, 10, 90.0, [1], [1, 1], 0.0),
         (1, 10, 90.0, [1], [0], 0.0),
+        (1, 10, 90.0, [1.5], [1], 0.0),
+        (1, 10, 90.0, [True], [1], 0.0),
+        (1, 10, 90.0, ["3"], [1], 0.0),
     ],
     ids=["no-steps", "no-game", "nan-eta", "nan-epsilon", "negative-epsilon", "bool-epsilon",
-         "period-0", "period-over-steps", "one-period-short", "sign-0"],
+         "period-0", "period-over-steps", "one-period-short", "sign-0", "fractional-period",
+         "bool-period", "string-period"],
 )
 def test_verdicts_reject_invalid_input(count, steps, eta, periods, signs, epsilon):
     regime = REGIME_ONE_SIDED

@@ -143,6 +143,12 @@ class TestClassify:
         with pytest.raises(InvalidParameterError):
             classify(synthetic_trajectory([0.1]), period=0)
 
+    @pytest.mark.parametrize("period", [1.5, True, "3", None])
+    def test_rejects_a_period_that_is_not_an_integer(self, period):
+        # a fractional period read as Winning, True as 1, and a string raised numpy's error
+        with pytest.raises(InvalidParameterError, match="period"):
+            classify(synthetic_trajectory([0.1, 0.2, 0.3]), period=period)
+
     def test_rejects_period_beyond_horizon(self):
         with pytest.raises(InvalidParameterError):
             classify(synthetic_trajectory([0.1, 0.2]), period=3)
@@ -153,6 +159,15 @@ class TestPayoffVerdicts:
     def test_needs_one_period_per_row(self, periods):
         with pytest.raises(InvalidParameterError, match="one period per bias row"):
             payoff_verdicts(np.zeros((2, 5)), periods)
+
+    @pytest.mark.parametrize("periods", [[1, 2.0], [1, np.True_], [1, "2"]])
+    def test_rejects_periods_that_are_not_integers(self, periods):
+        with pytest.raises(InvalidParameterError, match="period"):
+            payoff_verdicts(np.full((2, 5), 0.1), periods)
+
+    def test_accepts_numpy_integer_periods(self):
+        verdicts = payoff_verdicts(np.full((2, 5), 0.1), np.array([1, 5]))
+        assert verdicts == [GameVerdict.WINNING] * 2
 
     def test_no_rows_give_no_verdicts(self):
         assert payoff_verdicts(np.zeros((0, 5)), []) == []

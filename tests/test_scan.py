@@ -27,10 +27,19 @@ from qparrondo import (
 )
 
 from qparrondo import scan
-from qparrondo.scan import AXIS_PARAMETERS, _cell, _chunks, _pool_size, _usable_cpus
+from qparrondo.scan import AXIS_PARAMETERS, _cell, _chunks
 from qparrondo.walk import MAX_STEPS, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
+
+
+@pytest.fixture(autouse=True)
+def affinity_kept():
+    """Fail a test that leaves this process on other CPUs than it found."""
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)  # the real one, not a stub
+    before = affinity(0)
+    yield
+    assert affinity(0) == before, "the test moved this process to other CPUs"
 
 
 @pytest.fixture
@@ -405,9 +414,9 @@ class TestRegionGrid:
         tasks = record_pool_tasks(monkeypatch, processes)
         shares, tally_share = [], scan._tally
 
-        def tally(config, pures, cells, share=(0, 1), cpu=None):
+        def tally(config, pures, cells, share=(0, 1)):
             shares.append(share)
-            return tally_share(config, pures, cells, share, cpu)
+            return tally_share(config, pures, cells, share)
 
         monkeypatch.setattr(scan, "_tally", tally)
         axes = [GridAxis.linspace("beta_a", 0, 30, 7)]
@@ -430,7 +439,9 @@ class TestRegionGrid:
 
 class InProcessShare:
     """A share process and its pipe, run to completion in this process when
-    it starts: ``_run_share`` sends to it, the grid receives from it."""
+    it starts: ``_run_share`` sends to it, the grid receives from it. Create
+    one only where placement is recorded (``record_placement``), since
+    ``_run_share`` would otherwise move this process to the share's CPU."""
 
     exitcode = 0
 
@@ -459,7 +470,8 @@ class InProcessShare:
 def record_pool_tasks(monkeypatch, cpus):
     """Replace the start of a share process by a share run in this process,
     and give the list each start's arguments are added to. The affinity set
-    is ``range(cpus)``, which may name CPUs this host lacks."""
+    is ``range(cpus)``, which may name CPUs this host lacks; each share's
+    placement is recorded, not made."""
     tasks = []
 
     def start(*args):
@@ -468,7 +480,7 @@ def record_pool_tasks(monkeypatch, cpus):
         return share, share
 
     monkeypatch.setattr(scan, "_start", start)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    record_placement(monkeypatch, range(cpus))
     return tasks
 
 
@@ -477,7 +489,7 @@ def grid_games(monkeypatch, base, axes):
     grid hands to ``_tally``; nothing is evolved."""
     handed = []
 
-    def tally(config, pures, cells, share=(0, 1), cpu=None):
+    def tally(config, pures, cells, share=(0, 1)):
         handed.append((config, pures, cells))
         return [0] * (len(pures) + len(cells))
 
@@ -532,10 +544,10 @@ class TestShareProcesses:
         """Make ``fail()`` run in share 1 of 2 in place of its tally."""
         tally = scan._tally
 
-        def failing(config, pures, cells, share=(0, 1), cpu=None):
+        def failing(config, pures, cells, share=(0, 1)):
             if share[0] == 1:
                 fail()
-            return tally(config, pures, cells, share, cpu)
+            return tally(config, pures, cells, share)
 
         monkeypatch.setattr(scan, "_tally", failing)
         record_placement(monkeypatch, {0, 1})
@@ -570,10 +582,20 @@ class TestShareProcesses:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs 2 CPUs this process may run on")
-    def test_readme_grid_on_two_cpus(self):
+    def test_readme_grid_on_two_cpus(self, monkeypatch):
+        # checked again here: an earlier test that moved this process would run one share
         before = os.sched_getaffinity(0)
+        assert len(before) >= 2, before
+        started, start = [], scan._start
+
+        def recorded(*args):
+            started.append(start(*args))
+            return started[-1]
+
+        monkeypatch.setattr(scan, "_start", recorded)
         base = one_sided_config(max_period=4)
         grid = scan_region_grid(base, README_AXES, workers=2)
+        assert [process.exitcode for process, _ in started] == [0]  # a share process ran
         assert os.sched_getaffinity(0) == before
         assert multiprocessing.active_children() == []
         alone = scan_region_grid(base, README_AXES)
@@ -720,25 +742,38 @@ def test_axis_parameter_sets_its_own_field(parameter):
     [
         (2, 25, 2, 2),  # the benchmark's regions grid keeps both workers
         (1024, 1024, 2, 2),
-        (10**9, 10**9, None, 1),
+        (10**9, 64, None, 1),  # no affinity set and no CPU count: one process
         (4, 3, 64, 3),
         (1, 1024, 64, 1),
     ],
 )
-def test_pool_size_is_bounded_by_cells_and_cpus(workers, cells, cpus, expected):
-    assert _pool_size(workers, cells, cpus) == expected
+def test_pool_size_is_bounded_by_cells_and_cpus(monkeypatch, workers, cells, cpus, expected):
+    tasks = record_pool_tasks(monkeypatch, cpus or 0)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    base = one_sided_config(max_period=2, horizon_steps=4)
+    axes = [GridAxis("beta_a", tuple(range(cells)))]
+    grid = scan_region_grid(base, axes, workers=workers)
+    # this process evolves share 0, and share k runs on the k-th CPU
+    assert [args[-2:] for args in tasks] == [((k, expected), k) for k in range(1, expected)]
+    assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
 
 
-def test_pool_counts_the_cpus_this_process_may_use(monkeypatch, no_process):
+def test_pool_counts_the_cpus_this_process_may_use(monkeypatch):
+    tasks = record_pool_tasks(monkeypatch, 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _usable_cpus() == 1
     base = one_sided_config(max_period=2, horizon_steps=12)
     axes = [GridAxis.linspace("beta_a", 6, 26, 4)]
-    grid = scan_region_grid(base, axes, workers=4)  # one process: no share process starts
-    assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
+    alone = scan_region_grid(base, axes)
+    grid = scan_region_grid(base, axes, workers=4)
+    assert tasks == []  # one CPU in the affinity set: no share process starts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _usable_cpus() == 2  # where affinity is unknown, the host's count
+    unplaced = scan_region_grid(base, axes, workers=4)
+    # where affinity is unknown, the host's count, and the share runs unplaced
+    assert [args[-2:] for args in tasks] == [((1, 2), None)]
+    for counts in (grid.winning_counts, unplaced.winning_counts):
+        assert np.array_equal(counts, alone.winning_counts)
 
 
 class TestEntropyComparison:
