@@ -20,6 +20,7 @@ from typing import Any, Iterator, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport
 from .walk import CoinParams, GameSequence
@@ -111,8 +112,17 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
 
 
 def read_scan_json(source: TextIO) -> ScanReport:
-    """Parse a document produced by :func:`write_scan_json`."""
-    return _from_json(ScanReport, json.load(source))
+    """Parse a document produced by :func:`write_scan_json`.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the source is not JSON, or not a scan report's fields and values.
+    """
+    try:
+        return _from_json(ScanReport, json.load(source))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+        raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
 
 
 def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:

@@ -164,14 +164,14 @@ def payoff_verdicts(
     """
     check_epsilon(epsilon)
     biases = np.asarray(biases, dtype=np.float64)
-    if np.shape(periods) != biases.shape[:1]:
+    steps = biases.shape[1]
+    periods = check_periods(periods, steps)
+    if len(periods) != len(biases):
         raise InvalidParameterError(
-            f"need one period per bias row, got {np.size(periods)} periods for {len(biases)} rows"
+            f"need one period per bias row, got {len(periods)} periods for {len(biases)} rows"
         )
     if not len(periods):
         return []
-    steps = biases.shape[1]
-    periods = check_periods(periods, steps)
     skipped = np.arange(1, steps + 1) % periods[:, None] != 0
     winning = ((biases > epsilon) | skipped).all(axis=1)
     losing = ((biases < -epsilon) | skipped).all(axis=1)

@@ -2,12 +2,13 @@
 
 A paradox point is a configuration where both pure games lose while at
 least one periodic alternation of the same two coins wins. ``run_scan``
-checks every sequence up to a maximum period at one configuration;
-``scan_region_grid`` repeats that over a grid of coin parameters, and
-evolves each game that several cells share once. Both evolve their games,
-across cells, in chunks through one kernel call each: a scan observes every
-column of every step, a grid only each game's bias at its payoff points,
-until its verdict is decided.
+checks every sequence up to a maximum period at one configuration, and
+evolves each distinct coin sequence once: ``ABAB`` plays what ``AB`` plays.
+``scan_region_grid`` repeats the check over a grid of coin parameters, and
+evolves each game that several cells share once. Both evolve their games in
+chunks through one kernel call each: a scan observes every column of every
+step, a grid, whose chunks may mix cells, only each game's bias at its
+payoff points, until its verdict is decided.
 """
 
 from __future__ import annotations
@@ -230,11 +231,10 @@ def _chunks(
     config: ScanConfig,
     pures: Sequence[Game],
     cells: Sequence[Cell],
-    budget_steps: int,
     share: tuple[int, int] = (0, 1),
 ) -> Iterator[list[tuple[int, Game]]]:
-    """The pure games ``pures``, then every enumerated sequence at each cell,
-    as ``(owner, game)`` in chunks for one kernel call each.
+    """A grid's pure games ``pures``, then every enumerated sequence at each
+    cell, as ``(owner, game)`` in chunks for one kernel call each.
 
     A pure game's owner is its index in ``pures``; a sequence's owner is its
     cell's index plus ``len(pures)``. The games form groups: the pure games,
@@ -243,16 +243,15 @@ def _chunks(
     order (see ``_dealt``) and only share ``i`` is built, so each of ``n``
     processes builds its own share, which holds the same number (within one)
     of every group's games. A share keeps the stream's order, period by
-    period, and is cut into the fewest equal chunks whose games times
-    ``budget_steps`` stay within ``SCAN_CHUNK_GAME_STEPS``; a cell's games
-    may span chunks. With one cell, its pure A and B, and one share, this is
-    plain enumeration order.
+    period, and is cut into the fewest equal chunks whose games times the
+    horizon stay within ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span
+    chunks.
     """
     groups = [list(group) for _, group in
               groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
     sizes = [len(pures)] + [len(cells) * len(group) for group in groups]
     total = sum(len(positions) for size in sizes for positions in _dealt(size, share))
-    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // budget_steps))
+    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // config.horizon_steps))
     stream = _share(pures, cells, groups, share)
     for k in range(chunks):
         yield list(islice(stream, (k + 1) * total // chunks - k * total // chunks))
@@ -273,9 +272,9 @@ def _share(
             yield len(pures) + c, (*cells[c], group[k])
 
 
-def _periods(config: ScanConfig, games: Sequence[Game]) -> list[int]:
-    """The spacing of each game's payoff points under ``config``'s verdict rule."""
-    return [1 if config.verdict_each_step else seq.period for *_, seq in games]
+def _periods(config: ScanConfig, schedules: Sequence[GameSequence]) -> list[int]:
+    """The spacing of each schedule's payoff points under ``config``'s verdict rule."""
+    return [1 if config.verdict_each_step else seq.period for seq in schedules]
 
 
 def _paradox(a_loses: bool, b_loses: bool, winners: int) -> bool:
@@ -288,11 +287,24 @@ def _check_config(config: ScanConfig) -> None:
         raise InvalidParameterError(f"expected a ScanConfig, got {config!r}")
 
 
+def _root(seq: GameSequence) -> GameSequence:
+    """The shortest schedule that ``seq`` repeats: ``AB`` for ``ABAB``, ``seq`` itself
+    if it repeats none. Both play the same coin at every step."""
+    tokens = seq.tokens
+    return GameSequence(tokens[:(tokens + tokens).find(tokens, 1)])
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Simulate pure A, pure B, and every enumerated sequence.
 
-    Results keep the enumeration order. The run is fully deterministic:
-    identical configurations produce identical reports.
+    A schedule that repeats a shorter one (``ABAB`` is ``AB`` twice) plays
+    its coins in the same order, so only the distinct roots (see ``_root``)
+    are evolved, in equal chunks of at most ``SCAN_CHUNK_GAME_STEPS //
+    walk.MAX_STEPS`` games per kernel call at any horizon. Each schedule is
+    judged on its root's biases at its own payoff points; the kernel gives a
+    game the same bits in any batch, so each result is the one evolving that
+    schedule would give. Results keep the enumeration order. The run is
+    fully deterministic: identical configurations produce identical reports.
 
     Raises
     ------
@@ -300,22 +312,27 @@ def run_scan(config: ScanConfig) -> ScanReport:
         If ``config`` is not a ``ScanConfig``.
     """
     _check_config(config)
-    results: list[SequenceResult] = []
+    schedules = [*_PURE, *enumerate_sequences(config.max_period)]
+    served: dict[GameSequence, list[int]] = {}  # each root's schedules, by position
+    for i, seq in enumerate(schedules):
+        served.setdefault(_root(seq), []).append(i)
+    roots = list(served)
+    chunks = -(-len(roots) // (SCAN_CHUNK_GAME_STEPS // MAX_STEPS))
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    for chunk in _chunks(config, [(*cell, seq) for seq in _PURE], [cell], MAX_STEPS):
-        games = [game for _, game in chunk]
-        columns = evolve_games(games, config.horizon_steps)
+    found: dict[int, SequenceResult] = {}
+    for k in range(chunks):
+        part = roots[k * len(roots) // chunks:(k + 1) * len(roots) // chunks]
+        columns = evolve_games([(*cell, root) for root in part], config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
-        entropies = entropy_bits(columns.rho00, columns.rho11, columns.rho01)
-        results += map(
-            SequenceResult,
-            [seq for *_, seq in games],
-            payoff_verdicts(biases, _periods(config, games), config.epsilon),
-            biases[:, -1].tolist(),
-            biases.min(axis=1).tolist(),
-            entropies.max(axis=1).tolist(),
-        )
-    pure_a, pure_b, *results = results
+        finals, lows = biases[:, -1].tolist(), biases.min(axis=1).tolist()
+        peaks = entropy_bits(columns.rho00, columns.rho11, columns.rho01).max(axis=1).tolist()
+        served_here = [i for root in part for i in served[root]]
+        rows = [r for r, root in enumerate(part) for _ in served[root]]
+        periods = _periods(config, [schedules[i] for i in served_here])
+        verdicts = payoff_verdicts(biases[rows], periods, config.epsilon)
+        for i, r, verdict in zip(served_here, rows, verdicts):
+            found[i] = SequenceResult(schedules[i], verdict, finals[r], lows[r], peaks[r])
+    pure_a, pure_b, *results = [found[i] for i in range(len(schedules))]
     winners = [r for r in results if r.verdict is GameVerdict.WINNING]
     paradox = _paradox(pure_a.verdict is GameVerdict.LOSING, pure_b.verdict is GameVerdict.LOSING,
                        len(winners))
@@ -413,13 +430,14 @@ def _tally(
     is one kernel call.
     """
     tally = [0] * (len(pures) + len(cells))
-    for chunk in _chunks(config, pures, cells, config.horizon_steps, share):
+    for chunk in _chunks(config, pures, cells, share):
         games = [game for _, game in chunk]
+        schedules = [seq for *_, seq in games]
         held = evolve_verdicts(
             games,
             config.horizon_steps,
-            _periods(config, games),
-            [-1 if seq.period == 1 else 1 for *_, seq in games],
+            _periods(config, schedules),
+            [-1 if seq.period == 1 else 1 for seq in schedules],
             config.epsilon,
         )
         for (owner, _), holds in zip(chunk, held.tolist()):

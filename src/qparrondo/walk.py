@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -75,9 +74,13 @@ def check_real(name: str, value: Any) -> float:
     finite real number. A bool or a string is not one."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN fails too, and so do ints beyond any float
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond any float
+        number = math.inf
+    if not math.isfinite(number):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -398,9 +401,14 @@ def check_count(name: str, value: Any, least: int = 1) -> None:
 
 
 def check_periods(periods: Sequence[int], steps: int) -> NDArray[np.intp]:
-    """The payoff-point spacings ``periods`` as an array; raise
-    ``InvalidParameterError`` unless each is an integer, not a bool, in
-    ``[1, steps]``."""
+    """The payoff-point spacings ``periods`` as a 1-D array; raise
+    ``InvalidParameterError`` unless they are a sequence and each is an
+    integer, not a bool, in ``[1, steps]``. Each is checked before the
+    array is made, so a ragged list is refused too."""
+    try:
+        periods = list(periods)
+    except TypeError:
+        raise InvalidParameterError(f"periods must be a sequence, got {periods!r}") from None
     for period in periods:
         check_count("period", period)
         if period > steps:
@@ -443,7 +451,8 @@ def evolve_games(
     Raises
     ------
     InvalidParameterError
-        If ``steps`` is not an integer of at least 1, no game is given, or
+        If ``steps`` is not an integer of at least 1, no game is given, a
+        game is not ``(CoinParams, CoinParams, eta_deg, GameSequence)``, or
         an ``eta_deg`` is not a finite real number.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
@@ -453,29 +462,28 @@ def evolve_games(
     prob0, prob1 = probs
     # rho01's product reuses the memory of both, whose sums are taken by then
     cross = probs.reshape(-1).view(np.complex128).reshape(steps + 1, len(games))
-    out = GameColumns(
-        *(np.zeros((len(games), steps)) for _ in range(5)),
-        rho01=np.empty((len(games), steps), dtype=np.complex128),
-    )
+    table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
+    rho01 = np.empty((steps, len(games)), dtype=np.complex128)
 
     def observe(t, w0, w1, columns):
         n = t + 2  # occupied sites after step t + 1; site j lies at x = 2j - (t + 1)
+        row = table[t]
         q0 = _abs2(w0, prob0[:n])
         q1 = _abs2(w1, prob1[:n])
-        out.rho00[:, t] = _site_sum(q0)
-        out.rho11[:, t] = _site_sum(q1)
+        row[3] = _site_sum(q0)
+        row[4] = _site_sum(q1)
         q = np.add(q0, q1, out=q0)
         left_end, right_start = _sides(t)
-        out.p_left[:, t] = _site_sum(q[:left_end])
+        row[0] = _site_sum(q[:left_end])
         if left_end < right_start:  # an even step count reaches the origin
-            out.p_origin[:, t] = q[left_end]
-        out.p_right[:, t] = _site_sum(q[right_start:])
+            row[1] = q[left_end]
+        row[2] = _site_sum(q[right_start:])
         np.conjugate(w1, out=cross[:n])
-        out.rho01[:, t] = _site_sum(np.multiply(w0, cross[:n], out=cross[:n]))
+        rho01[t] = _site_sum(np.multiply(w0, cross[:n], out=cross[:n]))
         return None
 
     _evolve(*batch, observe)
-    return out
+    return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
 def evolve_verdicts(
@@ -508,12 +516,13 @@ def evolve_verdicts(
     """
     batch = _batch(games, steps)
     epsilon = check_epsilon(epsilon)
-    if np.shape(periods) != (len(games),) or np.shape(signs) != (len(games),):
+    periods = check_periods(periods, steps)
+    if len(periods) != len(games) or np.shape(signs) != (len(games),):
         raise InvalidParameterError(
-            f"need one period and one sign per game, got {np.size(periods)} and "
+            f"need one period and one sign per game, got {len(periods)} and "
             f"{np.size(signs)} for {len(games)} games"
         )
-    periods, signs = check_periods(periods, steps), np.asarray(signs)
+    signs = np.asarray(signs)
     if not np.isin(signs, (-1, 1)).all():
         raise InvalidParameterError(f"signs must be -1 or 1, got {signs.tolist()}")
     held = np.ones(len(games), dtype=bool)
@@ -542,7 +551,8 @@ def _batch(
     games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
 ) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
     """Check a batch and give its coin table, the ``(T, G)`` table rows each
-    game applies at each step, and each game's initial coin-|1> amplitude."""
+    game applies at each step, and each game's initial coin-|1> amplitude.
+    Each game must be ``(CoinParams, CoinParams, eta_deg, GameSequence)``."""
     check_steps(steps)
     if not games:
         raise InvalidParameterError("no game to evolve")
@@ -551,7 +561,16 @@ def _batch(
     schedules: dict[str, NDArray[np.intp]] = {}  # per schedule, 1 where it plays B
     choice = np.empty((steps, len(games)), dtype=np.intp)
     phases = []
-    for g, (coin_a, coin_b, eta_deg, seq) in enumerate(games):
+    for g, game in enumerate(games):
+        try:
+            coin_a, coin_b, eta_deg, seq = game
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"a game is (coin_a, coin_b, eta_deg, schedule), got {game!r}") from None
+        if not (isinstance(coin_a, CoinParams) and isinstance(coin_b, CoinParams)):
+            raise InvalidParameterError(f"coins must be CoinParams, got {coin_a!r}, {coin_b!r}")
+        if not isinstance(seq, GameSequence):
+            raise InvalidParameterError(f"a schedule must be a GameSequence, got {seq!r}")
         eta = math.radians(check_real("eta_deg", eta_deg))
         phases.append(np.exp(1j * eta) / math.sqrt(2.0))
         if seq.tokens not in schedules:

@@ -12,6 +12,7 @@ from qparrondo import (
     run_scan,
     scan_region_grid,
     GridAxis,
+    InvalidParameterError,
 )
 from qparrondo.cli import main
 from qparrondo.io import (
@@ -151,6 +152,16 @@ class TestScanJson:
             write_scan_json(report, sink)
             recovered = read_scan_json(io.StringIO(sink.getvalue()))
             assert recovered == report
+
+    @pytest.mark.parametrize(
+        "document",
+        ["{}", "[]", "x", "null", '{"config": []}', '{"config": {"coin_a": "x"}}'],
+        ids=["empty-object", "list", "not-json", "null", "config-list", "coin-string"],
+    )
+    def test_malformed_documents_are_refused(self, document):
+        # these raised KeyError, TypeError or json's JSONDecodeError
+        with pytest.raises(InvalidParameterError, match="not a scan report"):
+            read_scan_json(io.StringIO(document))
 
     def test_api_with_integer_inputs_writes_what_the_cli_writes(self, tmp_path):
         config = ScanConfig(coin_a=CoinParams(156, 16, 0), coin_b=CoinParams(0, 75, 160),

@@ -31,6 +31,7 @@ from qparrondo import (
 )
 from qparrondo import scan, walk
 from qparrondo.metrics import bias, entropy_bits, payoff_verdicts
+from qparrondo.scan import SequenceResult
 from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED
@@ -120,8 +121,9 @@ def test_games_of_mixed_cells_equal_their_own_pair_calls():
 def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):
     config = ScanConfig(**REGIME_ONE_SIDED, max_period=4, horizon_steps=60)
     whole = run_scan(config)
-    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 5 * MAX_STEPS)  # 5 games a scan's call
-    assert run_scan(config) == whole
+    for chunk in (1, 5):  # games a scan's call
+        monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", chunk * MAX_STEPS)
+        assert run_scan(config) == whole, chunk
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 128])
@@ -136,6 +138,37 @@ def test_region_grid_does_not_depend_on_the_chunk_size(monkeypatch, chunk, each_
     grid = scan_region_grid(base, axes)
     assert np.array_equal(grid.paradox, whole.paradox)
     assert np.array_equal(grid.winning_counts, whole.winning_counts)
+
+
+def repeated_unit(seq):
+    """The shortest schedule that ``seq`` repeats, or None if it repeats none."""
+    tokens = seq.tokens
+    return next((tokens[:d] for d in range(1, len(tokens))
+                 if len(tokens) % d == 0 and tokens == tokens[:d] * (len(tokens) // d)), None)
+
+
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_a_repeated_schedule_equals_its_own_game(regime, each_step):
+    config = ScanConfig(**REGIMES[regime], max_period=6, verdict_each_step=each_step)
+    results = {r.sequence.tokens: r for r in run_scan(config).results}
+    repeated = [r for r in results.values() if repeated_unit(r.sequence)]
+    assert len(repeated) == 10
+    for result in repeated:
+        columns = kernel(REGIMES[regime], [result.sequence], config.horizon_steps)
+        biases = bias(columns.p_left, columns.p_right)
+        period = 1 if each_step else result.sequence.period
+        alone = SequenceResult(
+            result.sequence,
+            payoff_verdicts(biases, [period], config.epsilon)[0],
+            biases[0, -1].item(),
+            biases.min().item(),
+            entropy_bits(columns.rho00, columns.rho11, columns.rho01).max().item(),
+        )
+        assert result == alone, result.sequence
+    # judged at its own payoff points, a schedule may differ from the one it repeats
+    differ = [r for r in repeated if r.verdict is not results[repeated_unit(r.sequence)].verdict]
+    assert bool(differ) != each_step
 
 
 def expected_holds(biases, periods, signs, epsilon):
@@ -275,10 +308,11 @@ def test_verdict_walks_over_the_step_budget_allocate_nothing():
         (1, 10, 90.0, [1.5], [1], 0.0),
         (1, 10, 90.0, [True], [1], 0.0),
         (1, 10, 90.0, ["3"], [1], 0.0),
+        (2, 10, 90.0, [[1], [1, 2]], [1, 1], 0.0),
     ],
     ids=["no-steps", "no-game", "nan-eta", "nan-epsilon", "negative-epsilon", "bool-epsilon",
          "period-0", "period-over-steps", "one-period-short", "sign-0", "fractional-period",
-         "bool-period", "string-period"],
+         "bool-period", "string-period", "ragged-periods"],
 )
 def test_verdicts_reject_invalid_input(count, steps, eta, periods, signs, epsilon):
     regime = REGIME_ONE_SIDED
@@ -335,9 +369,17 @@ def test_rejects_walks_over_the_step_budget_before_allocating(steps):
         ([GameSequence("AB")], 10, float("inf")),
         ([GameSequence("AB")], 12.5, 90.0),
         ([GameSequence("AB")], True, 90.0),
+        pytest.param([(REGIME_ONE_SIDED["coin_a"], REGIME_ONE_SIDED["coin_b"], 90.0)], 10, 90.0,
+                     id="three-tuple-game"),
+        pytest.param([(REGIME_ONE_SIDED["coin_a"], (0.0, 75.0, 160.0), 90.0, GameSequence("AB"))],
+                     10, 90.0, id="coin-not-coin-params"),
+        pytest.param(["AB"], 10, 90.0, id="string-schedule"),
     ],
 )
 def test_rejects_invalid_input(schedules, steps, eta):
-    regime = dict(REGIME_ONE_SIDED, eta_deg=eta)
+    # a whole game is passed as it is; a game of the wrong kind raised ValueError or AttributeError
+    regime = REGIME_ONE_SIDED
+    games = [seq if isinstance(seq, tuple) else (regime["coin_a"], regime["coin_b"], eta, seq)
+             for seq in schedules]
     with pytest.raises(InvalidParameterError):
-        kernel(regime, schedules, steps)
+        evolve_games(games, steps)

@@ -160,8 +160,10 @@ class TestPayoffVerdicts:
         with pytest.raises(InvalidParameterError, match="one period per bias row"):
             payoff_verdicts(np.zeros((2, 5)), periods)
 
-    @pytest.mark.parametrize("periods", [[1, 2.0], [1, np.True_], [1, "2"]])
+    @pytest.mark.parametrize(
+        "periods", [[1, 2.0], [1, np.True_], [1, "2"], pytest.param([[1], [1, 2]], id="ragged")])
     def test_rejects_periods_that_are_not_integers(self, periods):
+        # a ragged list raised numpy's ValueError before its periods were checked
         with pytest.raises(InvalidParameterError, match="period"):
             payoff_verdicts(np.full((2, 5), 0.1), periods)
 

@@ -28,7 +28,7 @@ from qparrondo import (
 
 from qparrondo import scan
 from qparrondo.scan import AXIS_PARAMETERS, _cell, _chunks
-from qparrondo.walk import MAX_STEPS, evolve_verdicts
+from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
 
@@ -173,6 +173,22 @@ class TestRunScan:
         assert report.verdict_a is GameVerdict.LOSING
         assert report.paradox_sequences == ()
         assert all(r.verdict is GameVerdict.LOSING for r in report.results)
+
+    @pytest.mark.parametrize("max_period, steps, evolved", [(6, 240, 106), (12, 12, 8032)])
+    def test_each_distinct_coin_sequence_is_evolved_once(self, monkeypatch, max_period, steps,
+                                                          evolved):
+        # ABAB plays what AB plays; the scan evolves AB alone and judges both on its biases
+        handed = []
+
+        def counted(games, steps):
+            handed.extend(seq.tokens for *_, seq in games)
+            return evolve_games(games, steps)
+
+        monkeypatch.setattr(scan, "evolve_games", counted)
+        config = one_sided_config(max_period=max_period, horizon_steps=steps)
+        report = run_scan(config)
+        assert len(handed) == len(set(handed)) == evolved
+        assert [r.sequence for r in report.results] == enumerate_sequences(max_period)
 
     def test_deterministic(self):
         config = one_sided_config(max_period=2, horizon_steps=60)
@@ -499,8 +515,7 @@ def grid_games(monkeypatch, base, axes):
 
 
 def share_games(config, pures, cells, share=(0, 1)):
-    return [pair for chunk in _chunks(config, pures, cells, config.horizon_steps, share)
-            for pair in chunk]
+    return [pair for chunk in _chunks(config, pures, cells, share) for pair in chunk]
 
 
 def record_placement(monkeypatch, cpus):
@@ -676,24 +691,23 @@ def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
     whole = share_games(config, pures, cells)
     assert Counter(pair for games in dealt for pair in games) == Counter(whole)
     if len(axes) == 2:  # a README share is one kernel call
-        assert all(len(list(_chunks(config, pures, cells, config.horizon_steps, (i, shares)))) == 1
+        assert all(len(list(_chunks(config, pures, cells, (i, shares)))) == 1
                    for i in range(shares))
 
 
-class Sized(Exception):
-    """Raised in place of chunking, with the steps the chunks would be sized at."""
+def scan_call_widths(monkeypatch, config):
+    """The games ``run_scan`` hands to each kernel call; each call gives zero
+    columns in place of evolving its games."""
+    widths = []
 
-
-def sized_at(monkeypatch, call):
-    """The steps at which ``call`` sizes its kernel calls; nothing is evolved."""
-    def chunks(config, pures, cells, budget_steps, share=(0, 1)):
-        raise Sized(budget_steps)
+    def evolve(games, steps):
+        widths.append(len(games))
+        return GameColumns(*np.zeros((6, len(games), steps)))
 
     with monkeypatch.context() as patch:
-        patch.setattr(scan, "_chunks", chunks)
-        with pytest.raises(Sized) as sized:
-            call()
-    return sized.value.args[0]
+        patch.setattr(scan, "evolve_games", evolve)
+        run_scan(config)
+    return widths
 
 
 @pytest.mark.parametrize("steps", [240, MAX_STEPS])
@@ -701,17 +715,18 @@ def sized_at(monkeypatch, call):
 def test_chunks_stay_within_the_game_step_budget(monkeypatch, steps, share):
     config = one_sided_config(max_period=12, horizon_steps=steps)
     cell = (config.coin_a, config.coin_b, config.eta_deg)
-    pures = [(cell, GameSequence("A")), (cell, GameSequence("B"))]
-    scan_at = sized_at(monkeypatch, lambda: run_scan(config))
-    grid_at = sized_at(monkeypatch, lambda: scan_region_grid(config, [GridAxis("eta", (90.0,))]))
-    assert (scan_at, grid_at) == (MAX_STEPS, steps)  # a scan's calls are as wide at any horizon
-    for budget_steps in (scan_at, grid_at):
-        sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], budget_steps, share)]
-        assert max(sizes) * budget_steps <= scan.SCAN_CHUNK_GAME_STEPS
-        assert max(sizes) - min(sizes) <= 1
-        widest = scan.SCAN_CHUNK_GAME_STEPS // budget_steps
-        assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
-        assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
+    pures = [(*cell, GameSequence("A")), (*cell, GameSequence("B"))]
+    sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], share)]
+    assert max(sizes) * steps <= scan.SCAN_CHUNK_GAME_STEPS
+    assert max(sizes) - min(sizes) <= 1
+    widest = scan.SCAN_CHUNK_GAME_STEPS // steps
+    assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
+    assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
+    if share == (0, 1):  # a scan's calls are as wide at any horizon: 128 games at MAX_STEPS
+        widths = scan_call_widths(monkeypatch, config)
+        widest = scan.SCAN_CHUNK_GAME_STEPS // MAX_STEPS
+        assert max(widths) <= widest and max(widths) - min(widths) <= 1
+        assert len(widths) == -(-sum(widths) // widest)
 
 
 def assert_cells_equal_their_scans(grid, base):

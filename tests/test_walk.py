@@ -78,13 +78,21 @@ class TestMakeCoin:
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), -float("inf"), "x", None, "1.5", True,
-                pytest.param(10**400, id="int-beyond-float")]
+                pytest.param(10**400, id="int-beyond-float"),
+                pytest.param(np.float32("nan"), id="float32-nan"),
+                pytest.param(np.float32("inf"), id="float32-inf")]
     )
     def test_non_finite_angles_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
             CoinParams(bad, 0, 0)
         with pytest.raises(InvalidParameterError, match="eta_deg"):
             InitialStateSpec(eta_deg=bad)
+
+    def test_numpy_float32_angles_are_accepted(self):
+        # comparing a float32 with the largest float warned of an overflow in the cast
+        coin = CoinParams(np.float32(1), 2, 3)
+        assert coin == CoinParams(1.0, 2.0, 3.0)
+        assert type(coin.alpha_deg) is float
 
     @pytest.mark.parametrize("beta", [0.0, 90.0])
     def test_degenerate_betas_are_legal(self, beta):
