@@ -244,7 +244,10 @@ def parse_cli(argv: list[str] | None = None) -> argparse.Namespace:
         cells = math.prod(count for *_, count in ns.axes)
         if cells > ns.max_cells:
             parser.error(f"grid of {cells} cells exceeds the --max-cells budget of {ns.max_cells}")
-        ns.axes = tuple(GridAxis.linspace(*axis) for axis in ns.axes)
+        try:
+            ns.axes = tuple(GridAxis.linspace(*axis) for axis in ns.axes)
+        except InvalidParameterError as exc:  # a count over the values' budget
+            parser.error(str(exc))
     return ns
 
 

@@ -61,6 +61,10 @@ __all__ = [
 
 MAX_ENUMERATION_PERIOD = 12
 
+MAX_AXIS_VALUES = 1 << 16
+"""Most values ``GridAxis.linspace`` makes for one axis. Each cell of a grid
+costs a whole scan, so a useful grid stays far below it."""
+
 SCAN_CHUNK_GAME_STEPS = 128 * 4096
 """Most game-steps (games times steps) one kernel call evolves, across cells:
 128 games at ``walk.MAX_STEPS``. A call allocates each game's amplitudes on
@@ -370,7 +374,14 @@ class GridAxis:
 
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, count: int) -> "GridAxis":
+        """``count`` evenly spaced values from ``start`` to ``stop``; raise
+        ``InvalidParameterError`` unless ``count`` is an integer in
+        ``[1, MAX_AXIS_VALUES]``, checked before any value is made."""
         check_count(f"axis {parameter} count", count)
+        if count > MAX_AXIS_VALUES:
+            raise InvalidParameterError(
+                f"axis {parameter} count {count} exceeds the budget of {MAX_AXIS_VALUES} values"
+            )
         start = check_real(f"axis {parameter} start", start)
         stop = check_real(f"axis {parameter} stop", stop)
         return cls(parameter, tuple(np.linspace(start, stop, count)))
@@ -388,6 +399,7 @@ class RegionGrid:
     winning_counts: NDArray[np.int_]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "axes", _check_axes(self.axes))
         shape = tuple(len(axis.values) for axis in self.axes)
         paradox = np.asarray(self.paradox, dtype=bool)
         counts = np.asarray(self.winning_counts, dtype=int)
@@ -397,6 +409,22 @@ class RegionGrid:
             )
         object.__setattr__(self, "paradox", paradox)
         object.__setattr__(self, "winning_counts", counts)
+
+
+def _check_axes(axes: Iterable[GridAxis]) -> tuple[GridAxis, ...]:
+    """``axes`` as a tuple; raise ``InvalidParameterError`` unless they are a
+    sequence of one or two ``GridAxis`` that sweep distinct parameters."""
+    if not isinstance(axes, Iterable):  # a bare GridAxis, say
+        raise InvalidParameterError(f"axes must be a sequence of GridAxis, got {axes!r}")
+    axes = tuple(axes)
+    if not 1 <= len(axes) <= 2:
+        raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
+    for axis in axes:
+        if not isinstance(axis, GridAxis):
+            raise InvalidParameterError(f"an axis must be a GridAxis, got {axis!r}")
+    if len({axis.parameter for axis in axes}) != len(axes):
+        raise InvalidParameterError("axes must sweep distinct parameters")
+    return axes
 
 
 def _cell(config: ScanConfig, assignments: dict[str, float]) -> Cell:
@@ -596,22 +624,16 @@ def scan_region_grid(
     Raises
     ------
     InvalidParameterError
-        If ``base`` is not a ``ScanConfig``, an axis is not a ``GridAxis``,
-        no axis or more than two axes are given, the grid exceeds
+        If ``base`` is not a ``ScanConfig``, ``axes`` is not a sequence of
+        ``GridAxis`` (a bare axis is not), no axis or more than two axes
+        are given, two axes sweep the same parameter, the grid exceeds
         ``max_cells``, or ``max_cells`` or ``workers`` is not a positive integer.
     """
     _check_config(base)
     check_count("max_cells", max_cells)
     check_count("workers", workers)
-    axes = tuple(axes)
-    if not 1 <= len(axes) <= 2:
-        raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
-    for axis in axes:
-        if not isinstance(axis, GridAxis):
-            raise InvalidParameterError(f"an axis must be a GridAxis, got {axis!r}")
+    axes = _check_axes(axes)
     parameters = [axis.parameter for axis in axes]
-    if len(set(parameters)) != len(axes):
-        raise InvalidParameterError("axes must sweep distinct parameters")
     shape = tuple(len(axis.values) for axis in axes)
     n_cells = int(np.prod(shape))
     if n_cells > max_cells:

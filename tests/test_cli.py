@@ -220,6 +220,14 @@ class TestBudgets:
         assert peak < 1 << 20
         assert "max-cells" in capsys.readouterr().err
 
+    def test_axis_over_the_values_budget_exits_with_two(self, capsys):
+        count = scan.MAX_AXIS_VALUES + 1
+        argv = ["regions"] + COINS + ["--axis", f"beta_a=0:1:{count}", "--max-cells", str(count)]
+        with pytest.raises(SystemExit) as info:
+            parse_cli(argv)
+        assert info.value.code == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
+
     def test_grid_budget_counts_cells_over_all_axes(self, capsys):
         argv = ["regions"] + COINS + ["--axis", "beta_a=0:1:5", "--axis", "beta_b=0:1:5"]
         assert len(parse_cli(argv + ["--max-cells", "25"]).axes) == 2

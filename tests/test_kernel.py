@@ -104,6 +104,17 @@ def test_games_are_bitwise_identical_in_any_batch():
             assert np.array_equal(joined, getattr(whole, name)), (size, name)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 2400])
+def test_a_lone_game_has_its_bits_in_any_batch(steps):
+    batch = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
+             for regime in REGIMES.values() for tokens in ("A", "B", "ABB")]
+    together = evolve_games(batch, steps)
+    for g, game in enumerate(batch):
+        alone = evolve_games([game], steps)  # walked and observed on its one column
+        for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
+            assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
+
+
 def test_games_of_mixed_cells_equal_their_own_pair_calls():
     games = every_game(4)
     cells = [dict(regime, eta_deg=eta) for regime in REGIMES.values() for eta in (0.0, 90.0, 270.0)]
@@ -309,10 +320,14 @@ def test_verdict_walks_over_the_step_budget_allocate_nothing():
         (1, 10, 90.0, [True], [1], 0.0),
         (1, 10, 90.0, ["3"], [1], 0.0),
         (2, 10, 90.0, [[1], [1, 2]], [1, 1], 0.0),
+        (2, 10, 90.0, [1, 1], [[1], [1, 2]], 0.0),
+        (1, 10, 90.0, [1], [True], 0.0),
+        (1, 10, 90.0, [1], [1.0], 0.0),
     ],
     ids=["no-steps", "no-game", "nan-eta", "nan-epsilon", "negative-epsilon", "bool-epsilon",
          "period-0", "period-over-steps", "one-period-short", "sign-0", "fractional-period",
-         "bool-period", "string-period", "ragged-periods"],
+         "bool-period", "string-period", "ragged-periods", "ragged-signs", "bool-sign",
+         "float-sign"],
 )
 def test_verdicts_reject_invalid_input(count, steps, eta, periods, signs, epsilon):
     regime = REGIME_ONE_SIDED

@@ -60,6 +60,8 @@ def test_budgets_quote_the_code():
         (r"equal chunks of at most (\d+), the budget's games at the longest walk",
          scan.SCAN_CHUNK_GAME_STEPS // walk.MAX_STEPS),
         (r"`--max-cells` \(default (\d+)\)", max_cells),
+        (r"one axis holds at most (\d+) values \(`qparrondo\.scan\.MAX_AXIS_VALUES`",
+         scan.MAX_AXIS_VALUES),
     ]:
         quoted = re.search(pattern, text)
         assert quoted and int(quoted.group(1)) == value, pattern

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -328,6 +329,30 @@ class TestRegionGrid:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(InvalidParameterError, match="ScanConfig|GridAxis"):
             scan_region_grid(base, axes, workers=2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: scan_region_grid(one_sided_config(), GridAxis("beta_a", (6.0,))),
+                         id="bare-axis"),
+            pytest.param(lambda: GridAxis.linspace("beta_a", 0, 1, 10**9), id="huge-count"),
+            pytest.param(lambda: scan.RegionGrid(axes=(), paradox=np.zeros(()),
+                                                 winning_counts=np.zeros(())), id="no-axis"),
+        ],
+    )
+    def test_refuses_a_grid_it_cannot_build(self, no_process, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_an_axis_may_hold_its_budget_of_values(self):
+        axis = GridAxis.linspace("eta", 0, 1, scan.MAX_AXIS_VALUES)
+        assert len(axis.values) == scan.MAX_AXIS_VALUES
 
     @pytest.mark.parametrize("workers", [0, -5, 1.5, True])
     def test_rejects_worker_counts_that_are_not_positive_integers(self, workers):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ class TestInitialState:
     def test_half_width_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             initial_state(InitialStateSpec(eta_deg=0), half_width=0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: make_coin((1, 2, 3)), InvalidParameterError, id="tuple-coin"),
+        pytest.param(lambda: initial_state(InitialStateSpec(0), 1.5), InvalidParameterError,
+                     id="fractional-half-width"),
+        pytest.param(lambda: initial_state(InitialStateSpec(0), True), InvalidParameterError,
+                     id="bool-half-width"),
+        pytest.param(lambda: initial_state(InitialStateSpec(0), 10**12), CapacityError,
+                     id="huge-half-width"),
+    ],
+)
+def test_simulate_path_refuses_invalid_input(call, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestWalkerState:
