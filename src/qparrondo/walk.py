@@ -13,10 +13,14 @@ grids. They are the reference path. The batched kernel evolves many games,
 each with its own coin pair, initial phase and schedule, together in place,
 in one loop that hands each step to an observer. ``evolve_games`` observes
 all six per-step columns; scans and simulations use it. ``evolve_verdicts``
-keeps only each game's bias at its payoff points, retires a game at its
-first payoff point that breaks its verdict, and shrinks the batch as games
-retire; region grids use it. A batch of one game steps and is observed on
-its single column with fewer numpy calls, and gives the same bits.
+keeps only each game's two sides, judges its bias at its payoff points,
+retires a game at its first payoff point that breaks its verdict, and
+shrinks the batch as games retire; region grids use it. Between anchors
+every ``_ANCHOR_EVERY`` steps, where they are summed over sites, the side
+probabilities follow the flux across the origin and the coin populations
+the coin, in O(1) per game and step; only ``rho01`` is summed over sites
+at every step. A lone game is observed on Python floats and gives the
+bits it has in any batch.
 """
 
 from __future__ import annotations
@@ -390,7 +394,10 @@ class GameColumns(NamedTuple):
     after ``k + 1`` elementary steps. ``p_left``, ``p_origin`` and
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
-    density matrix (``rho10`` is the conjugate of ``rho01``).
+    density matrix (``rho10`` is the conjugate of ``rho01``). ``evolve_games``
+    sums ``rho01`` over sites at every step and the others every
+    ``_ANCHOR_EVERY`` steps; in between they follow from the step before,
+    within 1e-13 of direct sums.
     """
 
     p_left: NDArray[np.float64]
@@ -456,7 +463,9 @@ def evolve_games(
     every step, what ``evolve_sequence`` followed by ``bias_sample`` and
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
-    and every column is observed at every step.
+    and every column is observed at every step: between anchors ``rho01``
+    is summed over sites, the sides follow the flux across the origin
+    (``_flux``) and ``rho00``, ``rho11`` the coin (``_conjugation``).
 
     Raises
     ------
@@ -467,35 +476,39 @@ def evolve_games(
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
-    batch = _batch(games, steps)
+    coins, choice, phases = _batch(games, steps)
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    _evolve(*batch, (_observe_one if len(games) == 1 else _observe_all)(table, rho01))
+    observer = _observe_one if len(games) == 1 else _observe_all
+    _evolve(coins, choice, phases, observer(table, rho01, _conjugation(coins), choice))
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
-def _observe_all(table: NDArray[np.float64], rho01: NDArray[np.complex128]) -> Callable:
+_ANCHOR_EVERY = 64
+"""Steps between two direct site sums of every column of a batch. In
+between, the sides follow the flux across the origin and ``rho00`` and
+``rho11`` the coin, each rounding a little; the sums bound the drift."""
+
+
+def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> Callable:
     """``evolve_games``' observer: after step t + 1 it writes the first five
     columns of every game into ``table[t]`` and ``rho01``'s into ``rho01[t]``."""
     steps, _, width = table.shape
-    probs = np.empty((2, steps + 1, width))
-    prob0, prob1 = probs
-    # rho01's product reuses the memory of both, whose sums are taken by then
-    cross = probs.reshape(-1).view(np.complex128).reshape(steps + 1, width)
+    cross = np.empty((steps + 1, width), dtype=np.complex128)
+    sides = np.empty((2, width))  # p_left and p_right, before they are clipped at 0
 
     def observe(t, w0, w1, columns):
         n = t + 2  # occupied sites after step t + 1; site j lies at x = 2j - (t + 1)
         row = table[t]
-        q0 = _abs2(w0, prob0[:n])
-        q1 = _abs2(w1, prob1[:n])
-        row[3] = _site_sum(q0)
-        row[4] = _site_sum(q1)
-        q = np.add(q0, q1, out=q0)
-        left_end, right_start = _sides(t)
-        row[0] = _site_sum(q[:left_end])
-        if left_end < right_start:  # an even step count reaches the origin
-            row[1] = q[left_end]
-        row[2] = _site_sum(q[right_start:])
+        if t % _ANCHOR_EVERY:
+            row[1] = _flux(t, w0, w1, sides)
+            f, before = factors.take(choice[t], axis=2), table[t - 1]
+            x, y = rho01[t - 1].real, rho01[t - 1].imag
+            np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=row[3:])
+        else:
+            row[:] = _site_sums(t, w0, w1)
+            sides[:] = row[0:3:2]
+        np.maximum(sides, 0.0, out=row[0:3:2])
         np.conjugate(w1, out=cross[:n])
         rho01[t] = _site_sum(np.multiply(w0, cross[:n], out=cross[:n]))
         return None
@@ -503,34 +516,37 @@ def _observe_all(table: NDArray[np.float64], rho01: NDArray[np.complex128]) -> C
     return observe
 
 
-def _observe_one(table: NDArray[np.float64], rho01: NDArray[np.complex128]) -> Callable:
-    """``_observe_all`` for a lone game, bit for bit, on 1-D views of its
-    column: squared moduli are taken through the float view, and each sum
-    is accumulated one site at a time, the order a batch sums in, into a
-    kept buffer."""
+def _observe_one(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> Callable:
+    """``_observe_all`` for a lone game, bit for bit: between anchors it
+    takes the same float operations in the same order on Python floats,
+    and it sums ``rho01`` one site at a time, the order a batch sums in,
+    on 1-D views of its column."""
     rows, rho = table[..., 0], rho01[:, 0]
-    prob0, prob1 = np.empty((2, len(table) + 1))
-    spare = np.empty(2 * len(table) + 2)  # the squares, then the sums
-    accumulate = np.add.accumulate
-
-    def square(w, out):  # re * re + im * im, as _abs2 gives
-        parts = np.multiply(f := w[:, 0].view(np.float64), f, out=spare[:f.size])
-        return np.add(parts[0::2], parts[1::2], out=out)
+    per_coin = factors.transpose(2, 0, 1).reshape(-1, 8).tolist()
+    lone = [per_coin[c] for c in choice[:, 0].tolist()]
+    spare = np.empty(len(table) + 1, dtype=np.complex128)
+    left = right = rho00 = rho11 = x = y = 0.0
 
     def observe(t, w0, w1, columns):
-        n = t + 2
-        row, total, cross = rows[t], spare[:n], spare.view(np.complex128)[:n]
-        q0, q1 = square(w0, prob0[:n]), square(w1, prob1[:n])
-        row[3] = accumulate(q0, out=total)[-1]
-        row[4] = accumulate(q1, out=total)[-1]
-        q = np.add(q0, q1, out=q0)
-        left_end, right_start = _sides(t)
-        row[0] = accumulate(q[:left_end], out=total[:left_end])[-1]
-        if left_end < right_start:
-            row[1] = q[left_end]
-        row[2] = accumulate(q[right_start:], out=total[right_start:])[-1]
+        nonlocal left, right, rho00, rho11, x, y
+        if t % _ANCHOR_EVERY:
+            j, right_start = _sides(t)  # the rows _flux takes
+            odd = j == right_start
+            u, v = (w1.item(j - 1), w0.item(j)) if odd else (w0.item(j), w1.item(j))
+            q0, q1 = u.real * u.real + u.imag * u.imag, v.real * v.real + v.imag * v.imag
+            left, right, origin = (left + q0, right + q1, 0.0) if odd else (
+                left - q0, right - q1, q0 + q1)
+            a0, a1, b0, b1, c0, c1, d0, d1 = lone[t]
+            rho00, rho11 = (a0 * rho00 + b0 * rho11 + (c0 * x - d0 * y),
+                            a1 * rho00 + b1 * rho11 + (c1 * x - d1 * y))
+            rows[t] = max(left, 0.0), origin, max(right, 0.0), rho00, rho11
+        else:
+            rows[t] = _site_sums(t, w0, w1)[:, 0]
+            left, _, right, rho00, rho11 = rows[t].tolist()
+        cross = spare[:t + 2]
         np.multiply(w0[:, 0], np.conjugate(w1[:, 0], out=cross), out=cross)
-        rho[t] = accumulate(cross, out=cross)[-1] + 0.0  # a batch's sums start at 0.0, not -0.0
+        rho[t] = total = complex(np.add.accumulate(cross, out=cross)[-1] + 0.0)  # as a batch's
+        x, y = total.real, total.imag
         return None
 
     return observe
@@ -549,11 +565,12 @@ def evolve_verdicts(
     A game's payoff points are the multiples of its ``period`` up to
     ``steps``. Sign +1 asks whether a game is Winning and -1 whether it is
     Losing, exactly as ``metrics.payoff_verdicts`` decides on the columns of
-    ``evolve_games``: each bias is bitwise the one those columns give. Only
-    the bias of a game at one of its payoff points is computed. A game is
-    retired at its first payoff point that fails; every ``_COMPACT_EVERY``
-    steps the batch drops its retired games, and the walk ends as soon as
-    none is left.
+    ``evolve_games``: each bias is bitwise the one those columns give. Each
+    game keeps only its ``p_left`` and ``p_right``, which follow the flux
+    across the origin between anchors; no per-site probability is computed
+    between them. A game is retired at its first payoff point that fails;
+    every ``_COMPACT_EVERY`` steps the batch drops its retired games, and
+    the walk ends as soon as none is left.
 
     Raises
     ------
@@ -582,21 +599,23 @@ def evolve_verdicts(
         )
     signs = np.asarray(signs)
     held = np.ones(len(games), dtype=bool)
-    prob0, prob1 = np.empty((steps + 1) * len(games)), np.empty((steps + 1) * len(games))
+    # p_left and p_right of each game in the batch, before they are clipped at 0
+    sides, seen = np.empty((2, len(games))), np.arange(len(games))
 
     def observe(t, w0, w1, columns):
+        nonlocal sides, seen
+        if len(columns) < len(seen):  # the batch dropped retired games
+            sides, seen = sides[:, np.isin(seen, columns)], columns
+        if t % _ANCHOR_EVERY:
+            _flux(t, w0, w1, sides)
+        else:
+            sides = _site_sums(t, w0, w1)[0:3:2]
         live = held[columns]
         due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
         if due.size:
-            if due.size < len(columns):
-                w0, w1 = np.take(w0, due, axis=1), np.take(w1, due, axis=1)
-            shape = w0.shape  # the buffers' first n * k entries, so contiguous like w0
-            q0 = _abs2(w0, prob0[:w0.size].reshape(shape))
-            q = np.add(q0, _abs2(w1, prob1[:w1.size].reshape(shape)), out=q0)
-            left_end, right_start = _sides(t)
-            payoff = _site_sum(q[right_start:]) - _site_sum(q[:left_end])
             games_due = columns[due]
-            live[due] = held[games_due] = signs[games_due] * payoff > epsilon
+            left, right = np.maximum(sides[:, due], 0.0)
+            live[due] = held[games_due] = signs[games_due] * (right - left) > epsilon
         return live
 
     _evolve(*batch, observe)
@@ -655,17 +674,18 @@ def _evolve(
     ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
     ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
     ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
-    nothing, and the row it uncovers is still zero. Games never mix, and
-    every sum over sites adds one site at a time, so each game's
-    observables are bitwise the same whatever else is batched with it.
-    A lone game looks its coin entries up as Python numbers, not as a
-    ``(1, 2, 2)`` copy of the coin table each step; they multiply alike.
+    nothing, and the row it uncovers is still zero. Games never mix, so an
+    observer that takes the same float operations for every column, and
+    adds its site sums one site at a time, gives each game the same bits
+    whatever else is batched with it. A lone game looks its coin entries up
+    as Python numbers, not as a ``(1, 2, 2)`` copy of the coin table each
+    step; they multiply alike.
 
     After step ``t + 1`` it calls ``observe(t, w0, w1, columns)`` with the
     occupied rows of both components and the index of the game in each
     column. ``observe`` gives None, or a mask of the columns whose games are
     still live: the loop returns once none is, and every ``_COMPACT_EVERY``
-    steps it drops the others' columns.
+    steps it drops the others' columns, copying only the occupied rows.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -702,7 +722,10 @@ def _evolve(
             return
         if t % _COMPACT_EVERY == _COMPACT_EVERY - 1:
             keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
-            a0, a1, choice = (np.take(rows, keep, axis=1) for rows in (a0, a1, choice))
+            b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
+            np.take(a0[off:], keep, axis=1, out=b0[off:])  # only the occupied rows
+            np.take(a1[:n + 1], keep, axis=1, out=b1[:n + 1])
+            a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
             columns = columns[keep]
             scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
 
@@ -714,21 +737,57 @@ def _sides(t: int) -> tuple[int, int]:
     return (t + 2) // 2, (t + 1) // 2 + 1
 
 
-def _abs2(amplitudes: NDArray[np.complex128], out: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Squared moduli of ``amplitudes``, written into ``out``."""
-    np.multiply(amplitudes.real, amplitudes.real, out=out)
-    out += amplitudes.imag * amplitudes.imag
-    return out
+def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Squared moduli of ``amplitudes``, each ``re * re + im * im``."""
+    return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
 
 
 def _site_sum(values: NDArray) -> NDArray:
     """Sum over sites (axis 0) for each game, adding one site at a time.
 
     numpy reduces several columns row by row but a single column pairwise;
-    accumulating keeps a lone game on the order a batch uses. Only
-    ``evolve_verdicts`` batches of one game, or shrunk to one, take that
-    branch: ``evolve_games`` observes a lone game with ``_observe_one``.
+    accumulating keeps a lone column on the order a batch uses.
     """
     if values.shape[1] > 1:
         return values.sum(axis=0)
     return np.add.accumulate(values, axis=0)[-1]
+
+
+def _site_sums(t: int, w0: NDArray, w1: NDArray) -> NDArray[np.float64]:
+    """The observers' anchor: ``p_left``, ``p_origin``, ``p_right``, ``rho00``
+    and ``rho11`` of each column after step ``t + 1``, summed over sites."""
+    q0, q1 = _abs2(w0), _abs2(w1)
+    sums = np.zeros((5, w0.shape[1]))
+    sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
+    q = np.add(q0, q1, out=q0)
+    left_end, right_start = _sides(t)
+    sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
+    if left_end < right_start:  # an even step count reaches the origin
+        sums[1] = q[left_end]
+    return sums
+
+
+def _flux(t: int, w0: NDArray, w1: NDArray, sides: NDArray) -> NDArray[np.float64] | float:
+    """Move the mass that step ``t + 1`` carried across the origin into each
+    column's ``sides`` (``p_left``, ``p_right``), in place; give ``p_origin``.
+    A step moves mass one site: after an odd count the origin's coin |1>
+    has gone to x = -1 and coin |0> to x = 1, after an even one coin |0>
+    has come to the origin from the left and coin |1> from the right."""
+    j, right_start = _sides(t)  # j: the row after the last left of the origin
+    if j == right_start:
+        sides += _abs2(np.concatenate((w1[j - 1:j], w0[j:j + 1])))
+        return 0.0
+    q = _abs2(np.concatenate((w0[j:j + 1], w1[j:j + 1])))  # row j is the origin
+    sides -= q
+    return q[0] + q[1]
+
+
+def _conjugation(coins: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """The diagonal of ``C rho C^dagger`` in real arithmetic: ``[:, r, c]`` of
+    this ``(4, 2, coins)`` table holds, for row ``r`` of coin ``c``,
+    ``|u_r0|^2``, ``|u_r1|^2`` and twice Re and Im of ``u_r0 conj(u_r1)``, and
+    ``rho_rr = f0 * rho00 + f1 * rho11 + (f2 * Re rho01 - f3 * Im rho01)``.
+    The shift leaves the diagonal alone."""
+    u0, u1 = coins[:, :, 0].T, coins[:, :, 1].T  # (2, coins): each row's entries
+    cross = 2.0 * u0 * u1.conj()
+    return np.stack((_abs2(u0), _abs2(u1), cross.real, cross.imag))

@@ -44,6 +44,17 @@ def every_game(max_period):
     return [GameSequence("A"), GameSequence("B"), *enumerate_sequences(max_period)]
 
 
+def swap_games(beta):
+    """A, AB and AAB on two swap coins (beta 90 or 270 degrees): the walk
+    stays on the sites -1, 0 and 1, and its mass crosses the origin at
+    every step."""
+    coin_a, coin_b = CoinParams(156, beta, 0), CoinParams(0, beta, 160)
+    return [(coin_a, coin_b, 90.0, GameSequence(tokens)) for tokens in ("A", "AB", "AAB")]
+
+
+SWAP = {beta: swap_games(beta) for beta in (90.0, 270.0)}
+
+
 def kernel(regime, schedules, steps):
     return evolve_games(
         [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in schedules], steps
@@ -104,15 +115,96 @@ def test_games_are_bitwise_identical_in_any_batch():
             assert np.array_equal(joined, getattr(whole, name)), (size, name)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 2400])
-def test_a_lone_game_has_its_bits_in_any_batch(steps):
-    batch = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
-             for regime in REGIMES.values() for tokens in ("A", "B", "ABB")]
-    together = evolve_games(batch, steps)
-    for g, game in enumerate(batch):
-        alone = evolve_games([game], steps)  # walked and observed on its one column
+def exact_sums(t, w0, w1):
+    """Each column's p_left, p_origin, p_right, rho00, rho11 and rho01 after
+    step ``t + 1``, summed over the occupied sites an observer is handed in
+    the order the kernel sums a batch: a ``(6, k)`` complex array."""
+    x = 2 * np.arange(t + 2) - (t + 1)  # site j lies at x = 2j - (t + 1)
+    q0 = w0.real * w0.real + w0.imag * w0.imag
+    q1 = w1.real * w1.real + w1.imag * w1.imag
+    q = q0 + q1
+    cross = w1.conj()  # the product in place, as the kernel takes it; numpy can
+    np.multiply(w0, cross, out=cross)  # round a long one differently into a new array
+    return np.array([q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0),
+                     q0.sum(axis=0), q1.sum(axis=0), cross.sum(axis=0)])
+
+
+def quick_sums(t, w0, w1):
+    """``exact_sums``' first five rows, each a sum of squares by ``einsum``
+    in its own order, about four times faster."""
+    x = 2 * np.arange(t + 2) - (t + 1)
+    origin, right = np.searchsorted(x, 0), np.searchsorted(x, 1)
+
+    def mass(w, rows=slice(None)):
+        f = w[rows].view(np.float64)  # re and im of each column side by side
+        squares = np.einsum("ij,ij->j", f, f)
+        return squares[0::2] + squares[1::2]
+
+    return np.array([mass(w0, slice(origin)) + mass(w1, slice(origin)),
+                     mass(w0, slice(origin, right)) + mass(w1, slice(origin, right)),
+                     mass(w0, slice(right, None)) + mass(w1, slice(right, None)),
+                     mass(w0), mass(w1)])
+
+
+LONG_GAMES = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
+              for regime in REGIMES.values() for tokens in ("A", "B", "ABB")]
+LONG_GAMES += SWAP[90.0] + SWAP[270.0]
+
+
+@pytest.fixture(scope="module")
+def observed():
+    """``LONG_GAMES`` walked together for MAX_STEPS: their columns, and
+    ``(T, 6, G)`` rows of them per step; ``quick_sums`` of the windows the
+    observer was handed at every step, and ``exact_sums`` at each anchor."""
+    quick, exact = [], {}
+    evolve = walk._evolve
+
+    def traced(coins, choice, phases, observe):
+        def watched(t, w0, w1, columns):
+            quick.append(quick_sums(t, w0, w1))
+            if t % walk._ANCHOR_EVERY == 0:
+                exact[t] = exact_sums(t, w0, w1)
+            return observe(t, w0, w1, columns)
+        evolve(coins, choice, phases, watched)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_evolve", traced)
+        columns = evolve_games(LONG_GAMES, MAX_STEPS)
+    rows = np.array([getattr(columns, name) for name in GameColumns._fields]).transpose(2, 0, 1)
+    return columns, rows, np.array(quick), exact
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 2400, MAX_STEPS])
+def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
+    if steps < MAX_STEPS:
+        batch = LONG_GAMES[:12]  # A, B and ABB in each regime, and A, AB, AAB on swap coins
+        together, picked = evolve_games(batch, steps), range(len(batch))
+    else:  # no multiple of the anchor cadence; for time, only ABB and a swap game walk alone
+        together, picked = request.getfixturevalue("observed")[0], (2, 10)
+    for g in picked:
+        alone = evolve_games([LONG_GAMES[g]], steps)  # walked and observed on its one column
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
+
+
+def test_anchor_rows_are_direct_site_sums(observed):
+    _, rows, _, exact = observed
+    for t, sums in exact.items():
+        assert np.array_equal(rows[t], sums), t
+
+
+def test_every_column_stays_near_direct_site_sums(observed):
+    # between anchors, the sides follow the flux across the origin and rho00,
+    # rho11 the coin; the swap games' mass crosses the origin at every step
+    _, rows, quick, _ = observed
+    assert np.abs(rows[:, :5].real - quick).max() <= 1e-13
+
+
+def test_swap_coin_sides_are_probabilities(observed):
+    _, rows, _, _ = observed
+    sides = rows[:, :3, 9:].real  # p_left, p_origin and p_right of the swap games
+    assert sides.min() >= 0.0
+    assert np.abs(sides.sum(axis=1) - 1.0).max() <= 1e-13
 
 
 def test_games_of_mixed_cells_equal_their_own_pair_calls():
@@ -227,22 +319,44 @@ def random_coin(rng):
     return CoinParams(*rng.uniform(0.0, 360.0, 3))
 
 
-@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
-@pytest.mark.parametrize("seed", range(4))
-def test_verdicts_equal_payoff_verdicts_on_the_full_columns(seed, each_step):
+def random_verdicts(seed, each_step, shortest, longest):
+    """40 random games of 3 random coin pairs, walked for ``shortest`` to
+    ``longest - 1`` steps, with their periods, the signs they end with, and
+    epsilons that make some game hold or fail by one ulp."""
     rng = np.random.default_rng(seed)
     schedules = every_game(5)
     pairs = [(random_coin(rng), random_coin(rng)) for _ in range(3)]
     games = [(*pairs[rng.integers(len(pairs))], float(rng.uniform(0.0, 360.0)),
               schedules[rng.integers(len(schedules))]) for _ in range(40)]
-    steps = int(rng.integers(5, 90))
+    steps = int(rng.integers(shortest, longest))
     columns = evolve_games(games, steps)
     biases = bias(columns.p_left, columns.p_right)
     periods = [1 if each_step else seq.period for *_, seq in games]
     signs = np.where(biases[:, -1] > 0, 1, -1)  # most games keep the sign they end with
-    for epsilon in sharp_epsilons(biases, periods, signs) + [float(rng.uniform(0.0, 0.05))]:
+    epsilons = sharp_epsilons(biases, periods, signs) + [float(rng.uniform(0.0, 0.05))]
+    return games, steps, biases, periods, signs, epsilons
+
+
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+@pytest.mark.parametrize("seed", range(4))
+def test_verdicts_equal_payoff_verdicts_on_the_full_columns(seed, each_step):
+    games, steps, biases, periods, signs, epsilons = random_verdicts(seed, each_step, 5, 90)
+    for epsilon in epsilons:
         held = evolve_verdicts(games, steps, periods, signs, epsilon)
         assert held.tolist() == expected_holds(biases, periods, signs, epsilon), epsilon
+
+
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+@pytest.mark.parametrize("seed", range(4, 6))
+def test_verdicts_equal_payoff_verdicts_across_anchors(monkeypatch, seed, each_step):
+    # 130 to 300 steps cross two anchors; the biases between them come from the flux
+    games, steps, biases, periods, signs, epsilons = random_verdicts(seed, each_step, 130, 301)
+    for epsilon in epsilons:
+        held, widths = traced_verdicts(monkeypatch, games, steps, periods, signs, epsilon)
+        assert held == expected_holds(biases, periods, signs, epsilon), epsilon
+        if epsilon == 0.0:  # the batch shrinks before the second anchor and runs on past it
+            assert len(widths) > 2 * walk._ANCHOR_EVERY
+            assert widths[0] > widths[2 * walk._ANCHOR_EVERY]
 
 
 def scan_batch(regime, steps):

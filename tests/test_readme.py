@@ -62,6 +62,8 @@ def test_budgets_quote_the_code():
         (r"`--max-cells` \(default (\d+)\)", max_cells),
         (r"one axis holds at most (\d+) values \(`qparrondo\.scan\.MAX_AXIS_VALUES`",
          scan.MAX_AXIS_VALUES),
+        (r"Every (\d+) steps, from the first, all columns are summed over sites",
+         walk._ANCHOR_EVERY),
     ]:
         quoted = re.search(pattern, text)
         assert quoted and int(quoted.group(1)) == value, pattern
