@@ -41,8 +41,6 @@ from .walk import (
     WalkerState,
     apply_coin,
     apply_shift,
-    dense_step_matrix,
-    dense_step_oracle,
     evolve_games,
     evolve_sequence,
     initial_state,
@@ -68,8 +66,6 @@ __all__ = [
     "evolve_sequence",
     "evolve_games",
     "GameColumns",
-    "dense_step_matrix",
-    "dense_step_oracle",
     "GameVerdict",
     "BiasSample",
     "BiasTrajectory",

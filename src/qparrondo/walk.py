@@ -19,8 +19,11 @@ shrinks the batch as games retire; region grids use it. Between anchors
 every ``_ANCHOR_EVERY`` steps, where they are summed over sites, the side
 probabilities follow the flux across the origin and the coin populations
 the coin, in O(1) per game and step; only ``rho01`` is summed over sites
-at every step. A lone game is observed on Python floats and gives the
-bits it has in any batch.
+at every step. At each anchor the kernel sets each game's amplitudes
+under 1e-140 to 0 and from then on steps and sums only the rows that some
+game still holds, so a walk whose tails decay costs less than T**2. A
+lone game is observed on Python floats and gives the bits it has in any
+batch.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "InitialStateSpec",
     "WalkerState",
     "GameColumns",
-    "MAX_DENSE_HALF_WIDTH",
     "MAX_STEPS",
     "make_coin",
     "initial_state",
@@ -57,19 +59,15 @@ __all__ = [
     "check_steps",
     "evolve_games",
     "evolve_verdicts",
-    "dense_step_matrix",
-    "dense_step_oracle",
 ]
 
 CoinMatrix = NDArray[np.complex128]
 """2x2 unitary with unit determinant, acting on the coin."""
 
-MAX_DENSE_HALF_WIDTH = 12
-"""Largest half-width accepted by the dense-matrix verification path."""
-
 MAX_STEPS = 4095
 """The one walk budget. ``evolve_games`` runs at most this many steps: its
-memory is O(G*T), but its work per game grows as T**2. ``evolve_sequence``
+memory is O(G*T), but its work per game is at most T**2 site-steps, less
+where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB."""
 
@@ -159,9 +157,9 @@ class WalkerState:
     amplitudes: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        if self.half_width < 1:
-            raise InvalidParameterError(f"half_width must be >= 1, got {self.half_width}")
-        if not 0 <= self.step <= self.half_width:
+        check_count("half_width", self.half_width)
+        check_count("step", self.step, least=0)
+        if self.step > self.half_width:
             raise InvalidParameterError(
                 f"step must lie in [0, half_width={self.half_width}], got {self.step}"
             )
@@ -238,10 +236,13 @@ def initial_state(spec: InitialStateSpec, half_width: int) -> WalkerState:
     Raises
     ------
     InvalidParameterError
-        If ``half_width`` is not an integer of at least 1 (a bool is not one).
+        If ``spec`` is not an ``InitialStateSpec``, or ``half_width`` is not
+        an integer of at least 1 (a bool is not one).
     CapacityError
         If ``half_width`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
+    if not isinstance(spec, InitialStateSpec):
+        raise InvalidParameterError(f"an initial state must be InitialStateSpec, got {spec!r}")
     check_count("half_width", half_width)
     check_steps(half_width)
     amp = np.zeros((2, 2 * half_width + 1), dtype=np.complex128)
@@ -324,13 +325,16 @@ def evolve_sequence(
     Raises
     ------
     InvalidParameterError
-        If ``total_steps`` is not an integer of at least 1.
+        If ``total_steps`` is not an integer of at least 1, or an argument
+        is not of its type.
     CapacityError
         If ``total_steps`` is larger than ``MAX_STEPS``; nothing is
         allocated then.
     """
     check_count("total_steps", total_steps)
     check_steps(total_steps)
+    if not isinstance(seq, GameSequence):
+        raise InvalidParameterError(f"a schedule must be a GameSequence, got {seq!r}")
     coins = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
     state = initial_state(spec, total_steps)
     snapshots: list[WalkerState] = []
@@ -338,53 +342,6 @@ def evolve_sequence(
         state = step(state, coins[seq.tokens[k % seq.period]])
         snapshots.append(state)
     return snapshots
-
-
-def dense_step_matrix(coin: CoinMatrix, half_width: int) -> NDArray[np.complex128]:
-    """Explicit matrix of one elementary step on the flattened grid.
-
-    The flattened index is ``c * (2*half_width + 1) + i`` with ``i`` the
-    site column. The shift part is built with periodic wrap-around so the
-    matrix stays exactly unitary; it agrees with :func:`apply_shift`
-    whenever the state has room to move (``step < half_width``).
-    """
-    coin = _check_coin(coin)
-    n = 2 * half_width + 1
-    move_right = np.roll(np.eye(n), 1, axis=0)
-    shift = np.kron(np.diag([1.0, 0.0]), move_right) + np.kron(
-        np.diag([0.0, 1.0]), move_right.T
-    )
-    return shift.astype(np.complex128) @ np.kron(coin, np.eye(n, dtype=np.complex128))
-
-
-def dense_step_oracle(state: WalkerState, coin: CoinMatrix) -> WalkerState:
-    """Advance one step by full dense matrix multiplication.
-
-    Slow reference path used to cross-check :func:`step`; the two must
-    agree to round-off on any valid state.
-
-    Raises
-    ------
-    CapacityError
-        If ``half_width`` exceeds ``MAX_DENSE_HALF_WIDTH`` (the dense
-        matrix grows quadratically), or the state has no room to shift.
-    """
-    if state.half_width > MAX_DENSE_HALF_WIDTH:
-        raise CapacityError(
-            f"dense oracle limited to half_width <= {MAX_DENSE_HALF_WIDTH}, "
-            f"got {state.half_width}"
-        )
-    if state.step >= state.half_width:
-        raise CapacityError(
-            f"cannot shift beyond the grid: step {state.step} with half_width {state.half_width}"
-        )
-    matrix = dense_step_matrix(coin, state.half_width)
-    flat = matrix @ state.amplitudes.reshape(-1)
-    return WalkerState(
-        step=state.step + 1,
-        half_width=state.half_width,
-        amplitudes=flat.reshape(2, -1),
-    )
 
 
 class GameColumns(NamedTuple):
@@ -397,7 +354,8 @@ class GameColumns(NamedTuple):
     density matrix (``rho10`` is the conjugate of ``rho01``). ``evolve_games``
     sums ``rho01`` over sites at every step and the others every
     ``_ANCHOR_EVERY`` steps; in between they follow from the step before,
-    within 1e-13 of direct sums.
+    within 1e-13 of direct sums. The sums skip only sites that hold 0 for
+    every game, after amplitudes under 1e-140 were set to 0.
     """
 
     p_left: NDArray[np.float64]
@@ -497,16 +455,16 @@ def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArr
     cross = np.empty((steps + 1, width), dtype=np.complex128)
     sides = np.empty((2, width))  # p_left and p_right, before they are clipped at 0
 
-    def observe(t, w0, w1, columns):
-        n = t + 2  # occupied sites after step t + 1; site j lies at x = 2j - (t + 1)
+    def observe(t, w0, w1, first, columns):
+        n = len(w0)
         row = table[t]
         if t % _ANCHOR_EVERY:
-            row[1] = _flux(t, w0, w1, sides)
+            row[1] = _flux(t, w0, w1, first, sides)
             f, before = factors.take(choice[t], axis=2), table[t - 1]
             x, y = rho01[t - 1].real, rho01[t - 1].imag
             np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=row[3:])
         else:
-            row[:] = _site_sums(t, w0, w1)
+            row[:] = _site_sums(t, w0, w1, first)
             sides[:] = row[0:3:2]
         np.maximum(sides, 0.0, out=row[0:3:2])
         np.conjugate(w1, out=cross[:n])
@@ -527,10 +485,10 @@ def _observe_one(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArr
     spare = np.empty(len(table) + 1, dtype=np.complex128)
     left = right = rho00 = rho11 = x = y = 0.0
 
-    def observe(t, w0, w1, columns):
+    def observe(t, w0, w1, first, columns):
         nonlocal left, right, rho00, rho11, x, y
         if t % _ANCHOR_EVERY:
-            j, right_start = _sides(t)  # the rows _flux takes
+            j, right_start = _sides(t, first)  # the rows _flux takes
             odd = j == right_start
             u, v = (w1.item(j - 1), w0.item(j)) if odd else (w0.item(j), w1.item(j))
             q0, q1 = u.real * u.real + u.imag * u.imag, v.real * v.real + v.imag * v.imag
@@ -541,9 +499,9 @@ def _observe_one(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArr
                             a1 * rho00 + b1 * rho11 + (c1 * x - d1 * y))
             rows[t] = max(left, 0.0), origin, max(right, 0.0), rho00, rho11
         else:
-            rows[t] = _site_sums(t, w0, w1)[:, 0]
+            rows[t] = _site_sums(t, w0, w1, first)[:, 0]
             left, _, right, rho00, rho11 = rows[t].tolist()
-        cross = spare[:t + 2]
+        cross = spare[:len(w0)]
         np.multiply(w0[:, 0], np.conjugate(w1[:, 0], out=cross), out=cross)
         rho[t] = total = complex(np.add.accumulate(cross, out=cross)[-1] + 0.0)  # as a batch's
         x, y = total.real, total.imag
@@ -602,14 +560,14 @@ def evolve_verdicts(
     # p_left and p_right of each game in the batch, before they are clipped at 0
     sides, seen = np.empty((2, len(games))), np.arange(len(games))
 
-    def observe(t, w0, w1, columns):
+    def observe(t, w0, w1, first, columns):
         nonlocal sides, seen
         if len(columns) < len(seen):  # the batch dropped retired games
             sides, seen = sides[:, np.isin(seen, columns)], columns
         if t % _ANCHOR_EVERY:
-            _flux(t, w0, w1, sides)
+            _flux(t, w0, w1, first, sides)
         else:
-            sides = _site_sums(t, w0, w1)[0:3:2]
+            sides = _site_sums(t, w0, w1, first)[0:3:2]
         live = held[columns]
         due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
         if due.size:
@@ -681,11 +639,21 @@ def _evolve(
     as Python numbers, not as a ``(1, 2, 2)`` copy of the coin table each
     step; they multiply alike.
 
-    After step ``t + 1`` it calls ``observe(t, w0, w1, columns)`` with the
-    occupied rows of both components and the index of the game in each
-    column. ``observe`` gives None, or a mask of the columns whose games are
-    still live: the loop returns once none is, and every ``_COMPACT_EVERY``
-    steps it drops the others' columns, copying only the occupied rows.
+    Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
+    stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
+    below ``lo``. At each anchor (``t % _ANCHOR_EVERY == 0``) ``_flush`` sets
+    each game's faint amplitudes to 0 and narrows the rows to those some
+    game still holds. Every row it drops is 0 for every game, and adding or
+    skipping a 0 never changes a nonzero sum, so the bits of each game still
+    do not depend on its batch.
+
+    After step ``t + 1`` it calls ``observe(t, w0, w1, first, columns)``
+    with the rows ``first..`` of both components that may hold amplitude
+    (they include the rows around the origin that ``_flux`` reads) and the
+    index of the game in each column. ``observe`` gives None, or a mask of
+    the columns whose games are still live: the loop returns once none is,
+    and every ``_COMPACT_EVERY`` steps it drops the others' columns, copying
+    only those rows.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -698,24 +666,25 @@ def _evolve(
     entries = coins.reshape(-1, 4).tolist()  # each coin as [u00, u01, u10, u11]
     lone = [entries[row] for row in choice[:, 0].tolist()] if width == 1 else None
 
-    off = steps
+    off, lo, hi = steps, 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
     for t in range(steps):
-        n = t + 1  # occupied sites before this step
-        w0, w1 = a0[off:off + n], a1[:n]
+        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
         if lone:
             u00, u01, u10, u11 = lone[t]
         else:
             coin = coins[choice[t]]  # (G, 2, 2)
             u00, u01, u10, u11 = coin[:, 0, 0], coin[:, 0, 1], coin[:, 1, 0], coin[:, 1, 1]
-        c0 = np.multiply(w0, u00, out=scratch0[:n])
-        c1 = np.multiply(w1, u01, out=scratch1[:n])
+        c0 = np.multiply(w0, u00, out=scratch0[:hi - lo])
+        c1 = np.multiply(w1, u01, out=scratch1[:hi - lo])
         np.multiply(w0, u10, out=w0)
         np.multiply(w1, u11, out=w1)
         np.add(w1, w0, out=w1)
         np.add(c0, c1, out=w0)
-        off -= 1
+        off, hi = off - 1, hi + 1
+        if t % _ANCHOR_EVERY == 0:
+            lo, hi = _flush(t, a0[off:], a1, lo, hi)
 
-        live = observe(t, a0[off:], a1[:n + 1], columns)
+        live = observe(t, a0[off + lo:off + hi], a1[lo:hi], lo, columns)
         if live is None or live.all():
             continue
         if not live.any():
@@ -723,18 +692,41 @@ def _evolve(
         if t % _COMPACT_EVERY == _COMPACT_EVERY - 1:
             keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
             b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
-            np.take(a0[off:], keep, axis=1, out=b0[off:])  # only the occupied rows
-            np.take(a1[:n + 1], keep, axis=1, out=b1[:n + 1])
+            np.take(a0[off + lo:off + hi], keep, axis=1, out=b0[off + lo:off + hi])
+            np.take(a1[lo:hi], keep, axis=1, out=b1[lo:hi])
             a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
             columns = columns[keep]
             scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
 
 
-def _sides(t: int) -> tuple[int, int]:
-    """After step ``t + 1``, the rows left of the origin end at the first
-    value and those right of it start at the second; an even step count
-    leaves the origin between them."""
-    return (t + 2) // 2, (t + 1) // 2 + 1
+_FLUSH_BELOW = 1e-280
+"""At each anchor, a game's amplitude pair at a site is set to 0 if its
+``|w0|^2 + |w1|^2`` is below this: amplitudes under 1e-140, so an anchor
+drops at most sites * 1e-280 of probability. Beyond about ``|cos beta| * t``
+a walk's amplitude decays exponentially; left alone, its tail passes
+through subnormal floats, which multiply many times slower, to 0."""
+
+
+def _flush(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int]:
+    """At the anchor after step ``t + 1``, set each game's faint amplitude
+    pairs in the rows ``lo..hi - 1`` of the occupied windows ``a0``, ``a1`` to
+    0, and give the rows that some game still holds. They keep the rows
+    around the origin that ``_flux`` reads until the next anchor."""
+    w0, w1 = a0[lo:hi], a1[lo:hi]
+    faint = _abs2(w0) + _abs2(w1) < _FLUSH_BELOW  # per game and row, from its own values
+    w0[faint] = 0.0
+    w1[faint] = 0.0
+    held = np.flatnonzero(~faint.all(axis=1))
+    origin, _ = _sides(t, 0)
+    return min(lo + held[0], origin - 1), max(lo + held[-1] + 1, origin + 1)
+
+
+def _sides(t: int, first: int) -> tuple[int, int]:
+    """After step ``t + 1``, in a window that starts at occupied row
+    ``first``, the rows left of the origin end at the first value and those
+    right of it start at the second; an even step count leaves the origin
+    between them."""
+    return (t + 2) // 2 - first, (t + 1) // 2 + 1 - first
 
 
 def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -753,27 +745,29 @@ def _site_sum(values: NDArray) -> NDArray:
     return np.add.accumulate(values, axis=0)[-1]
 
 
-def _site_sums(t: int, w0: NDArray, w1: NDArray) -> NDArray[np.float64]:
+def _site_sums(t: int, w0: NDArray, w1: NDArray, first: int) -> NDArray[np.float64]:
     """The observers' anchor: ``p_left``, ``p_origin``, ``p_right``, ``rho00``
-    and ``rho11`` of each column after step ``t + 1``, summed over sites."""
+    and ``rho11`` of each column after step ``t + 1``, summed over the
+    window's sites."""
     q0, q1 = _abs2(w0), _abs2(w1)
     sums = np.zeros((5, w0.shape[1]))
     sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
     q = np.add(q0, q1, out=q0)
-    left_end, right_start = _sides(t)
+    left_end, right_start = _sides(t, first)
     sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
     if left_end < right_start:  # an even step count reaches the origin
         sums[1] = q[left_end]
     return sums
 
 
-def _flux(t: int, w0: NDArray, w1: NDArray, sides: NDArray) -> NDArray[np.float64] | float:
+def _flux(t: int, w0: NDArray, w1: NDArray, first: int,
+          sides: NDArray) -> NDArray[np.float64] | float:
     """Move the mass that step ``t + 1`` carried across the origin into each
     column's ``sides`` (``p_left``, ``p_right``), in place; give ``p_origin``.
     A step moves mass one site: after an odd count the origin's coin |1>
     has gone to x = -1 and coin |0> to x = 1, after an even one coin |0>
     has come to the origin from the left and coin |1> from the right."""
-    j, right_start = _sides(t)  # j: the row after the last left of the origin
+    j, right_start = _sides(t, first)  # j: the row after the last left of the origin
     if j == right_start:
         sides += _abs2(np.concatenate((w1[j - 1:j], w0[j:j + 1])))
         return 0.0

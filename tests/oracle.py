@@ -17,6 +17,10 @@ and its entropy from ``numpy.linalg.eigvalsh``.
 Every game of one regime is evolved at once: arrays carry a leading game
 axis. Coins are given as angle triples in degrees and built from the
 README formula; verdicts are the README's strings.
+
+A second, position-space oracle takes one elementary step as a dense
+matrix on the flattened lattice (``dense_step_matrix``,
+``dense_step_oracle``), for small lattices only.
 """
 
 import numpy as np
@@ -107,6 +111,42 @@ def verdict(biases, period, epsilon=EPSILON):
     if np.all(np.abs(payoff) <= epsilon):
         return "Draw"
     return "Mixed"
+
+
+MAX_DENSE_HALF_WIDTH = 12
+"""Largest half-width ``dense_step_oracle`` accepts; its matrix grows as its square."""
+
+
+def dense_step_matrix(coin_matrix, half_width):
+    """Explicit matrix of one elementary step on the flattened lattice.
+
+    The flattened index is ``c * (2*half_width + 1) + i`` with ``i`` the
+    site column. The shift wraps around periodically, so the matrix stays
+    exactly unitary; it is the walk's step whenever the state has room to
+    move (``step < half_width``).
+    """
+    n = 2 * half_width + 1
+    move_right = np.roll(np.eye(n), 1, axis=0)
+    shift = np.kron(np.diag([1.0, 0.0]), move_right) + np.kron(np.diag([0.0, 1.0]), move_right.T)
+    return shift.astype(complex) @ np.kron(np.asarray(coin_matrix, dtype=complex), np.eye(n))
+
+
+def dense_step_oracle(state, coin_matrix):
+    """Advance a ``WalkerState`` one step by full dense matrix multiplication,
+    into a new state of the same type.
+
+    Raises ``ValueError`` above ``MAX_DENSE_HALF_WIDTH`` or when the state
+    has no room to shift, where the wrapped shift would differ from the walk.
+    """
+    if state.half_width > MAX_DENSE_HALF_WIDTH:
+        raise ValueError(
+            f"dense oracle limited to half_width <= {MAX_DENSE_HALF_WIDTH}, got {state.half_width}"
+        )
+    if state.step >= state.half_width:
+        raise ValueError(f"no room to shift: step {state.step} with half_width {state.half_width}")
+    flat = dense_step_matrix(coin_matrix, state.half_width) @ state.amplitudes.reshape(-1)
+    return type(state)(step=state.step + 1, half_width=state.half_width,
+                       amplitudes=flat.reshape(2, -1))
 
 
 def all_sequences(max_period):

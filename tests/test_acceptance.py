@@ -59,7 +59,6 @@ from qparrondo import (
     WalkerState,
     bias_sample,
     classify,
-    dense_step_oracle,
     entanglement_entropy,
     enumerate_sequences,
     evolve_sequence,
@@ -86,6 +85,7 @@ from benchmarks import (
     REGIME_DOUBLE_2,
     REGIME_ONE_SIDED,
 )
+from oracle import dense_step_oracle
 
 CRITERION_4_VERDICTS = {
     "A": GameVerdict.LOSING,

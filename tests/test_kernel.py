@@ -54,6 +54,11 @@ def swap_games(beta):
 
 SWAP = {beta: swap_games(beta) for beta in (90.0, 270.0)}
 
+TRANSLATION = [(CoinParams(30, 0, 0), CoinParams(0, 0, 50), 90.0, GameSequence(tokens))
+               for tokens in ("A", "AB")]
+"""Two translation coins (beta 0): coin |0> runs right and coin |1> left,
+so all mass leaves the origin and the sites between stay empty."""
+
 
 def kernel(regime, schedules, steps):
     return evolve_games(
@@ -115,11 +120,17 @@ def test_games_are_bitwise_identical_in_any_batch():
             assert np.array_equal(joined, getattr(whole, name)), (size, name)
 
 
-def exact_sums(t, w0, w1):
+def sites(t, w0, first):
+    """The sites of the rows an observer is handed after step ``t + 1``: row
+    ``j`` of the occupied sublattice lies at x = 2j - (t + 1)."""
+    return 2 * np.arange(first, first + len(w0)) - (t + 1)
+
+
+def exact_sums(t, w0, w1, first):
     """Each column's p_left, p_origin, p_right, rho00, rho11 and rho01 after
-    step ``t + 1``, summed over the occupied sites an observer is handed in
-    the order the kernel sums a batch: a ``(6, k)`` complex array."""
-    x = 2 * np.arange(t + 2) - (t + 1)  # site j lies at x = 2j - (t + 1)
+    step ``t + 1``, summed over the sites an observer is handed in the order
+    the kernel sums a batch: a ``(6, k)`` complex array."""
+    x = sites(t, w0, first)
     q0 = w0.real * w0.real + w0.imag * w0.imag
     q1 = w1.real * w1.real + w1.imag * w1.imag
     q = q0 + q1
@@ -129,10 +140,10 @@ def exact_sums(t, w0, w1):
                      q0.sum(axis=0), q1.sum(axis=0), cross.sum(axis=0)])
 
 
-def quick_sums(t, w0, w1):
+def quick_sums(t, w0, w1, first):
     """``exact_sums``' first five rows, each a sum of squares by ``einsum``
     in its own order, about four times faster."""
-    x = 2 * np.arange(t + 2) - (t + 1)
+    x = sites(t, w0, first)
     origin, right = np.searchsorted(x, 0), np.searchsorted(x, 1)
 
     def mass(w, rows=slice(None)):
@@ -148,7 +159,7 @@ def quick_sums(t, w0, w1):
 
 LONG_GAMES = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
               for regime in REGIMES.values() for tokens in ("A", "B", "ABB")]
-LONG_GAMES += SWAP[90.0] + SWAP[270.0]
+LONG_GAMES += SWAP[90.0] + SWAP[270.0] + TRANSLATION
 
 
 @pytest.fixture(scope="module")
@@ -160,11 +171,11 @@ def observed():
     evolve = walk._evolve
 
     def traced(coins, choice, phases, observe):
-        def watched(t, w0, w1, columns):
-            quick.append(quick_sums(t, w0, w1))
+        def watched(t, w0, w1, first, columns):
+            quick.append(quick_sums(t, w0, w1, first))
             if t % walk._ANCHOR_EVERY == 0:
-                exact[t] = exact_sums(t, w0, w1)
-            return observe(t, w0, w1, columns)
+                exact[t] = exact_sums(t, w0, w1, first)
+            return observe(t, w0, w1, first, columns)
         evolve(coins, choice, phases, watched)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -179,8 +190,8 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
     if steps < MAX_STEPS:
         batch = LONG_GAMES[:12]  # A, B and ABB in each regime, and A, AB, AAB on swap coins
         together, picked = evolve_games(batch, steps), range(len(batch))
-    else:  # no multiple of the anchor cadence; for time, only ABB and a swap game walk alone
-        together, picked = request.getfixturevalue("observed")[0], (2, 10)
+    else:  # no multiple of the anchor cadence; for time, only ABB, a swap and a translation
+        together, picked = request.getfixturevalue("observed")[0], (2, 10, 16)  # game walk alone
     for g in picked:
         alone = evolve_games([LONG_GAMES[g]], steps)  # walked and observed on its one column
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
@@ -202,9 +213,75 @@ def test_every_column_stays_near_direct_site_sums(observed):
 
 def test_swap_coin_sides_are_probabilities(observed):
     _, rows, _, _ = observed
-    sides = rows[:, :3, 9:].real  # p_left, p_origin and p_right of the swap games
+    sides = rows[:, :3, 9:15].real  # p_left, p_origin and p_right of the swap games
     assert sides.min() >= 0.0
     assert np.abs(sides.sum(axis=1) - 1.0).max() <= 1e-13
+
+
+def test_translation_coin_sides_are_probabilities(observed):
+    # the kernel keeps the empty rows around the origin that the flux reads;
+    # the sides stay near direct site sums like every column's
+    _, rows, _, _ = observed
+    sides = rows[:, :3, 15:].real  # p_left, p_origin and p_right of the translation games
+    assert sides.min() >= 0.0
+    assert not sides[:, 1].any()
+
+
+def test_flushed_columns_stay_near_the_unflushed_walk(observed):
+    # a threshold of 0 flushes nothing; B's tail in the double regimes underflows by then
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_FLUSH_BELOW", 0.0)
+        unflushed = evolve_games(LONG_GAMES, MAX_STEPS)
+    for name in GameColumns._fields:
+        gap = np.abs(getattr(observed[0], name) - getattr(unflushed, name)).max()
+        assert gap <= 1e-13, (name, gap)
+
+
+@pytest.mark.parametrize("tokens", ["A", "B", "ABB"])
+def test_games_whose_tails_underflow_match_the_reference_path(tokens):
+    # by T = 600, B's tail (|cos 75 deg|**t at the edge) has fallen below the
+    # smallest float; each game walks alone, on its own trimmed rows
+    assert_matches_reference(REGIME_ONE_SIDED, [GameSequence(tokens)], 600)
+
+
+def test_the_flush_keeps_the_rows_the_flux_reads():
+    t = 2 * walk._ANCHOR_EVERY  # an anchor; the occupied rows are 0..t + 1
+    a0, a1 = np.zeros((2, t + 2, 2), dtype=complex)
+    a0[t + 1, 0] = 1.0  # game 0: all of its mass at the right edge,
+    a1[t, 0] = 1e-141  # and a faint pair beside it
+    a1[t, 1] = 1e-139  # game 1: a pair above the threshold, at the same row
+    lo, hi = walk._flush(t, a0, a1, 0, t + 2)
+    assert a1[t, 0] == 0 and a1[t, 1] == 1e-139  # decided per game
+    origin, _ = walk._sides(t, 0)
+    assert (lo, hi) == (origin - 1, t + 2)
+
+
+def observed_rows(game, steps):
+    """How many rows the observer of ``game``, walked alone, is handed over
+    ``steps`` steps, as a fraction of the occupied sites."""
+    handed = []
+    evolve = walk._evolve
+
+    def traced(coins, choice, phases, observe):
+        def counted(t, w0, w1, first, columns):
+            handed.append(len(w0))
+            return observe(t, w0, w1, first, columns)
+        evolve(coins, choice, phases, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_evolve", traced)
+        evolve_games([game], steps)
+    return sum(handed) / sum(t + 2 for t in range(steps))
+
+
+def test_only_rows_that_hold_amplitude_are_evolved():
+    # README B (beta 75 deg) spreads to about 0.26 t and its tails decay;
+    # A (beta 16 deg) still holds amplitude at the edge of the light cone
+    regime = REGIME_ONE_SIDED
+    a, b = ((regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
+            for tokens in ("A", "B"))
+    assert observed_rows(b, 2400) < 0.6
+    assert observed_rows(a, 2400) == 1.0
 
 
 def test_games_of_mixed_cells_equal_their_own_pair_calls():
@@ -304,9 +381,9 @@ def traced_verdicts(monkeypatch, games, steps, periods, signs, epsilon):
     evolve = walk._evolve
 
     def traced(coins, choice, phases, observe):
-        def counted(t, w0, w1, columns):
+        def counted(t, w0, w1, first, columns):
             widths.append(len(columns))
-            return observe(t, w0, w1, columns)
+            return observe(t, w0, w1, first, columns)
         evolve(coins, choice, phases, counted)
 
     with monkeypatch.context() as patch:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qparrondo import (
-    CapacityError,
     CoinParams,
     GameSequence,
     GridAxis,
@@ -16,8 +15,6 @@ from qparrondo import (
     apply_shift,
     bias_sample,
     classify,
-    dense_step_matrix,
-    dense_step_oracle,
     entanglement_entropy,
     enumerate_sequences,
     evolve_sequence,
@@ -32,6 +29,7 @@ from qparrondo import (
 from qparrondo.io import write_scan_json
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED
+from oracle import dense_step_matrix, dense_step_oracle
 
 REGIMES = (REGIME_DOUBLE_1, REGIME_DOUBLE_2, REGIME_ONE_SIDED)
 
@@ -91,7 +89,7 @@ class TestDenseOracle:
 
     def test_capacity_guard(self):
         state = initial_state(InitialStateSpec(eta_deg=0), half_width=13)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match="limited"):
             dense_step_oracle(state, make_coin(CoinParams(0, 0, 0)))
 
 

@@ -64,6 +64,8 @@ def test_budgets_quote_the_code():
          scan.MAX_AXIS_VALUES),
         (r"Every (\d+) steps, from the first, all columns are summed over sites",
          walk._ANCHOR_EVERY),
+        (r"whose \|w0\|² \+ \|w1\|² is below ([\d.e-]+),", walk._FLUSH_BELOW),
+        (r"drops at most (\S+) of probability per site each time", walk._FLUSH_BELOW),
     ]:
         quoted = re.search(pattern, text)
-        assert quoted and int(quoted.group(1)) == value, pattern
+        assert quoted and float(quoted.group(1)) == value, pattern

@@ -133,6 +133,19 @@ class TestInitialState:
                      id="bool-half-width"),
         pytest.param(lambda: initial_state(InitialStateSpec(0), 10**12), CapacityError,
                      id="huge-half-width"),
+        pytest.param(lambda: initial_state(90.0, 3), InvalidParameterError, id="float-spec"),
+        pytest.param(lambda: WalkerState(step=1.5, half_width=2.5, amplitudes=np.zeros((2, 6))),
+                     InvalidParameterError, id="fractional-state"),
+        pytest.param(lambda: WalkerState(step=1, half_width=2.0, amplitudes=np.zeros((2, 5))),
+                     InvalidParameterError, id="float-state-half-width"),
+        pytest.param(lambda: WalkerState(step=True, half_width=2, amplitudes=np.zeros((2, 5))),
+                     InvalidParameterError, id="bool-state-step"),
+        pytest.param(lambda: WalkerState(step=-1, half_width=2, amplitudes=np.zeros((2, 5))),
+                     InvalidParameterError, id="negative-state-step"),
+        pytest.param(lambda: evolve_sequence(90.0, ONE_SIDED_A, ONE_SIDED_B, GameSequence("AB"), 3),
+                     InvalidParameterError, id="float-spec-sequence"),
+        pytest.param(lambda: evolve_sequence(InitialStateSpec(0), ONE_SIDED_A, ONE_SIDED_B, "AB", 3),
+                     InvalidParameterError, id="string-schedule"),
     ],
 )
 def test_simulate_path_refuses_invalid_input(call, error):
