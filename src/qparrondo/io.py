@@ -3,7 +3,8 @@
 Output is deterministic byte-for-byte: fixed key order, fixed float
 formatting, ``\\n`` line endings. CSV carries full-precision decimals so
 external plotting loses nothing. JSON is strict: a NaN or infinity raises
-``ValueError`` instead of being written as ``NaN`` or ``Infinity``.
+``ValueError`` instead of being written as ``NaN`` or ``Infinity``, and a
+writer given a record of another kind raises ``InvalidParameterError``.
 
 Scan and grid documents are derived from the records: their keys are the
 fields of ``ScanReport``, ``ScanConfig``, ``SequenceResult``,
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport
-from .walk import CoinParams, GameSequence
+from .walk import CoinParams, GameSequence, check_count, check_real
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -40,6 +41,13 @@ _TRAJECTORY_KEYS = TRAJECTORY_CSV_HEADER.split(",")
 _CSV_ROW = "%d," + ",".join(["%.12e"] * 5) + "\n"  # 13 significant digits
 
 
+def _checked(record: Any, kind: type) -> Any:
+    """``record``; raise ``InvalidParameterError`` unless it is a ``kind``."""
+    if not isinstance(record, kind):
+        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(record).__name__}")
+    return record
+
+
 def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:
     """Per step, its number and its value in each trajectory column, as Python numbers."""
     return zip(count(1), *(getattr(trajectory, key).tolist() for key in _TRAJECTORY_KEYS[1:]))
@@ -47,6 +55,7 @@ def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:
 
 def write_trajectory_csv(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """Write one row per step under a fixed header."""
+    _checked(trajectory, BiasTrajectory)
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
     for row in _trajectory_rows(trajectory):
         sink.write(_CSV_ROW % row)
@@ -74,20 +83,26 @@ def _to_json(value: Any) -> Any:
     return value
 
 
-def _from_json(kind: Any, value: Any) -> Any:
-    """The inverse of :func:`_to_json` for a value of the declared type ``kind``."""
+def _from_json(kind: Any, value: Any, name: str) -> Any:
+    """The inverse of :func:`_to_json` for a value ``name`` of the declared
+    type ``kind``; a float must be finite and an int at least 0."""
     if kind is CoinParams:
         return CoinParams(*value)
     if kind in (GameSequence, GameVerdict):
         return kind(value)
+    if kind is float:
+        return check_real(name, value)
+    if kind is int:
+        return check_count(name, value, least=0)
     if is_dataclass(kind):
         hints = get_type_hints(kind)
-        return kind(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(kind)})
+        return kind(**{f.name: _from_json(hints[f.name], value[f.name], f.name)
+                       for f in fields(kind)})
     args = get_args(kind)
     if get_origin(kind) is tuple:  # tuple[X, ...]
-        return tuple(_from_json(args[0], item) for item in value)
+        return tuple(_from_json(args[0], item, name) for item in value)
     if get_origin(kind) is dict:
-        return {args[0](key): _from_json(args[1], item) for key, item in value.items()}
+        return {args[0](key): _from_json(args[1], item, name) for key, item in value.items()}
     return value
 
 
@@ -99,7 +114,7 @@ def _dump(document: Any, sink: TextIO) -> None:
 def write_trajectory_json(trajectory: BiasTrajectory, sink: TextIO) -> None:
     """JSON equivalent of the CSV trajectory, plus run metadata."""
     _dump({
-        "metadata": dict(trajectory.metadata),
+        "metadata": dict(_checked(trajectory, BiasTrajectory).metadata),
         "samples": [dict(zip(_TRAJECTORY_KEYS, row)) for row in _trajectory_rows(trajectory)],
     }, sink)
 
@@ -108,7 +123,7 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
     """Serialize a scan report as one JSON document whose keys are the
     fields of :class:`ScanReport`, with ``config`` and each of ``results``
     an object of the fields of :class:`ScanConfig` and :class:`SequenceResult`."""
-    _dump(_to_json(report), sink)
+    _dump(_to_json(_checked(report, ScanReport)), sink)
 
 
 def read_scan_json(source: TextIO) -> ScanReport:
@@ -120,7 +135,7 @@ def read_scan_json(source: TextIO) -> ScanReport:
         If the source is not JSON, or not a scan report's fields and values.
     """
     try:
-        return _from_json(ScanReport, json.load(source))
+        return _from_json(ScanReport, json.load(source), "report")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
 
@@ -128,4 +143,5 @@ def read_scan_json(source: TextIO) -> ScanReport:
 def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:
     """Serialize a region sweep: ``config`` (the fields of the base
     :class:`ScanConfig`), then the fields of :class:`RegionGrid`."""
-    _dump({"config": _to_json(base), **_to_json(grid)}, sink)
+    config = _to_json(_checked(base, ScanConfig))
+    _dump({"config": config, **_to_json(_checked(grid, RegionGrid))}, sink)

@@ -158,12 +158,14 @@ def payoff_verdicts(
     Raises
     ------
     InvalidParameterError
-        If ``epsilon`` is negative or not finite, there is not one period
-        per row, or a period is not an integer (bools are refused) in
-        ``[1, T]``.
+        If ``biases`` is not 2-D, ``epsilon`` is negative or not finite,
+        there is not one period per row, or a period is not an integer
+        (bools are refused) in ``[1, T]``.
     """
     check_epsilon(epsilon)
     biases = np.asarray(biases, dtype=np.float64)
+    if biases.ndim != 2:
+        raise InvalidParameterError(f"biases must be a (G, T) array, got shape {biases.shape}")
     steps = biases.shape[1]
     periods = check_periods(periods, steps)
     if len(periods) != len(biases):

@@ -92,13 +92,14 @@ AXIS_PARAMETERS = tuple(
 ``coin_a.beta_deg``), then the initial phase."""
 
 
-def _check_max_period(max_period: int) -> None:
-    check_count("max_period", max_period)
+def _check_max_period(max_period: int) -> int:
+    max_period = check_count("max_period", max_period)
     if not 2 <= max_period <= MAX_ENUMERATION_PERIOD:
         raise InvalidParameterError(
             f"max_period must be in [2, {MAX_ENUMERATION_PERIOD}] (period 1 is a pure game), "
             f"got {max_period}"
         )
+    return max_period
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,10 @@ class ScanConfig:
     ``verdict_each_step`` to require the winning/losing condition at every
     elementary step instead (a much stricter quantifier, useful for
     sensitivity analysis). Construction stores ``eta_deg`` and ``epsilon``
-    as floats, and raises ``InvalidParameterError`` for an invalid field and
-    ``CapacityError`` for a horizon over ``walk.MAX_STEPS``, so a scan or
-    grid fails before it evolves anything.
+    as floats and ``max_period`` and ``horizon_steps`` as ints, and raises
+    ``InvalidParameterError`` for an invalid field and ``CapacityError`` for
+    a horizon over ``walk.MAX_STEPS``, so a scan or grid fails before it
+    evolves anything.
     """
 
     coin_a: CoinParams
@@ -128,8 +130,9 @@ class ScanConfig:
             if not isinstance(value := getattr(self, name), kind):
                 raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
         object.__setattr__(self, "eta_deg", check_real("eta_deg", self.eta_deg))
-        _check_max_period(self.max_period)
-        check_count("horizon_steps", self.horizon_steps, least=self.max_period)
+        object.__setattr__(self, "max_period", _check_max_period(self.max_period))
+        object.__setattr__(self, "horizon_steps", check_count(
+            "horizon_steps", self.horizon_steps, least=self.max_period))
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         check_steps(self.horizon_steps)  # last, so a usage error wins over the budget
 
@@ -226,7 +229,12 @@ def _dealt(size: int, share: tuple[int, int]) -> tuple[range, range]:
     """The positions in a group of ``size`` games that a snake deal gives to
     ``share`` = ``(i, n)``: the deal runs 0, 1, ..., n - 1, n - 1, ..., 0, 0,
     1, ..., so share ``i`` gets every position ``i`` and ``2n - 1 - i`` of
-    each round of ``2n``."""
+    each round of ``2n``. A plain stride keeps the counts per group, but a
+    group lists each cell's ``m = 2**p - 2`` schedules of period ``p`` in
+    turn, so at 2 shares it gives one share every ``AB``, the other every
+    ``BA``: the README grid's shares took 25.1 and 42.7 ms, against 33.8 and
+    35.5 ms dealt in snake order (one CPU of a 2-core host, medians of 15).
+    The snake deals each schedule to 2 shares in turn, as ``m`` is 2 mod 4."""
     index, shares = share
     return range(index, size, 2 * shares), range(2 * shares - 1 - index, size, 2 * shares)
 

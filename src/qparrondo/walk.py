@@ -11,25 +11,22 @@ The per-step functions (``step``, ``evolve_sequence``) are pure: they never
 mutate the state they are given and return freshly allocated amplitude
 grids. They are the reference path. The batched kernel evolves many games,
 each with its own coin pair, initial phase and schedule, together in place,
-in one loop that hands each step to an observer. ``evolve_games`` observes
-all six per-step columns; scans and simulations use it. ``evolve_verdicts``
-keeps only each game's two sides, judges its bias at its payoff points,
-retires a game at its first payoff point that breaks its verdict, and
-shrinks the batch as games retire; region grids use it. Between anchors
-every ``_ANCHOR_EVERY`` steps, where they are summed over sites, the side
-probabilities follow the flux across the origin and the coin populations
-the coin, in O(1) per game and step; only ``rho01`` is summed over sites
-at every step. At each anchor the kernel sets each game's amplitudes
-under 1e-140 to 0 and from then on steps and sums only the rows that some
-game still holds, so a walk whose tails decay costs less than T**2. A
-lone game is observed on Python floats and gives the bits it has in any
-batch.
+in one loop that also keeps every game's side probabilities: every
+``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only
+the rows some game still holds (so decaying tails cost less than T**2) and
+sums the sides over them; in between they follow the flux across the
+origin, in O(1) per game and step. Observers only record or judge:
+``evolve_games`` records all six columns (scans and simulations), and
+``evolve_verdicts`` judges each game's bias at its payoff points, retiring
+it at the first that breaks its verdict (region grids). A lone game is
+walked on Python numbers and gives the bits it has in any batch.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import abc
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -351,11 +348,10 @@ class GameColumns(NamedTuple):
     after ``k + 1`` elementary steps. ``p_left``, ``p_origin`` and
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
-    density matrix (``rho10`` is the conjugate of ``rho01``). ``evolve_games``
-    sums ``rho01`` over sites at every step and the others every
-    ``_ANCHOR_EVERY`` steps; in between they follow from the step before,
-    within 1e-13 of direct sums. The sums skip only sites that hold 0 for
-    every game, after amplitudes under 1e-140 were set to 0.
+    density matrix (``rho10`` is the conjugate of ``rho01``). ``rho01`` is
+    summed over sites at every step, the others at each anchor of the walk;
+    in between the sides follow the flux and ``rho00``, ``rho11`` the coin,
+    within 1e-13 of direct sums over the sites the walk holds.
     """
 
     p_left: NDArray[np.float64]
@@ -366,13 +362,14 @@ class GameColumns(NamedTuple):
     rho01: NDArray[np.complex128]
 
 
-def check_count(name: str, value: Any, least: int = 1) -> None:
-    """Raise ``InvalidParameterError`` unless ``value`` is an integer, not a
-    bool, of at least ``least``."""
+def check_count(name: str, value: Any, least: int = 1) -> int:
+    """``value`` as an int; raise ``InvalidParameterError`` unless it is an
+    integer, not a bool, of at least ``least``. A numpy integer is one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def check_periods(periods: Sequence[int], steps: int) -> NDArray[np.intp]:
@@ -421,16 +418,15 @@ def evolve_games(
     every step, what ``evolve_sequence`` followed by ``bias_sample`` and
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
-    and every column is observed at every step: between anchors ``rho01``
-    is summed over sites, the sides follow the flux across the origin
-    (``_flux``) and ``rho00``, ``rho11`` the coin (``_conjugation``).
+    and every column is recorded at every step (see ``GameColumns``).
 
     Raises
     ------
     InvalidParameterError
-        If ``steps`` is not an integer of at least 1, no game is given, a
-        game is not ``(CoinParams, CoinParams, eta_deg, GameSequence)``, or
-        an ``eta_deg`` is not a finite real number.
+        If ``steps`` is not an integer of at least 1, ``games`` is not a
+        non-empty sequence, a game is not ``(CoinParams, CoinParams,
+        eta_deg, GameSequence)``, or an ``eta_deg`` is not a finite real
+        number.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
@@ -453,54 +449,45 @@ def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArr
     columns of every game into ``table[t]`` and ``rho01``'s into ``rho01[t]``."""
     steps, _, width = table.shape
     cross = np.empty((steps + 1, width), dtype=np.complex128)
-    sides = np.empty((2, width))  # p_left and p_right, before they are clipped at 0
 
-    def observe(t, w0, w1, first, columns):
-        n = len(w0)
+    def observe(t, w0, w1, sides, sums, columns):
         row = table[t]
-        if t % _ANCHOR_EVERY:
-            row[1] = _flux(t, w0, w1, first, sides)
+        if sums is None:
+            np.maximum(sides[::2], 0.0, out=row[0:3:2])
+            row[1] = sides[1]
             f, before = factors.take(choice[t], axis=2), table[t - 1]
             x, y = rho01[t - 1].real, rho01[t - 1].imag
             np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=row[3:])
         else:
-            row[:] = _site_sums(t, w0, w1, first)
-            sides[:] = row[0:3:2]
-        np.maximum(sides, 0.0, out=row[0:3:2])
-        np.conjugate(w1, out=cross[:n])
-        rho01[t] = _site_sum(np.multiply(w0, cross[:n], out=cross[:n]))
+            row[:] = sums
+        product = np.conjugate(w1, out=cross[:len(w0)])
+        rho01[t] = _site_sum(np.multiply(w0, product, out=product))
         return None
 
     return observe
 
 
 def _observe_one(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> Callable:
-    """``_observe_all`` for a lone game, bit for bit: between anchors it
-    takes the same float operations in the same order on Python floats,
-    and it sums ``rho01`` one site at a time, the order a batch sums in,
-    on 1-D views of its column."""
+    """``_observe_all`` for a lone game, bit for bit: it takes the same float
+    operations in the same order on Python floats, and sums ``rho01`` one
+    site at a time, the order a batch sums in, on 1-D views of its column."""
     rows, rho = table[..., 0], rho01[:, 0]
     per_coin = factors.transpose(2, 0, 1).reshape(-1, 8).tolist()
     lone = [per_coin[c] for c in choice[:, 0].tolist()]
     spare = np.empty(len(table) + 1, dtype=np.complex128)
-    left = right = rho00 = rho11 = x = y = 0.0
+    rho00 = rho11 = x = y = 0.0
 
-    def observe(t, w0, w1, first, columns):
-        nonlocal left, right, rho00, rho11, x, y
-        if t % _ANCHOR_EVERY:
-            j, right_start = _sides(t, first)  # the rows _flux takes
-            odd = j == right_start
-            u, v = (w1.item(j - 1), w0.item(j)) if odd else (w0.item(j), w1.item(j))
-            q0, q1 = u.real * u.real + u.imag * u.imag, v.real * v.real + v.imag * v.imag
-            left, right, origin = (left + q0, right + q1, 0.0) if odd else (
-                left - q0, right - q1, q0 + q1)
+    def observe(t, w0, w1, sides, sums, columns):
+        nonlocal rho00, rho11, x, y
+        if sums is None:
+            left, origin, right = sides
             a0, a1, b0, b1, c0, c1, d0, d1 = lone[t]
             rho00, rho11 = (a0 * rho00 + b0 * rho11 + (c0 * x - d0 * y),
                             a1 * rho00 + b1 * rho11 + (c1 * x - d1 * y))
             rows[t] = max(left, 0.0), origin, max(right, 0.0), rho00, rho11
         else:
-            rows[t] = _site_sums(t, w0, w1, first)[:, 0]
-            left, _, right, rho00, rho11 = rows[t].tolist()
+            rows[t] = sums[:, 0]
+            rho00, rho11 = sums[3:, 0].tolist()
         cross = spare[:len(w0)]
         np.multiply(w0[:, 0], np.conjugate(w1[:, 0], out=cross), out=cross)
         rho[t] = total = complex(np.add.accumulate(cross, out=cross)[-1] + 0.0)  # as a batch's
@@ -523,12 +510,10 @@ def evolve_verdicts(
     A game's payoff points are the multiples of its ``period`` up to
     ``steps``. Sign +1 asks whether a game is Winning and -1 whether it is
     Losing, exactly as ``metrics.payoff_verdicts`` decides on the columns of
-    ``evolve_games``: each bias is bitwise the one those columns give. Each
-    game keeps only its ``p_left`` and ``p_right``, which follow the flux
-    across the origin between anchors; no per-site probability is computed
-    between them. A game is retired at its first payoff point that fails;
-    every ``_COMPACT_EVERY`` steps the batch drops its retired games, and
-    the walk ends as soon as none is left.
+    ``evolve_games``: each bias is bitwise the one those columns give, from
+    the sides the walk keeps. A game is retired at its first payoff point
+    that fails; every ``_COMPACT_EVERY`` steps the batch drops its retired
+    games, and the walk ends as soon as none is left.
 
     Raises
     ------
@@ -557,22 +542,13 @@ def evolve_verdicts(
         )
     signs = np.asarray(signs)
     held = np.ones(len(games), dtype=bool)
-    # p_left and p_right of each game in the batch, before they are clipped at 0
-    sides, seen = np.empty((2, len(games))), np.arange(len(games))
 
-    def observe(t, w0, w1, first, columns):
-        nonlocal sides, seen
-        if len(columns) < len(seen):  # the batch dropped retired games
-            sides, seen = sides[:, np.isin(seen, columns)], columns
-        if t % _ANCHOR_EVERY:
-            _flux(t, w0, w1, first, sides)
-        else:
-            sides = _site_sums(t, w0, w1, first)[0:3:2]
+    def observe(t, w0, w1, sides, sums, columns):
         live = held[columns]
         due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
         if due.size:
             games_due = columns[due]
-            left, right = np.maximum(sides[:, due], 0.0)
+            left, right = np.maximum(sides[::2], 0.0).reshape(2, -1)[:, due]  # lone: floats
             live[due] = held[games_due] = signs[games_due] * (right - left) > epsilon
         return live
 
@@ -587,8 +563,8 @@ def _batch(
     game applies at each step, and each game's initial coin-|1> amplitude.
     Each game must be ``(CoinParams, CoinParams, eta_deg, GameSequence)``."""
     check_steps(steps)
-    if not games:
-        raise InvalidParameterError("no game to evolve")
+    if not isinstance(games, abc.Sequence) or not games:
+        raise InvalidParameterError(f"games must be a non-empty sequence, got {games!r}")
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     schedules: dict[str, NDArray[np.intp]] = {}  # per schedule, 1 where it plays B
@@ -632,28 +608,27 @@ def _evolve(
     ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
     ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
     ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
-    nothing, and the row it uncovers is still zero. Games never mix, so an
-    observer that takes the same float operations for every column, and
-    adds its site sums one site at a time, gives each game the same bits
-    whatever else is batched with it. A lone game looks its coin entries up
-    as Python numbers, not as a ``(1, 2, 2)`` copy of the coin table each
-    step; they multiply alike.
+    nothing, and the row it uncovers is still zero. Games never mix and
+    every column takes the same float operations, with site sums added one
+    site at a time, so each game gets the same bits in any batch; a lone
+    game's coin entries and sides are Python numbers, which round alike.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
-    below ``lo``. At each anchor (``t % _ANCHOR_EVERY == 0``) ``_flush`` sets
-    each game's faint amplitudes to 0 and narrows the rows to those some
-    game still holds. Every row it drops is 0 for every game, and adding or
-    skipping a 0 never changes a nonzero sum, so the bits of each game still
-    do not depend on its batch.
+    below ``lo``. The loop alone keeps each game's sides (``p_left``,
+    ``p_origin``, ``p_right``). At each anchor (``t % _ANCHOR_EVERY == 0``)
+    ``_anchor`` flushes faint amplitudes, narrows the rows to those some
+    game still holds and sums every column over them; rows dropped hold 0
+    for every game, and skipping a 0 never changes a sum. Between anchors
+    ``_flux`` moves the mass each step carries across the origin.
 
-    After step ``t + 1`` it calls ``observe(t, w0, w1, first, columns)``
-    with the rows ``first..`` of both components that may hold amplitude
-    (they include the rows around the origin that ``_flux`` reads) and the
-    index of the game in each column. ``observe`` gives None, or a mask of
-    the columns whose games are still live: the loop returns once none is,
-    and every ``_COMPACT_EVERY`` steps it drops the others' columns, copying
-    only those rows.
+    After step ``t + 1`` it calls ``observe(t, w0, w1, sides, sums,
+    columns)`` with the rows of both components that may hold amplitude,
+    the sides before they are clipped at 0, the ``(5, G)`` anchor sums (the
+    sides, ``rho00``, ``rho11``) or None, and each column's game index.
+    ``observe`` gives None, or a mask of the columns whose games are still
+    live: the loop returns once none is, and every ``_COMPACT_EVERY`` steps
+    drops the others' columns and sides, copying only the rows held.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -667,8 +642,8 @@ def _evolve(
     lone = [entries[row] for row in choice[:, 0].tolist()] if width == 1 else None
 
     off, lo, hi = steps, 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
+    w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
     for t in range(steps):
-        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
         if lone:
             u00, u01, u10, u11 = lone[t]
         else:
@@ -681,10 +656,15 @@ def _evolve(
         np.add(w1, w0, out=w1)
         np.add(c0, c1, out=w0)
         off, hi = off - 1, hi + 1
+        sums = None
         if t % _ANCHOR_EVERY == 0:
-            lo, hi = _flush(t, a0[off:], a1, lo, hi)
+            lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
+            left, origin, right = sums[:3, 0].tolist() if lone else sums[:3]
+        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]  # the rows held, and stepped next
+        if sums is None:
+            left, origin, right = _flux(t, w0, w1, lo, left, right)
 
-        live = observe(t, a0[off + lo:off + hi], a1[lo:hi], lo, columns)
+        live = observe(t, w0, w1, (left, origin, right), sums, columns)
         if live is None or live.all():
             continue
         if not live.any():
@@ -692,40 +672,48 @@ def _evolve(
         if t % _COMPACT_EVERY == _COMPACT_EVERY - 1:
             keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
             b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
-            np.take(a0[off + lo:off + hi], keep, axis=1, out=b0[off + lo:off + hi])
-            np.take(a1[lo:hi], keep, axis=1, out=b1[lo:hi])
+            w0 = np.take(w0, keep, axis=1, out=b0[off + lo:off + hi])
+            w1 = np.take(w1, keep, axis=1, out=b1[lo:hi])
             a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
-            columns = columns[keep]
+            columns, left, right = columns[keep], left[keep], right[keep]
             scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
 
 
 _FLUSH_BELOW = 1e-280
-"""At each anchor, a game's amplitude pair at a site is set to 0 if its
-``|w0|^2 + |w1|^2`` is below this: amplitudes under 1e-140, so an anchor
-drops at most sites * 1e-280 of probability. Beyond about ``|cos beta| * t``
-a walk's amplitude decays exponentially; left alone, its tail passes
-through subnormal floats, which multiply many times slower, to 0."""
+"""At each anchor, a game's amplitude pair whose ``|w0|^2 + |w1|^2`` is below
+this is set to 0, dropping at most sites * 1e-280 of probability. Beyond
+about ``|cos beta| * t`` a walk decays exponentially; left alone, its tail
+passes through subnormal floats, which multiply many times slower, to 0."""
 
 
-def _flush(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int]:
-    """At the anchor after step ``t + 1``, set each game's faint amplitude
-    pairs in the rows ``lo..hi - 1`` of the occupied windows ``a0``, ``a1`` to
-    0, and give the rows that some game still holds. They keep the rows
-    around the origin that ``_flux`` reads until the next anchor."""
+def _anchor(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
+    """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
+    occupied windows ``a0``, ``a1`` once, set each game's faint pairs there
+    to 0, and give the rows some game still holds, or ``_flux`` reads until
+    the next anchor, with each column's five sums over them: ``p_left``,
+    ``p_origin``, ``p_right``, ``rho00`` and ``rho11``."""
     w0, w1 = a0[lo:hi], a1[lo:hi]
-    faint = _abs2(w0) + _abs2(w1) < _FLUSH_BELOW  # per game and row, from its own values
-    w0[faint] = 0.0
-    w1[faint] = 0.0
+    q0, q1 = _abs2(w0), _abs2(w1)
+    q = q0 + q1
+    faint = q < _FLUSH_BELOW  # per game and row, from its own values
+    for values in (w0, w1, q0, q1, q):
+        values[faint] = 0.0
     held = np.flatnonzero(~faint.all(axis=1))
-    origin, _ = _sides(t, 0)
-    return min(lo + held[0], origin - 1), max(lo + held[-1] + 1, origin + 1)
+    origin, _ = _sides(t, lo)
+    first, last = min(held[0], origin - 1), max(held[-1] + 1, origin + 1)
+    q0, q1, q = q0[first:last], q1[first:last], q[first:last]
+    left_end, right_start = _sides(t, lo + first)
+    sums = np.zeros((5, w0.shape[1]))
+    sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
+    sums[1] = q[left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
+    sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
+    return lo + first, lo + last, sums
 
 
 def _sides(t: int, first: int) -> tuple[int, int]:
-    """After step ``t + 1``, in a window that starts at occupied row
-    ``first``, the rows left of the origin end at the first value and those
-    right of it start at the second; an even step count leaves the origin
-    between them."""
+    """After step ``t + 1``, in a window that starts at occupied row ``first``,
+    the rows left of the origin end at the first value and those right of it
+    start at the second; an even step count leaves the origin between them."""
     return (t + 2) // 2 - first, (t + 1) // 2 + 1 - first
 
 
@@ -735,45 +723,30 @@ def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _site_sum(values: NDArray) -> NDArray:
-    """Sum over sites (axis 0) for each game, adding one site at a time.
-
-    numpy reduces several columns row by row but a single column pairwise;
-    accumulating keeps a lone column on the order a batch uses.
-    """
+    """Sum over sites (axis 0) for each game, adding one site at a time:
+    numpy reduces several columns row by row but a single column pairwise,
+    so a lone column is accumulated, in the order a batch uses."""
     if values.shape[1] > 1:
         return values.sum(axis=0)
     return np.add.accumulate(values, axis=0)[-1]
 
 
-def _site_sums(t: int, w0: NDArray, w1: NDArray, first: int) -> NDArray[np.float64]:
-    """The observers' anchor: ``p_left``, ``p_origin``, ``p_right``, ``rho00``
-    and ``rho11`` of each column after step ``t + 1``, summed over the
-    window's sites."""
-    q0, q1 = _abs2(w0), _abs2(w1)
-    sums = np.zeros((5, w0.shape[1]))
-    sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
-    q = np.add(q0, q1, out=q0)
-    left_end, right_start = _sides(t, first)
-    sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
-    if left_end < right_start:  # an even step count reaches the origin
-        sums[1] = q[left_end]
-    return sums
-
-
-def _flux(t: int, w0: NDArray, w1: NDArray, first: int,
-          sides: NDArray) -> NDArray[np.float64] | float:
-    """Move the mass that step ``t + 1`` carried across the origin into each
-    column's ``sides`` (``p_left``, ``p_right``), in place; give ``p_origin``.
-    A step moves mass one site: after an odd count the origin's coin |1>
-    has gone to x = -1 and coin |0> to x = 1, after an even one coin |0>
-    has come to the origin from the left and coin |1> from the right."""
+def _flux(t: int, w0: NDArray, w1: NDArray, first: int, left: Any, right: Any) -> tuple:
+    """The sides after step ``t + 1``, from those before it and the mass the
+    step carried across the origin in the windows that start at occupied
+    row ``first``. A step moves mass one site: after an odd count the
+    origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
+    even one coin |0> has come to the origin from the left and coin |1>
+    from the right. A lone game's sides and rows are Python numbers."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
-    if j == right_start:
-        sides += _abs2(np.concatenate((w1[j - 1:j], w0[j:j + 1])))
-        return 0.0
-    q = _abs2(np.concatenate((w0[j:j + 1], w1[j:j + 1])))  # row j is the origin
-    sides -= q
-    return q[0] + q[1]
+    odd = j == right_start
+    u, v = (w1[j - 1], w0[j]) if odd else (w0[j], w1[j])
+    if isinstance(left, float):
+        u, v = u.item(), v.item()
+    q0, q1 = _abs2(u), _abs2(v)
+    if odd:
+        return left + q0, 0.0, right + q1
+    return left - q0, q0 + q1, right - q1
 
 
 def _conjugation(coins: NDArray[np.complex128]) -> NDArray[np.float64]:

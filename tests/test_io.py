@@ -2,6 +2,7 @@ import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qparrondo import (
@@ -163,6 +164,32 @@ class TestScanJson:
         with pytest.raises(InvalidParameterError, match="not a scan report"):
             read_scan_json(io.StringIO(document))
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("results", 0, "final_bias"), "abc"),
+            (("results", 0, "min_bias"), True),
+            (("results", 0, "max_entropy"), None),
+            (("winning_by_period", "2"), -1),
+            (("winning_by_period", "2"), 1.5),
+            (("winning_by_period", "3"), "2"),
+        ],
+        ids=["string-bias", "bool-bias", "null-entropy", "negative-count", "fractional-count",
+             "string-count"],
+    )
+    def test_wrong_values_are_refused(self, small_report, where, value):
+        # these were read back as they stood, a final_bias of "abc" included
+        sink = io.StringIO()
+        write_scan_json(small_report, sink)
+        document = json.loads(sink.getvalue())
+        *path, key = where
+        parent = document
+        for step in path:
+            parent = parent[step]
+        parent[key] = value
+        with pytest.raises(InvalidParameterError, match="not a scan report"):
+            read_scan_json(io.StringIO(json.dumps(document)))
+
     def test_api_with_integer_inputs_writes_what_the_cli_writes(self, tmp_path):
         config = ScanConfig(coin_a=CoinParams(156, 16, 0), coin_b=CoinParams(0, 75, 160),
                             eta_deg=90, max_period=3, horizon_steps=24, epsilon=0)
@@ -190,17 +217,21 @@ class TestScanJson:
         assert first.getvalue().encode() == second.getvalue().encode()
 
 
+def small_grid(max_period=2, horizon_steps=24):
+    base = ScanConfig(
+        coin_a=REGIME_ONE_SIDED["coin_a"],
+        coin_b=REGIME_ONE_SIDED["coin_b"],
+        eta_deg=REGIME_ONE_SIDED["eta_deg"],
+        max_period=max_period,
+        horizon_steps=horizon_steps,
+    )
+    axes = [GridAxis.linspace("beta_a", 10, 20, 2), GridAxis.linspace("eta", 80, 100, 3)]
+    return scan_region_grid(base, axes), base
+
+
 class TestRegionJson:
     def test_document_shape(self):
-        base = ScanConfig(
-            coin_a=REGIME_ONE_SIDED["coin_a"],
-            coin_b=REGIME_ONE_SIDED["coin_b"],
-            eta_deg=REGIME_ONE_SIDED["eta_deg"],
-            max_period=2,
-            horizon_steps=24,
-        )
-        axes = [GridAxis.linspace("beta_a", 10, 20, 2), GridAxis.linspace("eta", 80, 100, 3)]
-        grid = scan_region_grid(base, axes)
+        grid, base = small_grid()
         sink = io.StringIO()
         write_region_json(grid, base, sink)
         document = json.loads(sink.getvalue())
@@ -209,3 +240,40 @@ class TestRegionJson:
         assert len(document["paradox"]) == 2
         assert len(document["paradox"][0]) == 3
         assert len(document["winning_counts"]) == 2
+
+
+def test_numpy_integer_configs_write_what_plain_ints_write():
+    # ScanConfig kept np.int64 fields, which json could not write
+    written = []
+    for max_period, steps in ((3, 30), (np.int64(3), np.int64(30))):
+        grid, base = small_grid(max_period, steps)
+        assert type(base.max_period) is int and type(base.horizon_steps) is int
+        scan_sink, grid_sink = io.StringIO(), io.StringIO()
+        write_scan_json(run_scan(base), scan_sink)
+        write_region_json(grid, base, grid_sink)
+        written.append((scan_sink.getvalue(), grid_sink.getvalue()))
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "write, record",
+    [
+        (write_scan_json, lambda report, grid, base: (None,)),
+        (write_scan_json, lambda report, grid, base: (grid,)),
+        (write_scan_json, lambda report, grid, base: (base,)),
+        (write_region_json, lambda report, grid, base: (report, base)),
+        (write_region_json, lambda report, grid, base: (grid, None)),
+        (write_region_json, lambda report, grid, base: (grid, report)),
+        (write_trajectory_csv, lambda report, grid, base: (report,)),
+        (write_trajectory_json, lambda report, grid, base: (None,)),
+    ],
+    ids=["scan-none", "scan-grid", "scan-config", "region-report", "region-no-config",
+         "region-report-config", "csv-report", "trajectory-json-none"],
+)
+def test_writers_refuse_records_not_their_own(small_report, write, record):
+    # write_scan_json wrote null for None and a grid document for a grid
+    grid, base = small_grid()
+    sink = io.StringIO()
+    with pytest.raises(InvalidParameterError, match="expected a"):
+        write(*record(small_report, grid, base), sink)
+    assert sink.getvalue() == ""

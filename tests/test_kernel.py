@@ -4,11 +4,13 @@ The reference is ``evolve_sequence`` (one full-width snapshot per step)
 followed by ``trajectory_with_entropy`` and ``reduced_density``; the kernel
 must equal it within 1e-12 at every step of every game, give each game the
 same bits in any batch, and hold only O(G*T) memory. ``evolve_verdicts``,
-the same loop observing one bias per payoff point, must give the verdicts
+the same loop judging each bias at its payoff points, must give the verdicts
 ``payoff_verdicts`` gives on the full columns, however its batch shrinks.
 """
 
+import contextlib
 import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,14 +123,14 @@ def test_games_are_bitwise_identical_in_any_batch():
 
 
 def sites(t, w0, first):
-    """The sites of the rows an observer is handed after step ``t + 1``: row
+    """The sites of the rows the kernel holds after step ``t + 1``: row
     ``j`` of the occupied sublattice lies at x = 2j - (t + 1)."""
     return 2 * np.arange(first, first + len(w0)) - (t + 1)
 
 
 def exact_sums(t, w0, w1, first):
     """Each column's p_left, p_origin, p_right, rho00, rho11 and rho01 after
-    step ``t + 1``, summed over the sites an observer is handed in the order
+    step ``t + 1``, summed over the sites the kernel holds, in the order
     the kernel sums a batch: a ``(6, k)`` complex array."""
     x = sites(t, w0, first)
     q0 = w0.real * w0.real + w0.imag * w0.imag
@@ -166,20 +168,26 @@ LONG_GAMES += SWAP[90.0] + SWAP[270.0] + TRANSLATION
 def observed():
     """``LONG_GAMES`` walked together for MAX_STEPS: their columns, and
     ``(T, 6, G)`` rows of them per step; ``quick_sums`` of the windows the
-    observer was handed at every step, and ``exact_sums`` at each anchor."""
+    kernel holds at every step, and ``exact_sums`` at each anchor. The walk
+    calls ``_anchor`` at each anchor and ``_flux`` at every other step, so
+    their wrappers see every step's windows."""
     quick, exact = [], {}
-    evolve = walk._evolve
+    flux, anchor = walk._flux, walk._anchor
 
-    def traced(coins, choice, phases, observe):
-        def watched(t, w0, w1, first, columns):
-            quick.append(quick_sums(t, w0, w1, first))
-            if t % walk._ANCHOR_EVERY == 0:
-                exact[t] = exact_sums(t, w0, w1, first)
-            return observe(t, w0, w1, first, columns)
-        evolve(coins, choice, phases, watched)
+    def watched_flux(t, w0, w1, first, left, right):
+        quick.append(quick_sums(t, w0, w1, first))
+        return flux(t, w0, w1, first, left, right)
+
+    def watched_anchor(t, a0, a1, lo, hi):
+        lo, hi, sums = anchor(t, a0, a1, lo, hi)
+        w0, w1 = a0[lo:hi], a1[lo:hi]
+        quick.append(quick_sums(t, w0, w1, lo))
+        exact[t] = exact_sums(t, w0, w1, lo)
+        return lo, hi, sums
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "_evolve", traced)
+        patch.setattr(walk, "_flux", watched_flux)
+        patch.setattr(walk, "_anchor", watched_anchor)
         columns = evolve_games(LONG_GAMES, MAX_STEPS)
     rows = np.array([getattr(columns, name) for name in GameColumns._fields]).transpose(2, 0, 1)
     return columns, rows, np.array(quick), exact
@@ -250,28 +258,39 @@ def test_the_flush_keeps_the_rows_the_flux_reads():
     a0[t + 1, 0] = 1.0  # game 0: all of its mass at the right edge,
     a1[t, 0] = 1e-141  # and a faint pair beside it
     a1[t, 1] = 1e-139  # game 1: a pair above the threshold, at the same row
-    lo, hi = walk._flush(t, a0, a1, 0, t + 2)
+    lo, hi, sums = walk._anchor(t, a0, a1, 0, t + 2)
     assert a1[t, 0] == 0 and a1[t, 1] == 1e-139  # decided per game
     origin, _ = walk._sides(t, 0)
     assert (lo, hi) == (origin - 1, t + 2)
+    # the sums are taken after the flush: game 0 keeps no coin-|1> mass
+    assert sums[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
+    assert sums[:, 1].tolist() == [0.0, 0.0, 1e-139 * 1e-139, 0.0, 1e-139 * 1e-139]
+
+
+@contextlib.contextmanager
+def handed():
+    """Within the block, the shape of the windows ``_evolve`` hands its
+    observer at each step: the rows it holds, and the games in its batch."""
+    shapes = []
+    evolve = walk._evolve
+
+    def traced(coins, choice, phases, observe):
+        def counted(t, w0, w1, sides, sums, columns):
+            shapes.append(w0.shape)
+            return observe(t, w0, w1, sides, sums, columns)
+        evolve(coins, choice, phases, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_evolve", traced)
+        yield shapes
 
 
 def observed_rows(game, steps):
     """How many rows the observer of ``game``, walked alone, is handed over
     ``steps`` steps, as a fraction of the occupied sites."""
-    handed = []
-    evolve = walk._evolve
-
-    def traced(coins, choice, phases, observe):
-        def counted(t, w0, w1, first, columns):
-            handed.append(len(w0))
-            return observe(t, w0, w1, first, columns)
-        evolve(coins, choice, phases, counted)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "_evolve", traced)
+    with handed() as shapes:
         evolve_games([game], steps)
-    return sum(handed) / sum(t + 2 for t in range(steps))
+    return sum(rows for rows, _ in shapes) / sum(t + 2 for t in range(steps))
 
 
 def test_only_rows_that_hold_amplitude_are_evolved():
@@ -375,21 +394,11 @@ def sharp_epsilons(biases, periods, signs):
     return epsilons
 
 
-def traced_verdicts(monkeypatch, games, steps, periods, signs, epsilon):
+def traced_verdicts(games, steps, periods, signs, epsilon):
     """``evolve_verdicts``, and the number of games in its batch at each step run."""
-    widths = []
-    evolve = walk._evolve
-
-    def traced(coins, choice, phases, observe):
-        def counted(t, w0, w1, first, columns):
-            widths.append(len(columns))
-            return observe(t, w0, w1, first, columns)
-        evolve(coins, choice, phases, counted)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(walk, "_evolve", traced)
+    with handed() as shapes:
         held = evolve_verdicts(games, steps, periods, signs, epsilon)
-    return held.tolist(), widths
+    return held.tolist(), [width for _, width in shapes]
 
 
 def random_coin(rng):
@@ -425,11 +434,11 @@ def test_verdicts_equal_payoff_verdicts_on_the_full_columns(seed, each_step):
 
 @pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
 @pytest.mark.parametrize("seed", range(4, 6))
-def test_verdicts_equal_payoff_verdicts_across_anchors(monkeypatch, seed, each_step):
+def test_verdicts_equal_payoff_verdicts_across_anchors(seed, each_step):
     # 130 to 300 steps cross two anchors; the biases between them come from the flux
     games, steps, biases, periods, signs, epsilons = random_verdicts(seed, each_step, 130, 301)
     for epsilon in epsilons:
-        held, widths = traced_verdicts(monkeypatch, games, steps, periods, signs, epsilon)
+        held, widths = traced_verdicts(games, steps, periods, signs, epsilon)
         assert held == expected_holds(biases, periods, signs, epsilon), epsilon
         if epsilon == 0.0:  # the batch shrinks before the second anchor and runs on past it
             assert len(widths) > 2 * walk._ANCHOR_EVERY
@@ -447,34 +456,34 @@ def scan_batch(regime, steps):
     return games, biases, periods, signs, expected_holds(biases, periods, signs, 1e-9)
 
 
-def test_a_batch_that_shrinks_to_one_game_keeps_its_bits(monkeypatch):
+def test_a_batch_that_shrinks_to_one_game_keeps_its_bits():
     games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, 120)
     keep = [holds.index(True)] + [g for g, held in enumerate(holds) if not held]
     assert len(keep) > 8
     picked = [[values[g] for g in keep] for values in (games, periods, signs)]
     for epsilon in sharp_epsilons(biases[keep], *picked[1:]):
-        held, widths = traced_verdicts(monkeypatch, *picked[:1], 120, *picked[1:], epsilon)
+        held, widths = traced_verdicts(*picked[:1], 120, *picked[1:], epsilon)
         assert held == expected_holds(biases[keep], *picked[1:], epsilon), epsilon
         assert widths[0] == len(keep)
         if held[0]:  # the last live game ran on alone, to the horizon
             assert widths[-1] == 1 and len(widths) == 120
 
 
-def test_a_batch_whose_games_all_retire_stops_early(monkeypatch):
+def test_a_batch_whose_games_all_retire_stops_early():
     games, biases, periods, signs, holds = scan_batch(REGIME_DOUBLE_1, 120)
     lost = [g for g, held in enumerate(holds) if not held]
     assert len(lost) > 8
-    held, widths = traced_verdicts(monkeypatch, [games[g] for g in lost], 120,
+    held, widths = traced_verdicts([games[g] for g in lost], 120,
                                    [periods[g] for g in lost], [signs[g] for g in lost], 1e-9)
     assert not any(held)
     assert len(widths) < 120
     assert widths == sorted(widths, reverse=True)
 
 
-def test_a_lone_game_equals_its_batch(monkeypatch):
+def test_a_lone_game_equals_its_batch():
     games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, 120)
     for g in (holds.index(True), holds.index(False)):
-        held, widths = traced_verdicts(monkeypatch, [games[g]], 120, [periods[g]], [signs[g]], 1e-9)
+        held, widths = traced_verdicts([games[g]], 120, [periods[g]], [signs[g]], 1e-9)
         assert held == [holds[g]]
         assert widths == [1] * len(widths)
         assert (len(widths) == 120) == holds[g]
@@ -580,12 +589,16 @@ def test_rejects_walks_over_the_step_budget_before_allocating(steps):
         pytest.param([(REGIME_ONE_SIDED["coin_a"], (0.0, 75.0, 160.0), 90.0, GameSequence("AB"))],
                      10, 90.0, id="coin-not-coin-params"),
         pytest.param(["AB"], 10, 90.0, id="string-schedule"),
+        pytest.param(3, 3, 90.0, id="games-not-a-sequence"),
+        pytest.param((game for game in TRANSLATION), 3, 90.0, id="games-generator"),
     ],
 )
 def test_rejects_invalid_input(schedules, steps, eta):
-    # a whole game is passed as it is; a game of the wrong kind raised ValueError or AttributeError
+    # a whole game is passed as it is; a game of the wrong kind raised ValueError or
+    # AttributeError, and games that are not a list or tuple TypeError
     regime = REGIME_ONE_SIDED
-    games = [seq if isinstance(seq, tuple) else (regime["coin_a"], regime["coin_b"], eta, seq)
-             for seq in schedules]
+    games = schedules if not isinstance(schedules, list) else [
+        seq if isinstance(seq, tuple) else (regime["coin_a"], regime["coin_b"], eta, seq)
+        for seq in schedules]
     with pytest.raises(InvalidParameterError):
         evolve_games(games, steps)

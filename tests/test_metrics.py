@@ -167,6 +167,12 @@ class TestPayoffVerdicts:
         with pytest.raises(InvalidParameterError, match="period"):
             payoff_verdicts(np.full((2, 5), 0.1), periods)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 5, 1)], ids=["scalar", "1-d", "3-d"])
+    def test_rejects_biases_that_are_not_a_table(self, shape):
+        # a 1-D array raised IndexError and a 3-D one numpy's ValueError
+        with pytest.raises(InvalidParameterError, match="biases"):
+            payoff_verdicts(np.full(shape, 0.1), [1, 1])
+
     def test_accepts_numpy_integer_periods(self):
         verdicts = payoff_verdicts(np.full((2, 5), 0.1), np.array([1, 5]))
         assert verdicts == [GameVerdict.WINNING] * 2

@@ -720,6 +720,18 @@ def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
                    for i in range(shares))
 
 
+@pytest.mark.parametrize(
+    "axes", [pytest.param(README_AXES, id="readme"),
+             pytest.param((GridAxis.linspace("beta_a", 6, 26, 5),), id="beta_a")])
+def test_two_shares_split_every_schedule_evenly(monkeypatch, axes):
+    # a plain stride gave share 0 every AB and share 1 every BA of the README grid
+    config, pures, cells = grid_games(monkeypatch, one_sided_config(max_period=4), axes)
+    held = [Counter(game[3].tokens for _, game in share_games(config, pures, cells, (i, 2)))
+            for i in range(2)]
+    for tokens in ["A", "B", *(seq.tokens for seq in enumerate_sequences(4))]:
+        assert abs(held[0][tokens] - held[1][tokens]) <= 1, tokens
+
+
 def scan_call_widths(monkeypatch, config):
     """The games ``run_scan`` hands to each kernel call; each call gives zero
     columns in place of evolving its games."""
