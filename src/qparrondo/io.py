@@ -132,12 +132,21 @@ def read_scan_json(source: TextIO) -> ScanReport:
     Raises
     ------
     InvalidParameterError
-        If the source is not JSON, or not a scan report's fields and values.
+        If the source is not JSON, or not a scan report's fields and values:
+        a ``winning_by_period`` key must read ``str(p)`` for a period ``p`` in
+        ``[2, max_period]``, and a ``paradox_sequences`` item be a schedule.
     """
     try:
-        return _from_json(ScanReport, json.load(source), "report")
+        document = json.load(source)
+        report = _from_json(ScanReport, document, "report")
+        most = report.config.max_period
+        if not set(document["winning_by_period"]) <= {str(p) for p in range(2, most + 1)}:
+            raise ValueError(f"winning_by_period keys must be periods in [2, {most}]")
+        for tokens in report.paradox_sequences:
+            GameSequence(tokens)  # raises for anything but a schedule's token string
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
+    return report
 
 
 def write_region_json(grid: RegionGrid, base: ScanConfig, sink: TextIO) -> None:

@@ -5,10 +5,12 @@ least one periodic alternation of the same two coins wins. ``run_scan``
 checks every sequence up to a maximum period at one configuration, and
 evolves each distinct coin sequence once: ``ABAB`` plays what ``AB`` plays.
 ``scan_region_grid`` repeats the check over a grid of coin parameters, and
-evolves each game that several cells share once. Both evolve their games in
-chunks through one kernel call each: a scan observes every column of every
-step, a grid, whose chunks may mix cells, only each game's bias at its
-payoff points, until its verdict is decided.
+evolves each game that several cells share once. A scan evolves its games
+in chunks of ``evolve_games`` calls, which observe every column of every
+step. A grid deals its games to its processes by stride, and each share is
+one ``evolve_verdicts`` call, which observes only each game's bias at its
+payoff points, until its verdict is decided, in as many batches as the
+kernel's game-step budget (``walk.MAX_GAME_STEPS``) needs.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
-from heapq import merge
-from itertools import groupby, islice, product
-from operator import attrgetter
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .metrics import (
     entropy_bits,
     payoff_verdicts,
 )
+from . import walk
 from .walk import CoinParams, GameSequence
 from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games, evolve_verdicts
 
@@ -64,26 +65,6 @@ MAX_ENUMERATION_PERIOD = 12
 MAX_AXIS_VALUES = 1 << 16
 """Most values ``GridAxis.linspace`` makes for one axis. Each cell of a grid
 costs a whole scan, so a useful grid stays far below it."""
-
-SCAN_CHUNK_GAME_STEPS = 128 * 4096
-"""Most game-steps (games times steps) one kernel call evolves, across cells:
-128 games at ``walk.MAX_STEPS``. A call allocates each game's amplitudes on
-every site it can reach, so its memory grows with its game-steps, and this
-bounds it at any horizon. A grid process evolves its share in one call
-unless its games times the horizon exceed the budget, and then in equal
-chunks: its games retire, each at its first payoff point that breaks its
-verdict, so its batch shrinks, and a wide call shares its ~20 numpy calls
-per step among more games. A scan, whose games all run to the horizon with
-every column observed at every step, evolves at most the budget's games at
-``walk.MAX_STEPS`` per call at any horizon. Timed in one process on a 2-core
-host against calls of at most 128 games: the README grid (560 games, 240
-steps) took 71-82 ms in one call against 101-111 ms, and a 5x5 grid of
-max-period 4 took the same time at 1024 steps (1.05-1.15 s against
-1.07-1.18 s, peak RSS 44 against 36 MiB); at 4095 steps the calls are the
-same. A max-period-10 scan at 240 steps took 1.65-1.68 s and 107 MiB in
-one call of 2,030 games, against 1.29-1.66 s and 39 MiB in 16 calls. A
-grid's batch keeps only each game's bias at its payoff points; no pending
-game joins a running batch, since a batch shares one step and one window."""
 
 AXIS_PARAMETERS = tuple(
     f"{angle.name.removesuffix('_deg')}_{coin}" for coin in "ab" for angle in fields(CoinParams)
@@ -225,63 +206,30 @@ Game = tuple[CoinParams, CoinParams, float, GameSequence]
 _PURE = (GameSequence("A"), GameSequence("B"))
 
 
-def _dealt(size: int, share: tuple[int, int]) -> tuple[range, range]:
-    """The positions in a group of ``size`` games that a snake deal gives to
-    ``share`` = ``(i, n)``: the deal runs 0, 1, ..., n - 1, n - 1, ..., 0, 0,
-    1, ..., so share ``i`` gets every position ``i`` and ``2n - 1 - i`` of
-    each round of ``2n``. A plain stride keeps the counts per group, but a
-    group lists each cell's ``m = 2**p - 2`` schedules of period ``p`` in
-    turn, so at 2 shares it gives one share every ``AB``, the other every
-    ``BA``: the README grid's shares took 25.1 and 42.7 ms, against 33.8 and
-    35.5 ms dealt in snake order (one CPU of a 2-core host, medians of 15).
-    The snake deals each schedule to 2 shares in turn, as ``m`` is 2 mod 4."""
-    index, shares = share
-    return range(index, size, 2 * shares), range(2 * shares - 1 - index, size, 2 * shares)
-
-
-def _chunks(
+def _share(
     config: ScanConfig,
     pures: Sequence[Game],
     cells: Sequence[Cell],
     share: tuple[int, int] = (0, 1),
-) -> Iterator[list[tuple[int, Game]]]:
-    """A grid's pure games ``pures``, then every enumerated sequence at each
-    cell, as ``(owner, game)`` in chunks for one kernel call each.
+) -> tuple[list[int], list[Game]]:
+    """The owners and games of share ``share`` = ``(i, n)`` of a grid.
 
-    A pure game's owner is its index in ``pures``; a sequence's owner is its
-    cell's index plus ``len(pures)``. The games form groups: the pure games,
-    then each period's sequences, in cell order and then enumeration order.
-    ``share`` is ``(i, n)``: each group is dealt to ``n`` shares in snake
-    order (see ``_dealt``) and only share ``i`` is built, so each of ``n``
-    processes builds its own share, which holds the same number (within one)
-    of every group's games. A share keeps the stream's order, period by
-    period, and is cut into the fewest equal chunks whose games times the
-    horizon stay within ``SCAN_CHUNK_GAME_STEPS``; a cell's games may span
-    chunks.
+    The games form one stream: the pure games ``pures`` (the pure A games,
+    then the pure B games), then every cell's game of each enumerated
+    schedule in turn. A pure game's owner is its index in ``pures``, a
+    sequence's its cell's index plus ``len(pures)``. Share ``i`` gets every
+    ``n``-th game from game ``i``, so every game is dealt once and each share
+    keeps the stream's period order; and since each schedule's games are a
+    run of the stream, every share holds the same number of them, within one.
     """
-    groups = [list(group) for _, group in
-              groupby(enumerate_sequences(config.max_period), attrgetter("period"))]
-    sizes = [len(pures)] + [len(cells) * len(group) for group in groups]
-    total = sum(len(positions) for size in sizes for positions in _dealt(size, share))
-    chunks = -(-total // (SCAN_CHUNK_GAME_STEPS // config.horizon_steps))
-    stream = _share(pures, cells, groups, share)
-    for k in range(chunks):
-        yield list(islice(stream, (k + 1) * total // chunks - k * total // chunks))
-
-
-def _share(
-    pures: Sequence[Game],
-    cells: Sequence[Cell],
-    groups: Sequence[Sequence[GameSequence]],
-    share: tuple[int, int],
-) -> Iterator[tuple[int, Game]]:
-    """Share ``share`` of the groups of ``_chunks`` as ``(owner, game)``, in stream order."""
-    for j in merge(*_dealt(len(pures), share)):
-        yield j, pures[j]
-    for group in groups:
-        for j in merge(*_dealt(len(cells) * len(group), share)):
-            c, k = divmod(j, len(group))
-            yield len(pures) + c, (*cells[c], group[k])
+    index, shares = share
+    schedules = enumerate_sequences(config.max_period)
+    owners, games = [], []
+    for j in range(index, len(pures) + len(schedules) * len(cells), shares):
+        k, c = divmod(j - len(pures), len(cells))  # k < 0 for a pure game
+        owners.append(j if k < 0 else len(pures) + c)
+        games.append(pures[j] if k < 0 else (*cells[c], schedules[k]))
+    return owners, games
 
 
 def _periods(config: ScanConfig, schedules: Sequence[GameSequence]) -> list[int]:
@@ -311,7 +259,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
     A schedule that repeats a shorter one (``ABAB`` is ``AB`` twice) plays
     its coins in the same order, so only the distinct roots (see ``_root``)
-    are evolved, in equal chunks of at most ``SCAN_CHUNK_GAME_STEPS //
+    are evolved, in equal chunks of at most ``walk.MAX_GAME_STEPS //
     walk.MAX_STEPS`` games per kernel call at any horizon. Each schedule is
     judged on its root's biases at its own payoff points; the kernel gives a
     game the same bits in any batch, so each result is the one evolving that
@@ -329,7 +277,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     for i, seq in enumerate(schedules):
         served.setdefault(_root(seq), []).append(i)
     roots = list(served)
-    chunks = -(-len(roots) // (SCAN_CHUNK_GAME_STEPS // MAX_STEPS))
+    chunks = -(-len(roots) // (walk.MAX_GAME_STEPS // MAX_STEPS))
     cell = (config.coin_a, config.coin_b, config.eta_deg)
     found: dict[int, SequenceResult] = {}
     for k in range(chunks):
@@ -456,29 +404,25 @@ def _tally(
 ) -> list[int]:
     """For each game of ``pures``, 1 if it is Losing, then for each cell of
     ``cells`` its count of Winning sequences, at ``config`` with the cell's
-    coins and phase, over the games of ``_chunks``'s share ``share``.
+    coins and phase, over the games of ``_share``'s share ``share``.
 
-    Each game evolves only until its verdict is decided: a sequence while
-    it may still be Winning, a pure game while it may still be Losing. The
-    games run period by period, so the games of a chunk mostly share their
-    payoff points and the steps at which any bias is needed are fewer. A
-    share whose games times the horizon stay within ``SCAN_CHUNK_GAME_STEPS``
-    is one kernel call.
+    The share is one ``evolve_verdicts`` call, which walks it in as many
+    batches as the kernel's budget needs. Each game evolves only until its
+    verdict is decided: a sequence while it may still be Winning, a pure
+    game while it may still be Losing. The games run period by period, so
+    the games of a batch mostly share their payoff points and the steps at
+    which any bias is needed are fewer.
     """
-    tally = [0] * (len(pures) + len(cells))
-    for chunk in _chunks(config, pures, cells, share):
-        games = [game for _, game in chunk]
-        schedules = [seq for *_, seq in games]
-        held = evolve_verdicts(
-            games,
-            config.horizon_steps,
-            _periods(config, schedules),
-            [-1 if seq.period == 1 else 1 for seq in schedules],
-            config.epsilon,
-        )
-        for (owner, _), holds in zip(chunk, held.tolist()):
-            tally[owner] += holds
-    return tally
+    owners, games = _share(config, pures, cells, share)
+    schedules = [seq for *_, seq in games]
+    held = evolve_verdicts(
+        games,
+        config.horizon_steps,
+        _periods(config, schedules),
+        [-1 if seq.period == 1 else 1 for seq in schedules],
+        config.epsilon,
+    )
+    return np.bincount(np.array(owners)[held], minlength=len(pures) + len(cells)).tolist()
 
 
 @contextmanager
@@ -616,11 +560,12 @@ def scan_region_grid(
     ``workers > 1`` the games are split among n processes, this one
     included: n is at most ``workers``, the distinct cells, and the CPUs in
     this process's affinity set (where the platform reports one). The pure
-    games, then each period's games, are dealt in snake order (see
-    ``_dealt``), so each share holds the same number, within one, of every
-    group's games, and at least two. Each share process builds its share
-    from the config, the distinct pure games and cells, and its index, and
-    sends back its counts over a pipe, while this thread evolves share 0.
+    A games, the pure B games, then each schedule's games are dealt by one
+    stride (see ``_share``), so each share holds the same number, within
+    one, of every schedule's games, and at least two. Each share process
+    builds its share from the config, the distinct pure games and cells, and
+    its index, and sends back its counts over a pipe, while this thread
+    evolves share 0.
     Share k runs on the k-th CPU of the affinity set in ascending order,
     where the platform can place it; this thread gets its own CPUs back
     afterwards. The grid is the same at any n. Grids run at the same time in
@@ -650,10 +595,10 @@ def scan_region_grid(
         )
     cells = [_cell(base, dict(zip(parameters, values)))
              for values in product(*(axis.values for axis in axes))]
-    pure: dict[tuple[CoinParams, float], Game] = {}  # by coin and phase
-    for cell in cells:
-        for coin, seq in zip(cell, _PURE):
-            pure.setdefault((coin, cell[2]), (*cell, seq))
+    pure: dict[tuple[CoinParams, float], Game] = {}  # by coin and phase: A games, then B
+    for coin, seq in enumerate(_PURE):
+        for cell in cells:
+            pure.setdefault((cell[coin], cell[2]), (*cell, seq))
     distinct = list(dict.fromkeys(cells))
     pures = list(pure.values())
     cpus = _cpus()[:min(workers, len(distinct))]

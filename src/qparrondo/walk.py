@@ -43,6 +43,7 @@ __all__ = [
     "WalkerState",
     "GameColumns",
     "MAX_STEPS",
+    "MAX_GAME_STEPS",
     "make_coin",
     "initial_state",
     "apply_coin",
@@ -67,6 +68,16 @@ memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB."""
+
+MAX_GAME_STEPS = 128 * 4096
+"""The kernel's budget: most games times steps one walk holds, 128 games at
+``MAX_STEPS``. A walk allocates each game's amplitudes on every site it can
+reach, so its memory grows with its game-steps. ``evolve_games`` refuses a
+call beyond it, and ``evolve_verdicts`` walks any number of games in the
+fewest equal batches within it. ``run_scan`` hands ``evolve_games`` at most
+``MAX_GAME_STEPS // MAX_STEPS`` games a call at any horizon, since it holds
+every column: a max-period-10 scan at 240 steps peaked at 107 MiB in one
+call, against 39 MiB in 16. CHANGES.md records the timings of widths."""
 
 
 def check_real(name: str, value: Any) -> float:
@@ -428,8 +439,14 @@ def evolve_games(
         eta_deg, GameSequence)``, or an ``eta_deg`` is not a finite real
         number.
     CapacityError
-        If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
+        If ``steps`` exceeds ``MAX_STEPS``, or the games times ``steps``
+        exceed ``MAX_GAME_STEPS``; nothing is allocated then, and a usage
+        error is raised first.
     """
+    games = _checked_games(games, steps)
+    if len(games) * steps > MAX_GAME_STEPS:
+        raise CapacityError(f"{len(games)} games of {steps} steps exceed the budget of "
+                            f"{MAX_GAME_STEPS} game-steps per call")
     coins, choice, phases = _batch(games, steps)
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
@@ -511,9 +528,11 @@ def evolve_verdicts(
     ``steps``. Sign +1 asks whether a game is Winning and -1 whether it is
     Losing, exactly as ``metrics.payoff_verdicts`` decides on the columns of
     ``evolve_games``: each bias is bitwise the one those columns give, from
-    the sides the walk keeps. A game is retired at its first payoff point
-    that fails; every ``_COMPACT_EVERY`` steps the batch drops its retired
-    games, and the walk ends as soon as none is left.
+    the sides the walk keeps. Any number of games is walked, in input order,
+    in the fewest equal batches of at most ``MAX_GAME_STEPS // steps``
+    games; a game's bits do not depend on its batch. A game is retired at
+    its first payoff point that fails; every ``_COMPACT_EVERY`` steps a
+    batch drops its retired games, and its walk ends as soon as none is left.
 
     Raises
     ------
@@ -521,11 +540,11 @@ def evolve_verdicts(
         For what ``evolve_games`` rejects, an ``epsilon`` that is not a
         finite real number >= 0, or not one period (an integer, not a bool,
         in ``[1, steps]``) and one sign (an integer, not a bool, in {-1, 1})
-        per game.
+        per game; every game is checked before any is walked.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
-    batch = _batch(games, steps)
+    games = _checked_games(games, steps)
     epsilon = check_epsilon(epsilon)
     periods = check_periods(periods, steps)
     try:
@@ -542,6 +561,18 @@ def evolve_verdicts(
         )
     signs = np.asarray(signs)
     held = np.ones(len(games), dtype=bool)
+    batches = -(-len(games) // (MAX_GAME_STEPS // steps))
+    for k in range(batches):
+        part = slice(k * len(games) // batches, (k + 1) * len(games) // batches)
+        observe = _judge(held[part], periods[part], signs[part], epsilon)
+        _evolve(*_batch(games[part], steps), observe)
+    return held
+
+
+def _judge(held: NDArray, periods: NDArray, signs: NDArray, epsilon: float) -> Callable:
+    """``evolve_verdicts``' observer of one batch: it sets ``held[g]``, a view
+    into the flags of all games, to False at game ``g``'s first payoff point
+    that fails, and gives the mask of the batch's columns still live."""
 
     def observe(t, w0, w1, sides, sums, columns):
         live = held[columns]
@@ -552,26 +583,23 @@ def evolve_verdicts(
             live[due] = held[games_due] = signs[games_due] * (right - left) > epsilon
         return live
 
-    _evolve(*batch, observe)
-    return held
+    return observe
 
 
-def _batch(
+def _checked_games(
     games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
-) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
-    """Check a batch and give its coin table, the ``(T, G)`` table rows each
-    game applies at each step, and each game's initial coin-|1> amplitude.
-    Each game must be ``(CoinParams, CoinParams, eta_deg, GameSequence)``."""
+) -> list[tuple[CoinParams, CoinParams, float, GameSequence]]:
+    """``games`` as a list of tuples; raise as ``check_steps`` does for
+    ``steps``, and ``InvalidParameterError`` unless ``games`` is a non-empty
+    sequence of ``(CoinParams, CoinParams, eta_deg, GameSequence)`` with a
+    finite real ``eta_deg``."""
     check_steps(steps)
     if not isinstance(games, abc.Sequence) or not games:
         raise InvalidParameterError(f"games must be a non-empty sequence, got {games!r}")
-    # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
-    pairs: dict[tuple[CoinParams, CoinParams], int] = {}
-    schedules: dict[str, NDArray[np.intp]] = {}  # per schedule, 1 where it plays B
-    choice = np.empty((steps, len(games)), dtype=np.intp)
-    phases = []
-    for g, game in enumerate(games):
+    checked = []
+    for game in games:
         try:
+            game = tuple(game)  # the same object for a tuple
             coin_a, coin_b, eta_deg, seq = game
         except (TypeError, ValueError):
             raise InvalidParameterError(
@@ -580,12 +608,28 @@ def _batch(
             raise InvalidParameterError(f"coins must be CoinParams, got {coin_a!r}, {coin_b!r}")
         if not isinstance(seq, GameSequence):
             raise InvalidParameterError(f"a schedule must be a GameSequence, got {seq!r}")
-        eta = math.radians(check_real("eta_deg", eta_deg))
-        phases.append(np.exp(1j * eta) / math.sqrt(2.0))
-        if seq.tokens not in schedules:
-            is_b = np.frombuffer(seq.tokens.encode(), dtype=np.uint8) == ord("B")
-            schedules[seq.tokens] = np.resize(is_b.astype(np.intp), steps)
-        choice[:, g] = 2 * pairs.setdefault((coin_a, coin_b), len(pairs)) + schedules[seq.tokens]
+        check_real("eta_deg", eta_deg)
+        checked.append(game)
+    return checked
+
+
+def _batch(
+    games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
+) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
+    """The coin table of games that ``_checked_games`` passed, the ``(T, G)`` table
+    rows each game applies at each step, and each game's initial coin-|1>
+    amplitude."""
+    # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
+    pairs: dict[tuple[CoinParams, CoinParams], int] = {}
+    schedules: dict[str, int] = {}
+    pair_of, schedule_of, phases = [], [], []
+    for coin_a, coin_b, eta_deg, seq in games:
+        pair_of.append(pairs.setdefault((coin_a, coin_b), len(pairs)))
+        schedule_of.append(schedules.setdefault(seq.tokens, len(schedules)))
+        phases.append(np.exp(1j * math.radians(float(eta_deg))) / math.sqrt(2.0))
+    plays_b = np.stack([np.resize(np.frombuffer(tokens.encode(), dtype=np.uint8) == ord("B"),
+                                  steps) for tokens in schedules], axis=1)  # (T, schedules)
+    choice = np.ascontiguousarray(plays_b[:, schedule_of] + 2 * np.array(pair_of, dtype=np.intp))
     coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
     return coins, choice, np.array(phases)
 

@@ -173,12 +173,18 @@ class TestScanJson:
             (("winning_by_period", "2"), -1),
             (("winning_by_period", "2"), 1.5),
             (("winning_by_period", "3"), "2"),
+            (("winning_by_period",), {"-7": 0}),
+            (("winning_by_period",), {" 2": 1}),
+            (("winning_by_period",), {"4": 0}),  # the report's max-period is 3
+            (("paradox_sequences",), [5]),
+            (("paradox_sequences",), ["AC"]),
         ],
         ids=["string-bias", "bool-bias", "null-entropy", "negative-count", "fractional-count",
-             "string-count"],
+             "string-count", "negative-period", "padded-period", "period-over-max",
+             "number-sequence", "foreign-token"],
     )
     def test_wrong_values_are_refused(self, small_report, where, value):
-        # these were read back as they stood, a final_bias of "abc" included
+        # these were read back as they stood, a final_bias of "abc" and a period of -7 included
         sink = io.StringIO()
         write_scan_json(small_report, sink)
         document = json.loads(sink.getvalue())

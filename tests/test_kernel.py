@@ -31,7 +31,7 @@ from qparrondo import (
     scan_region_grid,
     trajectory_with_entropy,
 )
-from qparrondo import scan, walk
+from qparrondo import walk
 from qparrondo.metrics import bias, entropy_bits, payoff_verdicts
 from qparrondo.scan import SequenceResult
 from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
@@ -60,6 +60,10 @@ TRANSLATION = [(CoinParams(30, 0, 0), CoinParams(0, 0, 50), 90.0, GameSequence(t
                for tokens in ("A", "AB")]
 """Two translation coins (beta 0): coin |0> runs right and coin |1> left,
 so all mass leaves the origin and the sites between stay empty."""
+
+SCAN_GAMES = [(REGIME_ONE_SIDED["coin_a"], REGIME_ONE_SIDED["coin_b"], REGIME_ONE_SIDED["eta_deg"],
+               seq) for seq in every_game(12)]
+"""Every game of a max-period-12 scan in the one-sided regime."""
 
 
 def kernel(regime, schedules, steps):
@@ -269,12 +273,17 @@ def test_the_flush_keeps_the_rows_the_flux_reads():
 
 @contextlib.contextmanager
 def handed():
-    """Within the block, the shape of the windows ``_evolve`` hands its
-    observer at each step: the rows it holds, and the games in its batch."""
-    shapes = []
+    """Within the block, one list per walk of ``_evolve``, in call order, of
+    the shape of the windows it hands its observer at each step: the rows
+    it holds, and the games in its batch. A walk's first width is its
+    batch's, since games are dropped only after they are observed."""
+    walks = []
     evolve = walk._evolve
 
     def traced(coins, choice, phases, observe):
+        shapes = []
+        walks.append(shapes)
+
         def counted(t, w0, w1, sides, sums, columns):
             shapes.append(w0.shape)
             return observe(t, w0, w1, sides, sums, columns)
@@ -282,14 +291,15 @@ def handed():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "_evolve", traced)
-        yield shapes
+        yield walks
 
 
 def observed_rows(game, steps):
     """How many rows the observer of ``game``, walked alone, is handed over
     ``steps`` steps, as a fraction of the occupied sites."""
-    with handed() as shapes:
+    with handed() as walks:
         evolve_games([game], steps)
+    (shapes,) = walks
     return sum(rows for rows, _ in shapes) / sum(t + 2 for t in range(steps))
 
 
@@ -321,7 +331,7 @@ def test_scan_report_does_not_depend_on_the_chunk_size(monkeypatch):
     config = ScanConfig(**REGIME_ONE_SIDED, max_period=4, horizon_steps=60)
     whole = run_scan(config)
     for chunk in (1, 5):  # games a scan's call
-        monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", chunk * MAX_STEPS)
+        monkeypatch.setattr(walk, "MAX_GAME_STEPS", chunk * MAX_STEPS)
         assert run_scan(config) == whole, chunk
 
 
@@ -333,7 +343,7 @@ def test_region_grid_does_not_depend_on_the_chunk_size(monkeypatch, chunk, each_
     axes = [GridAxis.linspace("beta_a", 6, 26, 3), GridAxis.linspace("eta", 0, 270, 3)]
     whole = scan_region_grid(base, axes)
     assert whole.winning_counts.any()
-    monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", chunk * base.horizon_steps)
+    monkeypatch.setattr(walk, "MAX_GAME_STEPS", chunk * base.horizon_steps)  # games a batch
     grid = scan_region_grid(base, axes)
     assert np.array_equal(grid.paradox, whole.paradox)
     assert np.array_equal(grid.winning_counts, whole.winning_counts)
@@ -395,9 +405,11 @@ def sharp_epsilons(biases, periods, signs):
 
 
 def traced_verdicts(games, steps, periods, signs, epsilon):
-    """``evolve_verdicts``, and the number of games in its batch at each step run."""
-    with handed() as shapes:
+    """``evolve_verdicts`` on games that fit one batch, and the number of
+    games in its batch at each step run."""
+    with handed() as walks:
         held = evolve_verdicts(games, steps, periods, signs, epsilon)
+    (shapes,) = walks
     return held.tolist(), [width for _, width in shapes]
 
 
@@ -490,13 +502,11 @@ def test_a_lone_game_equals_its_batch():
 
 
 def test_verdict_walks_over_the_step_budget_allocate_nothing():
-    regime = REGIME_ONE_SIDED
-    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in every_game(12)]
-    ones = [1] * len(games)
+    ones = [1] * len(SCAN_GAMES)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            evolve_verdicts(games, MAX_STEPS + 1, ones, ones, 0.0)
+            evolve_verdicts(SCAN_GAMES, MAX_STEPS + 1, ones, ones, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -561,10 +571,16 @@ def test_long_trajectory_keeps_no_snapshots():
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**6])
-def test_rejects_walks_over_the_step_budget_before_allocating(steps):
-    regime = REGIME_ONE_SIDED
-    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in every_game(12)]
+@pytest.mark.parametrize(
+    "games, steps",
+    [
+        pytest.param(SCAN_GAMES, MAX_STEPS + 1, id=str(MAX_STEPS + 1)),
+        pytest.param(SCAN_GAMES, 10**6, id=str(10**6)),
+        # within the step budget, but its columns alone would take 3 GiB
+        pytest.param(SCAN_GAMES[:1] * 20000, MAX_STEPS, id="20000-games"),
+    ],
+)
+def test_rejects_walks_over_the_step_budget_before_allocating(games, steps):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):

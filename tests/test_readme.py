@@ -55,10 +55,10 @@ def test_budgets_quote_the_code():
     max_cells = inspect.signature(scan.scan_region_grid).parameters["max_cells"].default
     for pattern, value in [
         (r"`qparrondo\.walk\.MAX_STEPS` = (\d+)", walk.MAX_STEPS),
-        (r"at most (\d+) game-steps \(`qparrondo\.scan\.SCAN_CHUNK_GAME_STEPS`",
-         scan.SCAN_CHUNK_GAME_STEPS),
+        (r"at most (\d+) game-steps \(`qparrondo\.walk\.MAX_GAME_STEPS`",
+         walk.MAX_GAME_STEPS),
         (r"equal chunks of at most (\d+), the budget's games at the longest walk",
-         scan.SCAN_CHUNK_GAME_STEPS // walk.MAX_STEPS),
+         walk.MAX_GAME_STEPS // walk.MAX_STEPS),
         (r"`--max-cells` \(default (\d+)\)", max_cells),
         (r"one axis holds at most (\d+) values \(`qparrondo\.scan\.MAX_AXIS_VALUES`",
          scan.MAX_AXIS_VALUES),

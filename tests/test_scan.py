@@ -27,11 +27,12 @@ from qparrondo import (
     scan_region_grid,
 )
 
-from qparrondo import scan
-from qparrondo.scan import AXIS_PARAMETERS, _cell, _chunks
+from qparrondo import scan, walk
+from qparrondo.scan import AXIS_PARAMETERS, _cell, _share
 from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
 
 from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
+from test_kernel import handed
 
 
 @pytest.fixture(autouse=True)
@@ -384,9 +385,9 @@ class TestRegionGrid:
         ],
     )
     def test_every_cell_equals_its_own_scan(self, monkeypatch, axes, base):
-        # at most 100 games a call: 9 cells of 22 sequences run as several chunks,
+        # at most 100 games a batch: 9 cells of 22 sequences run as several batches,
         # so some cells span two
-        monkeypatch.setattr(scan, "SCAN_CHUNK_GAME_STEPS", 100 * base.horizon_steps)
+        monkeypatch.setattr(walk, "MAX_GAME_STEPS", 100 * base.horizon_steps)
         grid = scan_region_grid(base, axes)
         monkeypatch.undo()
         assert_cells_equal_their_scans(grid, base)
@@ -534,13 +535,15 @@ def grid_games(monkeypatch, base, axes):
         handed.append((config, pures, cells))
         return [0] * (len(pures) + len(cells))
 
-    monkeypatch.setattr(scan, "_tally", tally)
-    scan_region_grid(base, axes, workers=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "_tally", tally)
+        scan_region_grid(base, axes, workers=1)
     return handed[0]
 
 
 def share_games(config, pures, cells, share=(0, 1)):
-    return [pair for chunk in _chunks(config, pures, cells, share) for pair in chunk]
+    """The ``(owner, game)`` pairs of a share, in the order it walks them."""
+    return list(zip(*_share(config, pures, cells, share)))
 
 
 def record_placement(monkeypatch, cpus):
@@ -715,21 +718,29 @@ def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
         assert periods == sorted(periods)
     whole = share_games(config, pures, cells)
     assert Counter(pair for games in dealt for pair in games) == Counter(whole)
-    if len(axes) == 2:  # a README share is one kernel call
-        assert all(len(list(_chunks(config, pures, cells, (i, shares)))) == 1
-                   for i in range(shares))
+    assert len(whole) == len(set(whole))  # every game is dealt exactly once
+    if len(axes) == 2:  # a README share is one batch of the kernel
+        for i, games in enumerate(dealt):
+            with handed() as walks:
+                scan._tally(config, pures, cells, (i, shares))
+            assert [shapes[0][1] for shapes in walks] == [len(games)]
 
 
 @pytest.mark.parametrize(
     "axes", [pytest.param(README_AXES, id="readme"),
              pytest.param((GridAxis.linspace("beta_a", 6, 26, 5),), id="beta_a")])
 def test_two_shares_split_every_schedule_evenly(monkeypatch, axes):
-    # a plain stride gave share 0 every AB and share 1 every BA of the README grid
+    # a plain stride over each cell's schedules gave share 0 every AB and share 1
+    # every BA of the README grid, and a snake deal at 3 shares gave share 0 every
+    # AAB; the pure A and pure B games count as schedules too
     config, pures, cells = grid_games(monkeypatch, one_sided_config(max_period=4), axes)
-    held = [Counter(game[3].tokens for _, game in share_games(config, pures, cells, (i, 2)))
-            for i in range(2)]
-    for tokens in ["A", "B", *(seq.tokens for seq in enumerate_sequences(4))]:
-        assert abs(held[0][tokens] - held[1][tokens]) <= 1, tokens
+    for shares in (2, 3):
+        held = [Counter(game[3].tokens for _, game in share_games(config, pures, cells,
+                                                                  (i, shares)))
+                for i in range(shares)]
+        for tokens in ["A", "B", *(seq.tokens for seq in enumerate_sequences(4))]:
+            counts = [share[tokens] for share in held]
+            assert max(counts) - min(counts) <= 1, (shares, tokens, counts)
 
 
 def scan_call_widths(monkeypatch, config):
@@ -749,19 +760,28 @@ def scan_call_widths(monkeypatch, config):
 
 @pytest.mark.parametrize("steps", [240, MAX_STEPS])
 @pytest.mark.parametrize("share", [(0, 1), (1, 2)])
-def test_chunks_stay_within_the_game_step_budget(monkeypatch, steps, share):
-    config = one_sided_config(max_period=12, horizon_steps=steps)
+def test_batches_stay_within_the_game_step_budget(monkeypatch, steps, share):
+    # a grid share of one cell, walked by evolve_verdicts at most 3 games a batch
+    config = one_sided_config(max_period=3, horizon_steps=steps)
     cell = (config.coin_a, config.coin_b, config.eta_deg)
     pures = [(*cell, GameSequence("A")), (*cell, GameSequence("B"))]
-    sizes = [len(chunk) for chunk in _chunks(config, pures, [cell], share)]
-    assert max(sizes) * steps <= scan.SCAN_CHUNK_GAME_STEPS
-    assert max(sizes) - min(sizes) <= 1
-    widest = scan.SCAN_CHUNK_GAME_STEPS // steps
-    assert len(sizes) == -(-sum(sizes) // widest)  # no more chunks than the budget needs
-    assert sum(sizes) == (2 + len(enumerate_sequences(12))) // share[1]
+    _, games = _share(config, pures, [cell], share)
+    periods = [game[3].period for game in games]
+    signs = [-1 if period == 1 else 1 for period in periods]
+    wide = evolve_verdicts(games, steps, periods, signs, config.epsilon)
+    budget = 3 * steps
+    with monkeypatch.context() as patch, handed() as walks:
+        patch.setattr(walk, "MAX_GAME_STEPS", budget)
+        held = evolve_verdicts(games, steps, periods, signs, config.epsilon)
+    widths = [shapes[0][1] for shapes in walks]
+    assert max(widths) * steps <= budget
+    assert max(widths) - min(widths) <= 1
+    assert len(widths) == -(-len(games) // (budget // steps))  # no more than the budget needs
+    assert sum(widths) == len(games) == (2 + len(enumerate_sequences(3))) // share[1]
+    assert held.tolist() == wide.tolist()
     if share == (0, 1):  # a scan's calls are as wide at any horizon: 128 games at MAX_STEPS
-        widths = scan_call_widths(monkeypatch, config)
-        widest = scan.SCAN_CHUNK_GAME_STEPS // MAX_STEPS
+        widths = scan_call_widths(monkeypatch, replace(config, max_period=12))
+        widest = walk.MAX_GAME_STEPS // MAX_STEPS
         assert max(widths) <= widest and max(widths) - min(widths) <= 1
         assert len(widths) == -(-sum(widths) // widest)
 
