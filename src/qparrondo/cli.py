@@ -8,6 +8,7 @@ I/O failures, 4 when a computation exceeds its lattice or size budget.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import io as stringio
 import math
@@ -291,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if argv is None:  # the process entry: its exit need not collect what the command made
+        gc.freeze()
 
     if config.out is None:
         sys.stdout.write(text)

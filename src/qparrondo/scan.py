@@ -512,8 +512,8 @@ def _shares(
     """``_tally``'s counts over one share per entry of ``cpus``, added up.
     Shares 1 to n - 1 each start in a process of their own; then this
     thread evolves share 0. Share k runs on CPU ``cpus[k]``. Every process
-    is joined before this returns or raises, and is stopped first if this
-    raises."""
+    is joined and closed, with its pipe, before this returns or raises, and
+    is stopped first if this raises."""
     processes = len(cpus)
     started: list[tuple[Process, Connection]] = []
     try:
@@ -530,6 +530,7 @@ def _shares(
     finally:
         for process, reader in started:
             process.join()
+            process.close()  # its sentinel pipe, which a traceback would otherwise keep open
             reader.close()
     return [sum(counts) for counts in zip(own, *others)]
 

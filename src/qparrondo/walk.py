@@ -18,8 +18,9 @@ sums the sides over them; in between they follow the flux across the
 origin, in O(1) per game and step. Observers only record or judge:
 ``evolve_games`` records all six columns (scans and simulations), and
 ``evolve_verdicts`` judges each game's bias at its payoff points, retiring
-it at the first that breaks its verdict (region grids). A lone game is
-walked on Python numbers and gives the bits it has in any batch.
+it at the first that breaks its verdict (region grids). ``evolve_games``
+walks a lone game on 1-D windows of its own, with the same float operations
+in the same order, so it gives the bits it has in any batch.
 """
 
 from __future__ import annotations
@@ -429,7 +430,9 @@ def evolve_games(
     every step, what ``evolve_sequence`` followed by ``bias_sample`` and
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
-    and every column is recorded at every step (see ``GameColumns``).
+    and every column is recorded at every step (see ``GameColumns``). A
+    lone game walks on 1-D windows of its own, without an observer, and
+    has bitwise the columns it has in any batch.
 
     Raises
     ------
@@ -448,10 +451,11 @@ def evolve_games(
         raise CapacityError(f"{len(games)} games of {steps} steps exceed the budget of "
                             f"{MAX_GAME_STEPS} game-steps per call")
     coins, choice, phases = _batch(games, steps)
+    if len(games) == 1:
+        return _walk_one(coins, choice[:, 0].tolist(), phases.item())
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    observer = _observe_one if len(games) == 1 else _observe_all
-    _evolve(coins, choice, phases, observer(table, rho01, _conjugation(coins), choice))
+    _evolve(coins, choice, phases, _observe_all(table, rho01, _conjugation(coins), choice))
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
@@ -479,36 +483,6 @@ def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArr
             row[:] = sums
         product = np.conjugate(w1, out=cross[:len(w0)])
         rho01[t] = _site_sum(np.multiply(w0, product, out=product))
-        return None
-
-    return observe
-
-
-def _observe_one(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> Callable:
-    """``_observe_all`` for a lone game, bit for bit: it takes the same float
-    operations in the same order on Python floats, and sums ``rho01`` one
-    site at a time, the order a batch sums in, on 1-D views of its column."""
-    rows, rho = table[..., 0], rho01[:, 0]
-    per_coin = factors.transpose(2, 0, 1).reshape(-1, 8).tolist()
-    lone = [per_coin[c] for c in choice[:, 0].tolist()]
-    spare = np.empty(len(table) + 1, dtype=np.complex128)
-    rho00 = rho11 = x = y = 0.0
-
-    def observe(t, w0, w1, sides, sums, columns):
-        nonlocal rho00, rho11, x, y
-        if sums is None:
-            left, origin, right = sides
-            a0, a1, b0, b1, c0, c1, d0, d1 = lone[t]
-            rho00, rho11 = (a0 * rho00 + b0 * rho11 + (c0 * x - d0 * y),
-                            a1 * rho00 + b1 * rho11 + (c1 * x - d1 * y))
-            rows[t] = max(left, 0.0), origin, max(right, 0.0), rho00, rho11
-        else:
-            rows[t] = sums[:, 0]
-            rho00, rho11 = sums[3:, 0].tolist()
-        cross = spare[:len(w0)]
-        np.multiply(w0[:, 0], np.conjugate(w1[:, 0], out=cross), out=cross)
-        rho[t] = total = complex(np.add.accumulate(cross, out=cross)[-1] + 0.0)  # as a batch's
-        x, y = total.real, total.imag
         return None
 
     return observe
@@ -634,6 +608,54 @@ def _batch(
     return coins, choice, np.array(phases)
 
 
+def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) -> GameColumns:
+    """``evolve_games`` for a lone game: ``_evolve``'s walk and ``_observe_all``'s
+    columns on 1-D windows of its own, with the same float operations in the
+    same order, so the game has the bits it has in any batch. Its coin entries
+    are 0-d arrays, made once per coin, and its sides, ``rho00`` and ``rho11``
+    Python floats; ``rho01`` is accumulated one site at a time."""
+    steps = len(choice)
+    a0, a1 = np.zeros((2, steps + 1), dtype=np.complex128)  # _evolve's, for one column
+    a0[steps], a1[0] = 1.0 / math.sqrt(2.0), phase
+    entries = [[np.asarray(u) for u in coin] for coin in coins.reshape(-1, 4)]
+    factors = _conjugation(coins).transpose(2, 0, 1).reshape(-1, 8).tolist()
+    multiply, add, conjugate, accumulate = np.multiply, np.add, np.conjugate, np.add.accumulate
+    rows, rho01 = [], []
+    off, lo, hi = steps, 0, 1
+    w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
+    for t, c in enumerate(choice):
+        u00, u01, u10, u11 = entries[c]
+        c0, c1 = multiply(w0, u00), multiply(w1, u01)
+        multiply(w0, u10, w0)
+        multiply(w1, u11, w1)
+        add(w1, w0, w1)
+        add(c0, c1, w0)
+        off, hi = off - 1, hi + 1
+        if t % _ANCHOR_EVERY == 0:
+            lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
+            left, origin, right, rho00, rho11 = sums.tolist()
+        else:  # _flux's sides, from the base buffers, and _observe_all's recurrence
+            j, right_start = _sides(t, lo)
+            if j == right_start:
+                left, origin = left + _abs2(a1.item(lo + j - 1)), 0.0
+                right += _abs2(a0.item(off + lo + j))
+            else:
+                q0, q1 = _abs2(a0.item(off + lo + j)), _abs2(a1.item(lo + j))
+                left, origin, right = left - q0, q0 + q1, right - q1
+            f00, f01, f10, f11, f20, f21, f30, f31 = factors[c]
+            rho00, rho11 = (f00 * rho00 + f10 * rho11 + (f20 * x - f30 * y),
+                            f01 * rho00 + f11 * rho11 + (f21 * x - f31 * y))
+        rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
+                     0.0 if right < 0.0 else right, rho00, rho11))
+        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
+        cross = conjugate(w1)
+        # + 0j: a batch's sum starts from +0.0, which only the sign of a zero shows
+        total = accumulate(multiply(w0, cross, cross), 0, None, cross).item(-1) + 0j
+        rho01.append(total)
+        x, y = total.real, total.imag
+    return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
+
+
 _COMPACT_EVERY = 8
 """Steps between two drops of retired games from an ``evolve_verdicts`` batch."""
 
@@ -654,8 +676,8 @@ def _evolve(
     ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
     nothing, and the row it uncovers is still zero. Games never mix and
     every column takes the same float operations, with site sums added one
-    site at a time, so each game gets the same bits in any batch; a lone
-    game's coin entries and sides are Python numbers, which round alike.
+    site at a time, so each game gets the same bits in any batch; a one-game
+    batch's coin entries and sides are Python numbers, which round alike.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
@@ -732,22 +754,22 @@ passes through subnormal floats, which multiply many times slower, to 0."""
 
 def _anchor(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
     """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
-    occupied windows ``a0``, ``a1`` once, set each game's faint pairs there
-    to 0, and give the rows some game still holds, or ``_flux`` reads until
-    the next anchor, with each column's five sums over them: ``p_left``,
-    ``p_origin``, ``p_right``, ``rho00`` and ``rho11``."""
+    occupied windows ``a0``, ``a1`` (a column per game, or a lone walk's 1-D)
+    once, set each game's faint pairs there to 0, and give the rows some game
+    still holds, or the flux reads until the next anchor, with each column's
+    five sums over them: ``p_left``, ``p_origin``, ``p_right``, ``rho00``, ``rho11``."""
     w0, w1 = a0[lo:hi], a1[lo:hi]
     q0, q1 = _abs2(w0), _abs2(w1)
     q = q0 + q1
     faint = q < _FLUSH_BELOW  # per game and row, from its own values
     for values in (w0, w1, q0, q1, q):
         values[faint] = 0.0
-    held = np.flatnonzero(~faint.all(axis=1))
+    held = np.flatnonzero(~(faint.all(axis=1) if faint.ndim > 1 else faint))
     origin, _ = _sides(t, lo)
     first, last = min(held[0], origin - 1), max(held[-1] + 1, origin + 1)
     q0, q1, q = q0[first:last], q1[first:last], q[first:last]
     left_end, right_start = _sides(t, lo + first)
-    sums = np.zeros((5, w0.shape[1]))
+    sums = np.zeros((5, *w0.shape[1:]))
     sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
     sums[1] = q[left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
     sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
@@ -769,8 +791,8 @@ def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
 def _site_sum(values: NDArray) -> NDArray:
     """Sum over sites (axis 0) for each game, adding one site at a time:
     numpy reduces several columns row by row but a single column pairwise,
-    so a lone column is accumulated, in the order a batch uses."""
-    if values.shape[1] > 1:
+    so a lone column, or a 1-D window, is accumulated in the order a batch uses."""
+    if values.ndim > 1 and values.shape[1] > 1:
         return values.sum(axis=0)
     return np.add.accumulate(values, axis=0)[-1]
 
@@ -781,7 +803,7 @@ def _flux(t: int, w0: NDArray, w1: NDArray, first: int, left: Any, right: Any) -
     row ``first``. A step moves mass one site: after an odd count the
     origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
     even one coin |0> has come to the origin from the left and coin |1>
-    from the right. A lone game's sides and rows are Python numbers."""
+    from the right. A one-game batch's sides and rows are Python numbers."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
     odd = j == right_start
     u, v = (w1[j - 1], w0[j]) if odd else (w0[j], w1[j])

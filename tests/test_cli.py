@@ -1,4 +1,6 @@
+import gc
 import inspect
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from qparrondo import CapacityError, CoinParams, GridAxis, ScanConfig, classify, scan, scan_region_grid
+from qparrondo import GameSequence, game_trajectory, run_scan
+from qparrondo.io import write_region_json, write_scan_json, write_trajectory_csv
 from qparrondo.metrics import DEFAULT_EPSILON
 from qparrondo.cli import EXIT_CAPACITY, EXIT_IO, EXIT_USAGE, main, parse_cli
 
@@ -285,14 +289,66 @@ class TestBudgets:
         assert "max_period" in capsys.readouterr().err
 
 
+PACKAGE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+"""The environment of a fresh interpreter that imports this package's source."""
+
+
 def test_cli_import_leaves_the_pool_modules_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, qparrondo.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+README_FLAGS = ["--coin-a", "156,16,0", "--coin-b", "0,75,160", "--eta-deg", "90"]
+README_CONFIG = ScanConfig(CoinParams(156, 16, 0), CoinParams(0, 75, 160), 90.0,
+                           max_period=3, horizon_steps=12)
+README_AXIS = "beta_a=6:26:3"
+
+
+def written(command):
+    """What the in-process writer gives for ``command`` on ``README_CONFIG``."""
+    sink, config = io.StringIO(), README_CONFIG
+    if command == "simulate":
+        write_trajectory_csv(game_trajectory(config.coin_a, config.coin_b, config.eta_deg,
+                                             GameSequence("ABB"), config.horizon_steps), sink)
+    elif command == "scan":
+        write_scan_json(run_scan(config), sink)
+    else:
+        axes = [GridAxis.linspace("beta_a", 6, 26, 3)]
+        write_region_json(scan_region_grid(config, axes), config, sink)
+    return sink.getvalue().encode()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--sequence", "ABB", "--format", "csv"]),
+    ("scan", ["--max-period", "3"]),
+    ("regions", ["--max-period", "3", "--axis", README_AXIS, "--workers", "2"]),
+])
+def test_the_process_entry_writes_what_the_api_writes(command, flags):
+    # main() as the process entry, as the benchmark runs it, in dev mode with warnings as errors
+    argv = [command, *README_FLAGS, "--steps", str(README_CONFIG.horizon_steps), *flags]
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "qparrondo.cli", *argv],
+                          env=PACKAGE_ENV, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == written(command)
+
+
+def test_only_the_process_entry_freezes_the_collector(tmp_path, capsys):
+    out = str(tmp_path / "t.csv")
+    frozen = gc.get_freeze_count()
+    assert main(SIMULATE_ARGS + ["--steps", "6", "--out", out]) == 0
+    assert main(["simulate", "--coin-a", "1,2"]) == EXIT_USAGE
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    code = ("import gc, sys; from qparrondo.cli import main; "
+            f"sys.argv[1:] = {SIMULATE_ARGS + ['--steps', '6', '--out', out]!r}; "
+            "print(main(), gc.get_freeze_count() > 0)")
+    done = subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split() == ["0", "True"]
 
 
 class TestMain:

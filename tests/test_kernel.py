@@ -61,6 +61,11 @@ TRANSLATION = [(CoinParams(30, 0, 0), CoinParams(0, 0, 50), 90.0, GameSequence(t
 """Two translation coins (beta 0): coin |0> runs right and coin |1> left,
 so all mass leaves the origin and the sites between stay empty."""
 
+REAL_COINS = [(CoinParams(0, 40, 0), CoinParams(0, 70, 0), 0.0, GameSequence(tokens))
+              for tokens in ("A", "AB", "ABB")]
+"""Two real coins from a real initial state (eta 0): every amplitude stays
+real, so each ``rho01`` has an imaginary part that is a sum of zeros."""
+
 SCAN_GAMES = [(REGIME_ONE_SIDED["coin_a"], REGIME_ONE_SIDED["coin_b"], REGIME_ONE_SIDED["eta_deg"],
                seq) for seq in every_game(12)]
 """Every game of a max-period-12 scan in the one-sided regime."""
@@ -197,15 +202,19 @@ def observed():
     return columns, rows, np.array(quick), exact
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 2400, MAX_STEPS])
+@pytest.mark.parametrize("steps", [1, 2, 3, 65, 2400, MAX_STEPS])  # 65: past the first anchor
 def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
     if steps < MAX_STEPS:
-        batch = LONG_GAMES[:12]  # A, B and ABB in each regime, and A, AB, AAB on swap coins
+        # A, B and ABB in each regime, A, AB, AAB on swap coins, translations, real coins
+        batch = LONG_GAMES[:12] + TRANSLATION + REAL_COINS
         together, picked = evolve_games(batch, steps), range(len(batch))
+        imaginary = together.rho01[-len(REAL_COINS):].imag
+        assert not imaginary.any() and not np.signbit(imaginary).any()  # each exactly +0.0
     else:  # no multiple of the anchor cadence; for time, only ABB, a swap and a translation
-        together, picked = request.getfixturevalue("observed")[0], (2, 10, 16)  # game walk alone
+        batch, picked = LONG_GAMES, (2, 10, 16)
+        together = request.getfixturevalue("observed")[0]
     for g in picked:
-        alone = evolve_games([LONG_GAMES[g]], steps)  # walked and observed on its one column
+        alone = evolve_games([batch[g]], steps)  # walked alone, on 1-D windows
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
 
@@ -294,13 +303,31 @@ def handed():
         yield walks
 
 
-def observed_rows(game, steps):
-    """How many rows the observer of ``game``, walked alone, is handed over
-    ``steps`` steps, as a fraction of the occupied sites."""
-    with handed() as walks:
+class RowCountingNumpy:
+    """numpy, except that ``multiply`` records the rows of each product by a
+    coin entry, a 0-d array: the four a lone walk's step takes."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args):
+        if np.ndim(args[1]) == 0:
+            self.rows.append(len(args[0]))
+        return np.multiply(*args)
+
+
+def stepped_rows(game, steps):
+    """How many rows the walk of ``game``, alone, steps over ``steps``
+    steps, as a fraction of the sites occupied before each step."""
+    counting = RowCountingNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "np", counting)
         evolve_games([game], steps)
-    (shapes,) = walks
-    return sum(rows for rows, _ in shapes) / sum(t + 2 for t in range(steps))
+    assert len(counting.rows) == 4 * steps
+    return sum(counting.rows) / 4 / sum(t + 1 for t in range(steps))
 
 
 def test_only_rows_that_hold_amplitude_are_evolved():
@@ -309,8 +336,8 @@ def test_only_rows_that_hold_amplitude_are_evolved():
     regime = REGIME_ONE_SIDED
     a, b = ((regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
             for tokens in ("A", "B"))
-    assert observed_rows(b, 2400) < 0.6
-    assert observed_rows(a, 2400) == 1.0
+    assert stepped_rows(b, 2400) < 0.6
+    assert stepped_rows(a, 2400) == 1.0
 
 
 def test_games_of_mixed_cells_equal_their_own_pair_calls():

@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import pickle
@@ -556,6 +557,19 @@ def record_placement(monkeypatch, cpus):
     return placed
 
 
+@contextlib.contextmanager
+def nothing_left_open():
+    """Check that the block leaves no share process running and, where
+    ``/proc/self/fd`` lists this process's descriptors, none of its pipes
+    or process sentinels open."""
+    listed = Path("/proc/self/fd").is_dir()
+    before = set(os.listdir("/proc/self/fd")) if listed else None
+    yield
+    assert multiprocessing.active_children() == []
+    if listed:
+        assert set(os.listdir("/proc/self/fd")) == before
+
+
 class ShareFailed(Exception):
     """Raised by a share process in place of its counts."""
 
@@ -601,27 +615,24 @@ class TestShareProcesses:
             raise ShareFailed("share 1")
 
         self.failing_share(monkeypatch, fail)
-        with pytest.raises(ShareFailed, match="share 1") as raised:
+        with nothing_left_open(), pytest.raises(ShareFailed, match="share 1") as raised:
             scan_region_grid(self.BASE, self.AXES, workers=2)
-        assert multiprocessing.active_children() == []
         # the share's traceback travels as a note
         assert "in grid share 1:\nTraceback" in raised.value.__notes__[-1]
 
     @forks
     def test_a_share_process_that_dies_without_sending_is_named(self, monkeypatch):
         self.failing_share(monkeypatch, lambda: os._exit(7))
-        with pytest.raises(RuntimeError, match="share 1 of 2 exited with code 7"):
+        with nothing_left_open(), pytest.raises(RuntimeError, match="share 1 of 2 exited with code 7"):
             scan_region_grid(self.BASE, self.AXES, workers=2)
-        assert multiprocessing.active_children() == []
 
     def test_the_callers_exception_stops_the_share_processes(self, monkeypatch):
         record_placement(monkeypatch, {0, 1})
         # the share processes outlive the time bound unless they are stopped
         monkeypatch.setattr(scan, "_run_share", lambda *args: time.sleep(120))
         monkeypatch.setattr(scan, "evolve_verdicts", lambda *args: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
+        with nothing_left_open(), pytest.raises(ZeroDivisionError):
             scan_region_grid(self.BASE, self.AXES, workers=2)
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs 2 CPUs this process may run on")
@@ -629,18 +640,25 @@ class TestShareProcesses:
         # checked again here: an earlier test that moved this process would run one share
         before = os.sched_getaffinity(0)
         assert len(before) >= 2, before
-        started, start = [], scan._start
+        exits, start = [], scan._start
 
         def recorded(*args):
-            started.append(start(*args))
-            return started[-1]
+            process, reader = start(*args)
+            close = process.close
+
+            def closed():  # the exit code can be read only until the process is closed
+                exits.append(process.exitcode)
+                close()
+
+            process.close = closed
+            return process, reader
 
         monkeypatch.setattr(scan, "_start", recorded)
         base = one_sided_config(max_period=4)
-        grid = scan_region_grid(base, README_AXES, workers=2)
-        assert [process.exitcode for process, _ in started] == [0]  # a share process ran
+        with nothing_left_open():
+            grid = scan_region_grid(base, README_AXES, workers=2)
+        assert exits == [0]  # a share process ran, and was closed
         assert os.sched_getaffinity(0) == before
-        assert multiprocessing.active_children() == []
         alone = scan_region_grid(base, README_AXES)
         assert np.array_equal(grid.paradox, alone.paradox)
         assert np.array_equal(grid.winning_counts, alone.winning_counts)
@@ -696,8 +714,8 @@ class TestShareProcesses:
                 raise OSError(22, "Invalid argument")
 
             monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        grid = scan_region_grid(self.BASE, self.AXES, workers=2)
-        assert multiprocessing.active_children() == []
+        with nothing_left_open():
+            grid = scan_region_grid(self.BASE, self.AXES, workers=2)
         alone = scan_region_grid(self.BASE, self.AXES)
         assert grid.winning_counts.any()
         assert np.array_equal(grid.winning_counts, alone.winning_counts)
