@@ -16,6 +16,7 @@ kernel's game-step budget (``walk.MAX_GAME_STEPS``) needs.
 from __future__ import annotations
 
 import os
+from collections import abc
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
@@ -322,9 +323,10 @@ class GridAxis:
                 f"unknown axis parameter {self.parameter!r}; "
                 f"choose one of {', '.join(AXIS_PARAMETERS)}"
             )
-        values = tuple(self.values) if isinstance(self.values, Iterable) else ()
+        unordered = isinstance(self.values, (abc.Set, abc.Mapping))  # a set's order is its hash's
+        values = tuple(self.values) if isinstance(self.values, Iterable) and not unordered else ()
         if not values:
-            raise InvalidParameterError(f"axis {self.parameter} needs values, got {self.values!r}")
+            raise InvalidParameterError(f"axis {self.parameter} needs a list, got {self.values!r}")
         name = f"axis {self.parameter} value"
         object.__setattr__(self, "values", tuple(check_real(name, v) for v in values))
 
@@ -370,7 +372,7 @@ class RegionGrid:
 def _check_axes(axes: Iterable[GridAxis]) -> tuple[GridAxis, ...]:
     """``axes`` as a tuple; raise ``InvalidParameterError`` unless they are a
     sequence of one or two ``GridAxis`` that sweep distinct parameters."""
-    if not isinstance(axes, Iterable):  # a bare GridAxis, say
+    if not isinstance(axes, Iterable) or isinstance(axes, (abc.Set, abc.Mapping)):  # GridAxis, set
         raise InvalidParameterError(f"axes must be a sequence of GridAxis, got {axes!r}")
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:

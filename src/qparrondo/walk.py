@@ -18,9 +18,10 @@ sums the sides over them; in between they follow the flux across the
 origin, in O(1) per game and step. Observers only record or judge:
 ``evolve_games`` records all six columns (scans and simulations), and
 ``evolve_verdicts`` judges each game's bias at its payoff points, retiring
-it at the first that breaks its verdict (region grids). ``evolve_games``
-walks a lone game on 1-D windows of its own, with the same float operations
-in the same order, so it gives the bits it has in any batch.
+it at the first that breaks its verdict (region grids). Only a lone
+``evolve_games`` game steps on Python numbers, with the same float
+operations in the same order, so it gives the bits it has in any batch;
+every other walk takes ``(rows, games)`` windows, one column included.
 """
 
 from __future__ import annotations
@@ -504,7 +505,8 @@ def evolve_verdicts(
     ``evolve_games``: each bias is bitwise the one those columns give, from
     the sides the walk keeps. Any number of games is walked, in input order,
     in the fewest equal batches of at most ``MAX_GAME_STEPS // steps``
-    games; a game's bits do not depend on its batch. A game is retired at
+    games; a game's bits do not depend on its batch, and a one-game call
+    runs the batched loop on one column. A game is retired at
     its first payoff point that fails; every ``_COMPACT_EVERY`` steps a
     batch drops its retired games, and its walk ends as soon as none is left.
 
@@ -553,7 +555,7 @@ def _judge(held: NDArray, periods: NDArray, signs: NDArray, epsilon: float) -> C
         due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
         if due.size:
             games_due = columns[due]
-            left, right = np.maximum(sides[::2], 0.0).reshape(2, -1)[:, due]  # lone: floats
+            left, right = np.maximum(sides[::2], 0.0)[:, due]
             live[due] = held[games_due] = signs[games_due] * (right - left) > epsilon
         return live
 
@@ -632,8 +634,8 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) 
         add(c0, c1, w0)
         off, hi = off - 1, hi + 1
         if t % _ANCHOR_EVERY == 0:
-            lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
-            left, origin, right, rho00, rho11 = sums.tolist()
+            lo, hi, sums = _anchor(t, a0[off:, None], a1[:, None], lo, hi)
+            left, origin, right, rho00, rho11 = sums[:, 0].tolist()
         else:  # _flux's sides, from the base buffers, and _observe_all's recurrence
             j, right_start = _sides(t, lo)
             if j == right_start:
@@ -676,8 +678,8 @@ def _evolve(
     ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
     nothing, and the row it uncovers is still zero. Games never mix and
     every column takes the same float operations, with site sums added one
-    site at a time, so each game gets the same bits in any batch; a one-game
-    batch's coin entries and sides are Python numbers, which round alike.
+    site at a time, so each game gets the same bits in any batch, one
+    column included.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
@@ -704,17 +706,11 @@ def _evolve(
     a1[0] = phases
     scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
 
-    entries = coins.reshape(-1, 4).tolist()  # each coin as [u00, u01, u10, u11]
-    lone = [entries[row] for row in choice[:, 0].tolist()] if width == 1 else None
-
     off, lo, hi = steps, 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
     w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
     for t in range(steps):
-        if lone:
-            u00, u01, u10, u11 = lone[t]
-        else:
-            coin = coins[choice[t]]  # (G, 2, 2)
-            u00, u01, u10, u11 = coin[:, 0, 0], coin[:, 0, 1], coin[:, 1, 0], coin[:, 1, 1]
+        coin = coins[choice[t]]  # (G, 2, 2)
+        u00, u01, u10, u11 = coin[:, 0, 0], coin[:, 0, 1], coin[:, 1, 0], coin[:, 1, 1]
         c0 = np.multiply(w0, u00, out=scratch0[:hi - lo])
         c1 = np.multiply(w1, u01, out=scratch1[:hi - lo])
         np.multiply(w0, u10, out=w0)
@@ -725,7 +721,7 @@ def _evolve(
         sums = None
         if t % _ANCHOR_EVERY == 0:
             lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
-            left, origin, right = sums[:3, 0].tolist() if lone else sums[:3]
+            left, origin, right = sums[:3]
         w0, w1 = a0[off + lo:off + hi], a1[lo:hi]  # the rows held, and stepped next
         if sums is None:
             left, origin, right = _flux(t, w0, w1, lo, left, right)
@@ -754,7 +750,7 @@ passes through subnormal floats, which multiply many times slower, to 0."""
 
 def _anchor(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
     """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
-    occupied windows ``a0``, ``a1`` (a column per game, or a lone walk's 1-D)
+    occupied windows ``a0``, ``a1`` (a column per game, one for a lone walk)
     once, set each game's faint pairs there to 0, and give the rows some game
     still holds, or the flux reads until the next anchor, with each column's
     five sums over them: ``p_left``, ``p_origin``, ``p_right``, ``rho00``, ``rho11``."""
@@ -764,12 +760,12 @@ def _anchor(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, in
     faint = q < _FLUSH_BELOW  # per game and row, from its own values
     for values in (w0, w1, q0, q1, q):
         values[faint] = 0.0
-    held = np.flatnonzero(~(faint.all(axis=1) if faint.ndim > 1 else faint))
+    held = np.flatnonzero(~faint.all(axis=1))
     origin, _ = _sides(t, lo)
     first, last = min(held[0], origin - 1), max(held[-1] + 1, origin + 1)
     q0, q1, q = q0[first:last], q1[first:last], q[first:last]
     left_end, right_start = _sides(t, lo + first)
-    sums = np.zeros((5, *w0.shape[1:]))
+    sums = np.zeros((5, w0.shape[1]))
     sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
     sums[1] = q[left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
     sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
@@ -791,24 +787,22 @@ def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
 def _site_sum(values: NDArray) -> NDArray:
     """Sum over sites (axis 0) for each game, adding one site at a time:
     numpy reduces several columns row by row but a single column pairwise,
-    so a lone column, or a 1-D window, is accumulated in the order a batch uses."""
-    if values.ndim > 1 and values.shape[1] > 1:
+    so a lone column is accumulated in the order a batch uses."""
+    if values.shape[1] > 1:
         return values.sum(axis=0)
     return np.add.accumulate(values, axis=0)[-1]
 
 
-def _flux(t: int, w0: NDArray, w1: NDArray, first: int, left: Any, right: Any) -> tuple:
+def _flux(t: int, w0: NDArray, w1: NDArray, first: int, left: NDArray, right: NDArray) -> tuple:
     """The sides after step ``t + 1``, from those before it and the mass the
     step carried across the origin in the windows that start at occupied
     row ``first``. A step moves mass one site: after an odd count the
     origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
     even one coin |0> has come to the origin from the left and coin |1>
-    from the right. A one-game batch's sides and rows are Python numbers."""
+    from the right."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
     odd = j == right_start
     u, v = (w1[j - 1], w0[j]) if odd else (w0[j], w1[j])
-    if isinstance(left, float):
-        u, v = u.item(), v.item()
     q0, q1 = _abs2(u), _abs2(v)
     if odd:
         return left + q0, 0.0, right + q1

@@ -520,12 +520,14 @@ def test_a_batch_whose_games_all_retire_stops_early():
 
 
 def test_a_lone_game_equals_its_batch():
-    games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, 120)
-    for g in (holds.index(True), holds.index(False)):
-        held, widths = traced_verdicts([games[g]], 120, [periods[g]], [signs[g]], 1e-9)
-        assert held == [holds[g]]
-        assert widths == [1] * len(widths)
-        assert (len(widths) == 120) == holds[g]
+    # at 200 steps the held game crosses the anchors at 0, 64, 128 and 192 on one column
+    for steps in (120, 200):
+        games, biases, periods, signs, holds = scan_batch(REGIME_ONE_SIDED, steps)
+        for g in (holds.index(True), holds.index(False)):
+            held, widths = traced_verdicts([games[g]], steps, [periods[g]], [signs[g]], 1e-9)
+            assert held == [holds[g]]
+            assert widths == [1] * len(widths)
+            assert (len(widths) == steps) == holds[g]
 
 
 def test_verdict_walks_over_the_step_budget_allocate_nothing():

@@ -312,9 +312,12 @@ class TestRegionGrid:
             lambda: GridAxis("beta_a", (1.0, True)),
             lambda: GridAxis.linspace("beta_a", True, 3.0, 2),
             lambda: GridAxis.linspace("beta_a", "1", 3.0, 2),
+            lambda: GridAxis("beta_a", {30.0, 10.0, 20.0}),  # a set's order is its hash's
+            lambda: GridAxis("beta_a", {30.0: 1, 10.0: 2}),
         ],
         ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count",
-             "number-values", "bool-value", "bool-start", "string-start"],
+             "number-values", "bool-value", "bool-start", "string-start", "set-values",
+             "mapping-values"],
     )
     def test_rejects_values_and_counts_of_the_wrong_type(self, build):
         with pytest.raises(InvalidParameterError):
@@ -338,6 +341,8 @@ class TestRegionGrid:
             pytest.param(lambda: scan_region_grid(one_sided_config(), GridAxis("beta_a", (6.0,))),
                          id="bare-axis"),
             pytest.param(lambda: GridAxis.linspace("beta_a", 0, 1, 10**9), id="huge-count"),
+            pytest.param(lambda: scan_region_grid(one_sided_config(), {
+                GridAxis("beta_a", (6.0,)), GridAxis("beta_b", (6.0,))}), id="set-of-axes"),
             pytest.param(lambda: scan.RegionGrid(axes=(), paradox=np.zeros(()),
                                                  winning_counts=np.zeros(())), id="no-axis"),
         ],
@@ -506,20 +511,23 @@ class InProcessShare:
     def join(self):
         self.ended.append("join")
 
-    def close(self):
-        pass
+    def close(self):  # the share is both the process and its reader
+        self.ended.append("close")
 
 
-def record_pool_tasks(monkeypatch, cpus):
+def record_pool_tasks(monkeypatch, cpus, shares=None):
     """Replace the start of a share process by a share run in this process,
-    and give the list each start's arguments are added to. The affinity set
-    is ``range(cpus)``, which may name CPUs this host lacks; each share's
+    and give the list each start's arguments are added to; each share is
+    added to ``shares``, where one is given. The affinity set is
+    ``range(cpus)``, which may name CPUs this host lacks; each share's
     placement is recorded, not made."""
     tasks = []
 
     def start(*args):
         tasks.append(args)
         share = InProcessShare(*args)
+        if shares is not None:
+            shares.append(share)
         return share, share
 
     monkeypatch.setattr(scan, "_start", start)
@@ -664,10 +672,13 @@ class TestShareProcesses:
         assert np.array_equal(grid.winning_counts, alone.winning_counts)
 
     def test_share_k_runs_on_the_kth_cpu(self, monkeypatch):
-        tasks = record_pool_tasks(monkeypatch, 3)
+        shares = []
+        tasks = record_pool_tasks(monkeypatch, 3, shares)
         placed = record_placement(monkeypatch, {9, 3, 7})  # in place of range(3)
         scan_region_grid(self.BASE, self.AXES, workers=3)
         assert [args[-1] for args in tasks] == [7, 9]
+        # each share's process, then its reader, is closed after the join
+        assert [share.ended for share in shares] == [["join", "close", "close"]] * 2
         # each in-process share, then this thread: placed, then given its CPUs back
         assert placed == [{7}, {3, 7, 9}, {9}, {3, 7, 9}, {3}, {3, 7, 9}]
 
@@ -685,7 +696,7 @@ class TestShareProcesses:
         with pytest.raises(ZeroDivisionError):
             scan_region_grid(self.BASE, self.AXES, workers=3)
         assert placed == [{3}, {3, 7, 9}]
-        assert [share.ended for share in shares] == [["terminate", "join"]] * 2
+        assert [share.ended for share in shares] == [["terminate", "join", "close", "close"]] * 2
 
     def test_one_process_is_never_placed(self, monkeypatch, no_process):
         placed = record_placement(monkeypatch, {0, 1})
