@@ -7,10 +7,11 @@ evolves each distinct coin sequence once: ``ABAB`` plays what ``AB`` plays.
 ``scan_region_grid`` repeats the check over a grid of coin parameters, and
 evolves each game that several cells share once. A scan evolves its games
 in chunks of ``evolve_games`` calls, which observe every column of every
-step. A grid deals its games to its processes by stride, and each share is
-one ``evolve_verdicts`` call, which observes only each game's bias at its
-payoff points, until its verdict is decided, in as many batches as the
-kernel's game-step budget (``walk.MAX_GAME_STEPS``) needs.
+step. A grid deals its games to its processes by stride, and each share
+makes and walks its games one batch of the kernel's game-step budget
+(``walk.MAX_GAME_STEPS``) at a time, one ``evolve_verdicts`` call each,
+which observes only each game's bias at its payoff points, until its
+verdict is decided.
 """
 
 from __future__ import annotations
@@ -212,8 +213,10 @@ def _share(
     pures: Sequence[Game],
     cells: Sequence[Cell],
     share: tuple[int, int] = (0, 1),
-) -> tuple[list[int], list[Game]]:
-    """The owners and games of share ``share`` = ``(i, n)`` of a grid.
+) -> Iterator[tuple[list[int], list[Game]]]:
+    """The owners and games of share ``share`` = ``(i, n)`` of a grid, in
+    the fewest equal batches of at most ``walk.MAX_GAME_STEPS // steps``
+    games, each made as it is taken.
 
     The games form one stream: the pure games ``pures`` (the pure A games,
     then the pure B games), then every cell's game of each enumerated
@@ -225,12 +228,15 @@ def _share(
     """
     index, shares = share
     schedules = enumerate_sequences(config.max_period)
-    owners, games = [], []
-    for j in range(index, len(pures) + len(schedules) * len(cells), shares):
-        k, c = divmod(j - len(pures), len(cells))  # k < 0 for a pure game
-        owners.append(j if k < 0 else len(pures) + c)
-        games.append(pures[j] if k < 0 else (*cells[c], schedules[k]))
-    return owners, games
+    dealt = range(index, len(pures) + len(schedules) * len(cells), shares)
+    batches = -(-len(dealt) // (walk.MAX_GAME_STEPS // config.horizon_steps))
+    for b in range(batches):
+        owners, games = [], []
+        for j in dealt[b * len(dealt) // batches:(b + 1) * len(dealt) // batches]:
+            k, c = divmod(j - len(pures), len(cells))  # k < 0 for a pure game
+            owners.append(j if k < 0 else len(pures) + c)
+            games.append(pures[j] if k < 0 else (*cells[c], schedules[k]))
+        yield owners, games
 
 
 def _periods(config: ScanConfig, schedules: Sequence[GameSequence]) -> list[int]:
@@ -408,23 +414,26 @@ def _tally(
     ``cells`` its count of Winning sequences, at ``config`` with the cell's
     coins and phase, over the games of ``_share``'s share ``share``.
 
-    The share is one ``evolve_verdicts`` call, which walks it in as many
-    batches as the kernel's budget needs. Each game evolves only until its
-    verdict is decided: a sequence while it may still be Winning, a pure
-    game while it may still be Losing. The games run period by period, so
-    the games of a batch mostly share their payoff points and the steps at
-    which any bias is needed are fewer.
+    The share is made and walked one batch of the kernel's budget at a
+    time, one ``evolve_verdicts`` call each, so a process lists one batch
+    of games at once. Each game evolves only
+    until its verdict is decided: a sequence while it may still be Winning,
+    a pure game while it may still be Losing. The games run period by
+    period, so the games of a batch mostly share their payoff points and
+    the steps at which any bias is needed are fewer.
     """
-    owners, games = _share(config, pures, cells, share)
-    schedules = [seq for *_, seq in games]
-    held = evolve_verdicts(
-        games,
-        config.horizon_steps,
-        _periods(config, schedules),
-        [-1 if seq.period == 1 else 1 for seq in schedules],
-        config.epsilon,
-    )
-    return np.bincount(np.array(owners)[held], minlength=len(pures) + len(cells)).tolist()
+    counts = np.zeros(len(pures) + len(cells), dtype=int)
+    for owners, games in _share(config, pures, cells, share):
+        schedules = [seq for *_, seq in games]
+        held = evolve_verdicts(
+            games,
+            config.horizon_steps,
+            _periods(config, schedules),
+            [-1 if seq.period == 1 else 1 for seq in schedules],
+            config.epsilon,
+        )
+        counts += np.bincount(np.array(owners)[held], minlength=len(counts))
+    return counts.tolist()
 
 
 @contextmanager

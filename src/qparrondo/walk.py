@@ -15,13 +15,18 @@ in one loop that also keeps every game's side probabilities: every
 ``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only
 the rows some game still holds (so decaying tails cost less than T**2) and
 sums the sides over them; in between they follow the flux across the
-origin, in O(1) per game and step. Observers only record or judge:
-``evolve_games`` records all six columns (scans and simulations), and
-``evolve_verdicts`` judges each game's bias at its payoff points, retiring
-it at the first that breaks its verdict (region grids). Only a lone
-``evolve_games`` game steps on Python numbers, with the same float
-operations in the same order, so it gives the bits it has in any batch;
-every other walk takes ``(rows, games)`` windows, one column included.
+origin, in O(1) per game and step. Each step does only what needs its own
+rows: the coin step, the anchor, a copy of the two rows the flux reads and
+``evolve_games``' per-step sums. The rest is done once per block of
+``_COMPACT_EVERY`` steps: the block's coin entries are looked up, its sides
+rebuilt from the copied rows, and its observer called. Observers only
+record or judge: ``evolve_games`` records all six columns (scans and
+simulations), and ``evolve_verdicts`` judges each game's bias at its payoff
+points, retiring it at the first that breaks its verdict (region grids).
+Only a lone ``evolve_games`` game steps on Python numbers, with the same
+float operations in the same order, so it gives the bits it has in any
+batch; every other walk takes ``(rows, games)`` windows, one column
+included.
 """
 
 from __future__ import annotations
@@ -456,7 +461,7 @@ def evolve_games(
         return _walk_one(coins, choice[:, 0].tolist(), phases.item())
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    _evolve(coins, choice, phases, _observe_all(table, rho01, _conjugation(coins), choice))
+    _evolve(coins, choice, phases, *_observe_all(table, rho01, _conjugation(coins), choice))
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
@@ -466,27 +471,31 @@ between, the sides follow the flux across the origin and ``rho00`` and
 ``rho11`` the coin, each rounding a little; the sums bound the drift."""
 
 
-def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> Callable:
-    """``evolve_games``' observer: after step t + 1 it writes the first five
-    columns of every game into ``table[t]`` and ``rho01``'s into ``rho01[t]``."""
+def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> tuple:
+    """``evolve_games``' observers: after step t + 1 ``record`` writes the
+    coin populations of every game into ``table[t, 3:]`` and its ``rho01``
+    into ``rho01[t]``, and after each block ``observe`` writes the block's
+    sides into the first three columns of its rows of ``table``."""
     steps, _, width = table.shape
     cross = np.empty((steps + 1, width), dtype=np.complex128)
 
-    def observe(t, w0, w1, sides, sums, columns):
-        row = table[t]
+    def record(t, w0, w1, sums):
         if sums is None:
-            np.maximum(sides[::2], 0.0, out=row[0:3:2])
-            row[1] = sides[1]
             f, before = factors.take(choice[t], axis=2), table[t - 1]
             x, y = rho01[t - 1].real, rho01[t - 1].imag
-            np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=row[3:])
+            np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=table[t, 3:])
         else:
-            row[:] = sums
+            table[t, 3:] = sums[3:]
         product = np.conjugate(w1, out=cross[:len(w0)])
         rho01[t] = _site_sum(np.multiply(w0, product, out=product))
+
+    def observe(t, sides, columns):
+        rows = table[t:t + len(sides)]
+        np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
+        rows[:, 1] = sides[:, 1]
         return None
 
-    return observe
+    return observe, record
 
 
 def evolve_verdicts(
@@ -506,9 +515,11 @@ def evolve_verdicts(
     the sides the walk keeps. Any number of games is walked, in input order,
     in the fewest equal batches of at most ``MAX_GAME_STEPS // steps``
     games; a game's bits do not depend on its batch, and a one-game call
-    runs the batched loop on one column. A game is retired at
-    its first payoff point that fails; every ``_COMPACT_EVERY`` steps a
-    batch drops its retired games, and its walk ends as soon as none is left.
+    runs the batched loop on one column. A game is retired at its first
+    payoff point that fails. Retirement acts per block of ``_COMPACT_EVERY``
+    steps: after each block a batch judges the block's payoff points and
+    drops its retired games, and a walk with no live game left ends at the
+    end of that block.
 
     Raises
     ------
@@ -546,17 +557,18 @@ def evolve_verdicts(
 
 
 def _judge(held: NDArray, periods: NDArray, signs: NDArray, epsilon: float) -> Callable:
-    """``evolve_verdicts``' observer of one batch: it sets ``held[g]``, a view
-    into the flags of all games, to False at game ``g``'s first payoff point
-    that fails, and gives the mask of the batch's columns still live."""
+    """``evolve_verdicts``' observer of one batch: after each block it sets
+    ``held[g]``, a view into the flags of all games, to False if one of game
+    ``g``'s payoff points in the block fails, and gives the mask of the
+    batch's columns still live."""
 
-    def observe(t, w0, w1, sides, sums, columns):
+    def observe(t, sides, columns):
         live = held[columns]
-        due = np.flatnonzero(live & ((t + 1) % periods[columns] == 0))
-        if due.size:
-            games_due = columns[due]
-            left, right = np.maximum(sides[::2], 0.0)[:, due]
-            live[due] = held[games_due] = signs[games_due] * (right - left) > epsilon
+        due = live & (np.arange(t + 1, t + 1 + len(sides))[:, None] % periods[columns] == 0)
+        if due.any():
+            left, right = np.maximum(sides[:, ::2], 0.0).transpose(1, 0, 2)
+            failed = (due & ~(signs[columns] * (right - left) > epsilon)).any(axis=0)
+            held[columns[failed]] = live[failed] = False
         return live
 
     return observe
@@ -659,7 +671,13 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) 
 
 
 _COMPACT_EVERY = 8
-"""Steps between two drops of retired games from an ``evolve_verdicts`` batch."""
+"""Steps in one block of a batched walk, a divisor of ``_ANCHOR_EVERY``, so
+an anchor always starts a block. After each block the walk rebuilds its
+sides, calls its observer and drops the games no longer live."""
+
+_SIGNS = np.resize([1.0, -1.0], _COMPACT_EVERY)[:, None, None]
+"""Per step of a block, whose first step count is odd, how the flux moves
+the sides: an odd count adds the mass that crossed, an even one takes it."""
 
 
 def _evolve(
@@ -667,6 +685,7 @@ def _evolve(
     choice: NDArray[np.intp],
     phases: NDArray[np.complex128],
     observe: Callable[..., NDArray[np.bool_] | None],
+    record: Callable[..., None] | None = None,
 ) -> None:
     """The one evolution loop of the batched kernel.
 
@@ -687,16 +706,21 @@ def _evolve(
     ``p_origin``, ``p_right``). At each anchor (``t % _ANCHOR_EVERY == 0``)
     ``_anchor`` flushes faint amplitudes, narrows the rows to those some
     game still holds and sums every column over them; rows dropped hold 0
-    for every game, and skipping a 0 never changes a sum. Between anchors
-    ``_flux`` moves the mass each step carries across the origin.
+    for every game, and skipping a 0 never changes a sum. At every other
+    step ``_crossing`` copies the two rows whose mass the step carried
+    across the origin.
 
-    After step ``t + 1`` it calls ``observe(t, w0, w1, sides, sums,
-    columns)`` with the rows of both components that may hold amplitude,
-    the sides before they are clipped at 0, the ``(5, G)`` anchor sums (the
-    sides, ``rho00``, ``rho11``) or None, and each column's game index.
-    ``observe`` gives None, or a mask of the columns whose games are still
-    live: the loop returns once none is, and every ``_COMPACT_EVERY`` steps
-    drops the others' columns and sides, copying only the rows held.
+    The walk runs in blocks of ``_COMPACT_EVERY`` steps, and a shorter last
+    one. Each block looks up its coin entries at once; after it, ``_flux``
+    rebuilds the sides of all its steps from the rows copied, and the loop
+    calls ``observe(t, sides, columns)`` with the block's first step ``t``,
+    its ``(steps, 3, G)`` sides before they are clipped at 0, and each
+    column's game index. ``observe`` gives None, or a mask of the columns
+    whose games are still live: the loop returns once none is, and
+    otherwise drops the others' columns and sides, copying only the rows
+    held. ``record(t, w0, w1, sums)``, if given, is called after every step
+    ``t + 1`` with the rows of both components that may hold amplitude and
+    the ``(5, G)`` anchor sums (the sides, ``rho00``, ``rho11``) or None.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -705,40 +729,46 @@ def _evolve(
     a0[steps] = 1.0 / math.sqrt(2.0)
     a1[0] = phases
     scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+    crossed = np.empty((_COMPACT_EVERY, 2, width), dtype=np.complex128)
 
     off, lo, hi = steps, 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
     w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
-    for t in range(steps):
-        coin = coins[choice[t]]  # (G, 2, 2)
-        u00, u01, u10, u11 = coin[:, 0, 0], coin[:, 0, 1], coin[:, 1, 0], coin[:, 1, 1]
-        c0 = np.multiply(w0, u00, out=scratch0[:hi - lo])
-        c1 = np.multiply(w1, u01, out=scratch1[:hi - lo])
-        np.multiply(w0, u10, out=w0)
-        np.multiply(w1, u11, out=w1)
-        np.add(w1, w0, out=w1)
-        np.add(c0, c1, out=w0)
-        off, hi = off - 1, hi + 1
-        sums = None
-        if t % _ANCHOR_EVERY == 0:
-            lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
-            left, origin, right = sums[:3]
-        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]  # the rows held, and stepped next
-        if sums is None:
-            left, origin, right = _flux(t, w0, w1, lo, left, right)
+    for start in range(0, steps, _COMPACT_EVERY):
+        block = coins.reshape(-1, 4)[choice[start:start + _COMPACT_EVERY]]  # (n, G, 4)
+        anchored = start % _ANCHOR_EVERY == 0
+        for t, (u00, u01, u10, u11) in enumerate(block.transpose(0, 2, 1), start):
+            c0 = np.multiply(w0, u00, out=scratch0[:hi - lo])
+            c1 = np.multiply(w1, u01, out=scratch1[:hi - lo])
+            np.multiply(w0, u10, out=w0)
+            np.multiply(w1, u11, out=w1)
+            np.add(w1, w0, out=w1)
+            np.add(c0, c1, out=w0)
+            off, hi = off - 1, hi + 1
+            sums = None
+            if t % _ANCHOR_EVERY == 0:
+                lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
+                sides = sums[:3]
+            w0, w1 = a0[off + lo:off + hi], a1[lo:hi]  # the rows held, and stepped next
+            if sums is None:
+                _crossing(t, w0, w1, lo, crossed[t - start])
+            if record is not None:
+                record(t, w0, w1, sums)
 
-        live = observe(t, w0, w1, (left, origin, right), sums, columns)
+        block_sides = _flux(sides, crossed[anchored:len(block)], anchored)
+        sides = block_sides[-1]
+        live = observe(start, block_sides, columns)
         if live is None or live.all():
             continue
         if not live.any():
             return
-        if t % _COMPACT_EVERY == _COMPACT_EVERY - 1:
-            keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
-            b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
-            w0 = np.take(w0, keep, axis=1, out=b0[off + lo:off + hi])
-            w1 = np.take(w1, keep, axis=1, out=b1[lo:hi])
-            a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
-            columns, left, right = columns[keep], left[keep], right[keep]
-            scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+        keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
+        b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
+        w0 = np.take(w0, keep, axis=1, out=b0[off + lo:off + hi])
+        w1 = np.take(w1, keep, axis=1, out=b1[lo:hi])
+        a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
+        columns, sides = columns[keep], sides[:, keep]
+        scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+        crossed = np.empty((_COMPACT_EVERY, 2, len(keep)), dtype=np.complex128)
 
 
 _FLUSH_BELOW = 1e-280
@@ -793,20 +823,37 @@ def _site_sum(values: NDArray) -> NDArray:
     return np.add.accumulate(values, axis=0)[-1]
 
 
-def _flux(t: int, w0: NDArray, w1: NDArray, first: int, left: NDArray, right: NDArray) -> tuple:
-    """The sides after step ``t + 1``, from those before it and the mass the
-    step carried across the origin in the windows that start at occupied
-    row ``first``. A step moves mass one site: after an odd count the
-    origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
-    even one coin |0> has come to the origin from the left and coin |1>
-    from the right."""
+def _crossing(t: int, w0: NDArray, w1: NDArray, first: int, out: NDArray) -> None:
+    """Copy into ``out`` the two rows whose mass step ``t + 1`` carried
+    across the origin, in the windows that start at occupied row ``first``.
+    A step moves mass one site: after an odd count the origin's coin |1>
+    has gone to x = -1 and coin |0> to x = 1, after an even one coin |0>
+    has come to the origin from the left and coin |1> from the right."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
-    odd = j == right_start
-    u, v = (w1[j - 1], w0[j]) if odd else (w0[j], w1[j])
-    q0, q1 = _abs2(u), _abs2(v)
-    if odd:
-        return left + q0, 0.0, right + q1
-    return left - q0, q0 + q1, right - q1
+    if j == right_start:
+        out[0], out[1] = w1[j - 1], w0[j]
+    else:
+        out[0], out[1] = w0[j], w1[j]
+
+
+def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:
+    """The ``(steps, 3, G)`` sides after each step of a block, from the
+    ``(3, G)`` sides before it, or with ``anchored`` after its first step,
+    and the rows ``_crossing`` copied at each later step. After an odd step
+    count the mass that crossed is added, to the left from coin |1> and to
+    the right from coin |0>, and the origin is empty; after an even one it
+    is taken, and the origin holds it. The sides of all steps come from one
+    ``np.add.accumulate``, which adds in step order; ``a - b`` is
+    ``a + (-b)``, so they are bitwise those of one step at a time."""
+    q = _abs2(crossed)  # (steps, 2, G): the squared rows
+    run = np.empty((len(q) + 1, 3, sides.shape[1]))
+    run[0] = sides
+    np.multiply(q, _SIGNS[anchored:anchored + len(q)], out=run[1:, ::2])
+    np.add.accumulate(run[:, ::2], axis=0, out=run[:, ::2])
+    origin = run[1:, 1]
+    np.add(q[:, 0], q[:, 1], out=origin)
+    origin[anchored::2] = 0.0
+    return run[1 - anchored:]
 
 
 def _conjugation(coins: NDArray[np.complex128]) -> NDArray[np.float64]:

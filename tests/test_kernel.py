@@ -178,14 +178,14 @@ def observed():
     """``LONG_GAMES`` walked together for MAX_STEPS: their columns, and
     ``(T, 6, G)`` rows of them per step; ``quick_sums`` of the windows the
     kernel holds at every step, and ``exact_sums`` at each anchor. The walk
-    calls ``_anchor`` at each anchor and ``_flux`` at every other step, so
-    their wrappers see every step's windows."""
+    calls ``_anchor`` at each anchor and ``_crossing`` at every other step,
+    so their wrappers see every step's windows."""
     quick, exact = [], {}
-    flux, anchor = walk._flux, walk._anchor
+    crossing, anchor = walk._crossing, walk._anchor
 
-    def watched_flux(t, w0, w1, first, left, right):
+    def watched_crossing(t, w0, w1, first, out):
         quick.append(quick_sums(t, w0, w1, first))
-        return flux(t, w0, w1, first, left, right)
+        return crossing(t, w0, w1, first, out)
 
     def watched_anchor(t, a0, a1, lo, hi):
         lo, hi, sums = anchor(t, a0, a1, lo, hi)
@@ -195,14 +195,15 @@ def observed():
         return lo, hi, sums
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "_flux", watched_flux)
+        patch.setattr(walk, "_crossing", watched_crossing)
         patch.setattr(walk, "_anchor", watched_anchor)
         columns = evolve_games(LONG_GAMES, MAX_STEPS)
     rows = np.array([getattr(columns, name) for name in GameColumns._fields]).transpose(2, 0, 1)
     return columns, rows, np.array(quick), exact
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 65, 2400, MAX_STEPS])  # 65: past the first anchor
+# 7, 9, 63, 71: ending within a block of the kernel or just past one; 65, 129: past an anchor
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 9, 63, 65, 71, 129, 2400, MAX_STEPS])
 def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
     if steps < MAX_STEPS:
         # A, B and ABB in each regime, A, AB, AAB on swap coins, translations, real coins
@@ -283,20 +284,20 @@ def test_the_flush_keeps_the_rows_the_flux_reads():
 @contextlib.contextmanager
 def handed():
     """Within the block, one list per walk of ``_evolve``, in call order, of
-    the shape of the windows it hands its observer at each step: the rows
-    it holds, and the games in its batch. A walk's first width is its
-    batch's, since games are dropped only after they are observed."""
+    the games in its batch at each step, as its observer is handed them
+    once per block of steps. A walk's first width is its batch's, since
+    games are dropped only after they are observed."""
     walks = []
     evolve = walk._evolve
 
-    def traced(coins, choice, phases, observe):
-        shapes = []
-        walks.append(shapes)
+    def traced(coins, choice, phases, observe, record=None):
+        widths = []
+        walks.append(widths)
 
-        def counted(t, w0, w1, sides, sums, columns):
-            shapes.append(w0.shape)
-            return observe(t, w0, w1, sides, sums, columns)
-        evolve(coins, choice, phases, counted)
+        def counted(t, sides, columns):
+            widths.extend([len(columns)] * len(sides))
+            return observe(t, sides, columns)
+        evolve(coins, choice, phases, counted, record)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "_evolve", traced)
@@ -436,8 +437,8 @@ def traced_verdicts(games, steps, periods, signs, epsilon):
     games in its batch at each step run."""
     with handed() as walks:
         held = evolve_verdicts(games, steps, periods, signs, epsilon)
-    (shapes,) = walks
-    return held.tolist(), [width for _, width in shapes]
+    (widths,) = walks
+    return held.tolist(), widths
 
 
 def random_coin(rng):
@@ -484,6 +485,17 @@ def test_verdicts_equal_payoff_verdicts_across_anchors(seed, each_step):
             assert widths[0] > widths[2 * walk._ANCHOR_EVERY]
 
 
+@pytest.mark.parametrize("each_step", [False, True], ids=["payoff-points", "each-step"])
+@pytest.mark.parametrize("steps", [7, 9, 63, 65, 71, 129])
+def test_verdicts_equal_payoff_verdicts_at_block_and_anchor_edges(steps, each_step):
+    # each horizon ends within a block of the kernel, or one step past a block or an anchor
+    games, steps, biases, periods, signs, epsilons = random_verdicts(steps, each_step, steps,
+                                                                     steps + 1)
+    for epsilon in epsilons:
+        held = evolve_verdicts(games, steps, periods, signs, epsilon)
+        assert held.tolist() == expected_holds(biases, periods, signs, epsilon), epsilon
+
+
 def scan_batch(regime, steps):
     """Every game of period <= 4 in ``regime`` with the scan's signs, and
     which of them hold."""
@@ -517,6 +529,28 @@ def test_a_batch_whose_games_all_retire_stops_early():
     assert not any(held)
     assert len(widths) < 120
     assert widths == sorted(widths, reverse=True)
+
+
+def first_failure(row, period, sign, epsilon):
+    """The step index at which a game of biases ``row`` retires: its first
+    payoff point that fails, or None."""
+    steps = np.arange(len(row))
+    failed = np.flatnonzero(((steps + 1) % period == 0) & ~(sign * row > epsilon))
+    return int(failed[0]) if failed.size else None
+
+
+def test_a_batch_whose_games_all_retire_stops_at_the_end_of_the_block_of_the_last():
+    steps = 71  # ends within a block
+    games, biases, periods, signs, holds = scan_batch(REGIME_DOUBLE_1, steps)
+    lost = [g for g, held in enumerate(holds) if not held]
+    last = max(first_failure(biases[g], periods[g], signs[g], 1e-9) for g in lost)
+    held, widths = traced_verdicts([games[g] for g in lost], steps,
+                                   [periods[g] for g in lost], [signs[g] for g in lost], 1e-9)
+    assert not any(held)
+    block = walk._COMPACT_EVERY
+    assert len(widths) == last - last % block + block < steps
+    # games retire, and their columns are dropped, only at the end of a block
+    assert all(widths[t] == widths[t - 1] for t in range(1, len(widths)) if t % block)
 
 
 def test_a_lone_game_equals_its_batch():

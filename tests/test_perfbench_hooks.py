@@ -35,11 +35,13 @@ def test_every_traced_target_resolves(monkeypatch):
 
 
 def test_every_workload_writes_through_the_api_what_the_cli_writes(monkeypatch, tmp_path):
+    # 70 steps: past the first anchor, and ending within a block of the kernel
     workloads = load(monkeypatch, "workloads")
     for workload in workloads.WORKLOADS:
-        for invocation in workloads.build(workload, 0, steps=12):
-            sink = io.StringIO()
-            invocation.write(invocation.call(1), sink)
-            path = tmp_path / f"{invocation.label}{invocation.suffix}"
-            assert main(invocation.argv(str(path))) == 0, invocation.label
-            assert path.read_text(encoding="utf-8") == sink.getvalue(), invocation.label
+        for steps in (12, 70):
+            for invocation in workloads.build(workload, 0, steps=steps):
+                sink = io.StringIO()
+                invocation.write(invocation.call(1), sink)
+                path = tmp_path / f"{invocation.label}{invocation.suffix}"
+                assert main(invocation.argv(str(path))) == 0, (invocation.label, steps)
+                assert path.read_text(encoding="utf-8") == sink.getvalue(), (invocation.label, steps)

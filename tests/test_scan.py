@@ -552,7 +552,8 @@ def grid_games(monkeypatch, base, axes):
 
 def share_games(config, pures, cells, share=(0, 1)):
     """The ``(owner, game)`` pairs of a share, in the order it walks them."""
-    return list(zip(*_share(config, pures, cells, share)))
+    return [pair for owners, games in _share(config, pures, cells, share)
+            for pair in zip(owners, games)]
 
 
 def record_placement(monkeypatch, cpus):
@@ -752,7 +753,7 @@ def test_shares_deal_every_period_evenly(monkeypatch, axes, shares):
         for i, games in enumerate(dealt):
             with handed() as walks:
                 scan._tally(config, pures, cells, (i, shares))
-            assert [shapes[0][1] for shapes in walks] == [len(games)]
+            assert [widths[0] for widths in walks] == [len(games)]
 
 
 @pytest.mark.parametrize(
@@ -794,7 +795,7 @@ def test_batches_stay_within_the_game_step_budget(monkeypatch, steps, share):
     config = one_sided_config(max_period=3, horizon_steps=steps)
     cell = (config.coin_a, config.coin_b, config.eta_deg)
     pures = [(*cell, GameSequence("A")), (*cell, GameSequence("B"))]
-    _, games = _share(config, pures, [cell], share)
+    ((_, games),) = _share(config, pures, [cell], share)
     periods = [game[3].period for game in games]
     signs = [-1 if period == 1 else 1 for period in periods]
     wide = evolve_verdicts(games, steps, periods, signs, config.epsilon)
@@ -802,7 +803,7 @@ def test_batches_stay_within_the_game_step_budget(monkeypatch, steps, share):
     with monkeypatch.context() as patch, handed() as walks:
         patch.setattr(walk, "MAX_GAME_STEPS", budget)
         held = evolve_verdicts(games, steps, periods, signs, config.epsilon)
-    widths = [shapes[0][1] for shapes in walks]
+    widths = [widths[0] for widths in walks]
     assert max(widths) * steps <= budget
     assert max(widths) - min(widths) <= 1
     assert len(widths) == -(-len(games) // (budget // steps))  # no more than the budget needs
@@ -813,6 +814,47 @@ def test_batches_stay_within_the_game_step_budget(monkeypatch, steps, share):
         widest = walk.MAX_GAME_STEPS // MAX_STEPS
         assert max(widths) <= widest and max(widths) - min(widths) <= 1
         assert len(widths) == -(-sum(widths) // widest)
+
+
+@pytest.mark.parametrize("share", [(0, 1), (1, 2)])
+def test_a_share_is_made_and_walked_one_batch_at_a_time(monkeypatch, share):
+    config, pures, cells = grid_games(monkeypatch, one_sided_config(max_period=4, horizon_steps=60),
+                                      README_AXES)
+    whole = scan._tally(config, pures, cells, share)
+    most, calls = 7, []
+
+    def counted(games, steps, *args):
+        with handed() as walks:
+            held = evolve_verdicts(games, steps, *args)
+        calls.append((len(games), len(walks)))
+        return held
+
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "MAX_GAME_STEPS", most * config.horizon_steps)
+        patch.setattr(scan, "evolve_verdicts", counted)
+        assert scan._tally(config, pures, cells, share) == whole
+    widths = [games for games, _ in calls]
+    assert all(walked == 1 for _, walked in calls)  # each call is one batch of the kernel
+    assert max(widths) <= most and max(widths) - min(widths) <= 1
+    assert sum(widths) == len(share_games(config, pures, cells, share))
+    assert len(widths) == -(-sum(widths) // most)
+
+
+def test_a_share_lists_one_batch_of_games_at_a_time(monkeypatch):
+    # a share of 3,400 games, listed whole before it was walked, peaked at about
+    # 480 kB; one batch of 32 at a time, at about 80 kB
+    axes = (GridAxis.linspace("beta_a", 6, 26, 8), GridAxis.linspace("beta_b", 65, 85, 8))
+    config, pures, cells = grid_games(monkeypatch, one_sided_config(max_period=5, horizon_steps=5),
+                                      axes)
+    monkeypatch.setattr(walk, "MAX_GAME_STEPS", 32 * config.horizon_steps)
+    tracemalloc.start()
+    try:
+        counts = scan._tally(config, pures, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(share_games(config, pures, cells)) > 3000 and sum(counts) > 0
+    assert peak < 1 << 18
 
 
 def assert_cells_equal_their_scans(grid, base):
