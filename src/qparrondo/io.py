@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
-from .scan import RegionGrid, ScanConfig, ScanReport
+from .scan import RegionGrid, ScanConfig, ScanReport, enumerate_sequences
 from .walk import CoinParams, GameSequence, check_count, check_real
 
 __all__ = [
@@ -132,18 +132,28 @@ def read_scan_json(source: TextIO) -> ScanReport:
     Raises
     ------
     InvalidParameterError
-        If the source is not JSON, or not a scan report's fields and values:
-        a ``winning_by_period`` key must read ``str(p)`` for a period ``p`` in
-        ``[2, max_period]``, and a ``paradox_sequences`` item be a schedule.
+        If the source is not JSON, not a scan report's fields and values, or
+        a report that contradicts itself: its results must be those of
+        ``enumerate_sequences(max_period)``, in order; ``winning_by_period``
+        must count the Winning results of each period in ``[2, max_period]``
+        under the key ``str(p)``; and ``paradox_sequences`` must list the
+        Winning schedules in order if both pure games are Losing, and none
+        otherwise.
     """
     try:
         document = json.load(source)
         report = _from_json(ScanReport, document, "report")
         most = report.config.max_period
-        if not set(document["winning_by_period"]) <= {str(p) for p in range(2, most + 1)}:
-            raise ValueError(f"winning_by_period keys must be periods in [2, {most}]")
-        for tokens in report.paradox_sequences:
-            GameSequence(tokens)  # raises for anything but a schedule's token string
+        if [r.sequence for r in report.results] != enumerate_sequences(most):
+            raise ValueError(f"results must be the schedules of periods 2 to {most}, in order")
+        winners = [r.sequence for r in report.results if r.verdict is GameVerdict.WINNING]
+        counts = {str(p): sum(seq.period == p for seq in winners) for p in range(2, most + 1)}
+        if document["winning_by_period"] != counts:
+            raise ValueError(f"winning_by_period must be {counts}, the Winning results' periods")
+        losing = report.verdict_a is GameVerdict.LOSING and report.verdict_b is GameVerdict.LOSING
+        if report.paradox_sequences != (tuple(seq.tokens for seq in winners) if losing else ()):
+            raise ValueError("paradox_sequences must list the Winning schedules when both "
+                             "pure games are Losing, and none otherwise")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
     return report

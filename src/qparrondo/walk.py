@@ -17,16 +17,18 @@ the rows some game still holds (so decaying tails cost less than T**2) and
 sums the sides over them; in between they follow the flux across the
 origin, in O(1) per game and step. Each step does only what needs its own
 rows: the coin step, the anchor, a copy of the two rows the flux reads and
-``evolve_games``' per-step sums. The rest is done once per block of
-``_COMPACT_EVERY`` steps: the block's coin entries are looked up, its sides
-rebuilt from the copied rows, and its observer called. Observers only
-record or judge: ``evolve_games`` records all six columns (scans and
-simulations), and ``evolve_verdicts`` judges each game's bias at its payoff
-points, retiring it at the first that breaks its verdict (region grids).
-Only a lone ``evolve_games`` game steps on Python numbers, with the same
-float operations in the same order, so it gives the bits it has in any
-batch; every other walk takes ``(rows, games)`` windows, one column
-included.
+``evolve_games``' ``rho01``, one BLAS dot per game over its occupied rows.
+The rest is done once per block of ``_COMPACT_EVERY`` steps: the block's
+coin entries are looked up, its sides rebuilt from the copied rows, and
+its observer called. Observers only record or judge: ``evolve_games``
+records all six columns (scans and simulations), and ``evolve_verdicts``
+judges each game's bias at its payoff points, retiring it at the first
+that breaks its verdict (region grids). Only a lone ``evolve_games`` game
+steps on Python numbers, with the same float operations in the same order,
+so it gives the bits it has in any batch: a dot's rounding depends only on
+its values and its row count, and every game's dot spans all the rows its
+step count occupies. Every other walk takes ``(rows, games)`` windows, one
+column included.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ MAX_STEPS = 4095
 memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
-its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB."""
+its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB. It also bounds
+the kernel's ``rho01`` dots to 4,096 rows: with OpenBLAS 0.3.31 on a 2-core
+x86-64 host, a 4,096-row dot gave the same bits at ``OPENBLAS_NUM_THREADS``
+1 and 2, while a 20,000-row dot did not."""
 
 MAX_GAME_STEPS = 128 * 4096
 """The kernel's budget: most games times steps one walk holds, 128 games at
@@ -367,9 +372,11 @@ class GameColumns(NamedTuple):
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
     density matrix (``rho10`` is the conjugate of ``rho01``). ``rho01`` is
-    summed over sites at every step, the others at each anchor of the walk;
-    in between the sides follow the flux and ``rho00``, ``rho11`` the coin,
-    within 1e-13 of direct sums over the sites the walk holds.
+    one dot per game and step over all the sites the step count occupies,
+    whose rounding depends only on that count; the others are summed at
+    each anchor of the walk, and in between the sides follow the flux and
+    ``rho00``, ``rho11`` the coin, within 1e-13 of direct sums over the
+    sites the walk holds.
     """
 
     p_left: NDArray[np.float64]
@@ -438,7 +445,9 @@ def evolve_games(
     memory is O(G*T) for G games of T steps. Every game runs all T steps
     and every column is recorded at every step (see ``GameColumns``). A
     lone game walks on 1-D windows of its own, without an observer, and
-    has bitwise the columns it has in any batch.
+    has bitwise the columns it has in any batch: its ``rho01`` is the dot
+    of its two windows, and a batch's the dots of game-major copies of
+    the same rows.
 
     Raises
     ------
@@ -472,27 +481,38 @@ between, the sides follow the flux across the origin and ``rho00`` and
 
 
 def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> tuple:
-    """``evolve_games``' observers: after step t + 1 ``record`` writes the
-    coin populations of every game into ``table[t, 3:]`` and its ``rho01``
-    into ``rho01[t]``, and after each block ``observe`` writes the block's
-    sides into the first three columns of its rows of ``table``."""
+    """``evolve_games``' observers. After step t + 1 ``record`` copies every
+    game's occupied rows game-major and writes each game's ``rho01``, one
+    dot over them, into ``rho01[t]``, and at an anchor its coin populations
+    into ``table[t, 3:]``. After each block ``observe`` writes the block's
+    sides into the first three columns of its rows of ``table``, and brings
+    ``rho00`` and ``rho11`` through the block's steps but an anchor by the
+    coin: one gather of the block's factors and one coupling to each step's
+    previous ``rho01``, then per step the two-term update, in
+    ``_walk_one``'s float order."""
     steps, _, width = table.shape
-    cross = np.empty((steps + 1, width), dtype=np.complex128)
+    rows0, rows1 = np.empty((2, width, steps + 1), dtype=np.complex128)
+    by_coin = factors.reshape(8, -1)  # row 2i + r: factor i of population r
 
-    def record(t, w0, w1, sums):
-        if sums is None:
-            f, before = factors.take(choice[t], axis=2), table[t - 1]
-            x, y = rho01[t - 1].real, rho01[t - 1].imag
-            np.add(f[0] * before[3] + f[1] * before[4], f[2] * x - f[3] * y, out=table[t, 3:])
-        else:
+    def record(t, a0, a1, sums):
+        if sums is not None:
             table[t, 3:] = sums[3:]
-        product = np.conjugate(w1, out=cross[:len(w0)])
-        rho01[t] = _site_sum(np.multiply(w0, product, out=product))
+        occupied = slice(len(a0))
+        rows0[:, occupied], rows1[:, occupied] = a0.T, a1.T
+        np.vecdot(rows1[:, occupied], rows0[:, occupied], axis=1, out=rho01[t])
 
     def observe(t, sides, columns):
-        rows = table[t:t + len(sides)]
+        end = t + len(sides)
+        rows = table[t:end]
         np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
         rows[:, 1] = sides[:, 1]
+        first = t + (t % _ANCHOR_EVERY == 0)  # an anchor's populations are its sums
+        f = by_coin.take(choice[first:end], axis=1).reshape(4, 2, end - first, width)
+        f = f.swapaxes(1, 2)  # (4, steps, 2, G)
+        before = rho01[first - 1:end - 1, None]
+        coupling = f[2] * before.real - f[3] * before.imag
+        for s, f0, f1, c in zip(range(first, end), f[0], f[1], coupling):
+            np.add(f0 * table[s - 1, 3] + f1 * table[s - 1, 4], c, out=table[s, 3:])
         return None
 
     return observe, record
@@ -610,16 +630,18 @@ def _batch(
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     schedules: dict[str, int] = {}
-    pair_of, schedule_of, phases = [], [], []
+    pair_of, schedule_of, etas = [], [], []
     for coin_a, coin_b, eta_deg, seq in games:
         pair_of.append(pairs.setdefault((coin_a, coin_b), len(pairs)))
         schedule_of.append(schedules.setdefault(seq.tokens, len(schedules)))
-        phases.append(np.exp(1j * math.radians(float(eta_deg))) / math.sqrt(2.0))
-    plays_b = np.stack([np.resize(np.frombuffer(tokens.encode(), dtype=np.uint8) == ord("B"),
-                                  steps) for tokens in schedules], axis=1)  # (T, schedules)
+        etas.append(float(eta_deg))
+    letters = np.frombuffer("".join(schedules).encode(), dtype=np.uint8) == ord("B")
+    lengths = np.array([len(tokens) for tokens in schedules])
+    starts = np.cumsum(lengths) - lengths  # of each schedule's tokens in letters
+    plays_b = letters[starts + np.arange(steps)[:, None] % lengths]  # (T, schedules)
     choice = np.ascontiguousarray(plays_b[:, schedule_of] + 2 * np.array(pair_of, dtype=np.intp))
     coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
-    return coins, choice, np.array(phases)
+    return coins, choice, np.exp(1j * np.radians(etas)) / math.sqrt(2.0)
 
 
 def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) -> GameColumns:
@@ -627,13 +649,14 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) 
     columns on 1-D windows of its own, with the same float operations in the
     same order, so the game has the bits it has in any batch. Its coin entries
     are 0-d arrays, made once per coin, and its sides, ``rho00`` and ``rho11``
-    Python floats; ``rho01`` is accumulated one site at a time."""
+    Python floats; ``rho01`` is the dot of its two windows of occupied rows,
+    which has the bits of the game's dot in a batch."""
     steps = len(choice)
     a0, a1 = np.zeros((2, steps + 1), dtype=np.complex128)  # _evolve's, for one column
     a0[steps], a1[0] = 1.0 / math.sqrt(2.0), phase
     entries = [[np.asarray(u) for u in coin] for coin in coins.reshape(-1, 4)]
     factors = _conjugation(coins).transpose(2, 0, 1).reshape(-1, 8).tolist()
-    multiply, add, conjugate, accumulate = np.multiply, np.add, np.conjugate, np.add.accumulate
+    multiply, add, vecdot = np.multiply, np.add, np.vecdot
     rows, rho01 = [], []
     off, lo, hi = steps, 0, 1
     w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
@@ -662,9 +685,7 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) 
         rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
                      0.0 if right < 0.0 else right, rho00, rho11))
         w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
-        cross = conjugate(w1)
-        # + 0j: a batch's sum starts from +0.0, which only the sign of a zero shows
-        total = accumulate(multiply(w0, cross, cross), 0, None, cross).item(-1) + 0j
+        total = vecdot(a1[:t + 2], a0[off:]).item()
         rho01.append(total)
         x, y = total.real, total.imag
     return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
@@ -697,8 +718,8 @@ def _evolve(
     ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
     nothing, and the row it uncovers is still zero. Games never mix and
     every column takes the same float operations, with site sums added one
-    site at a time, so each game gets the same bits in any batch, one
-    column included.
+    site at a time and dots over every occupied row, so each game gets the
+    same bits in any batch, one column included.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
@@ -718,9 +739,10 @@ def _evolve(
     column's game index. ``observe`` gives None, or a mask of the columns
     whose games are still live: the loop returns once none is, and
     otherwise drops the others' columns and sides, copying only the rows
-    held. ``record(t, w0, w1, sums)``, if given, is called after every step
-    ``t + 1`` with the rows of both components that may hold amplitude and
-    the ``(5, G)`` anchor sums (the sides, ``rho00``, ``rho11``) or None.
+    held. ``record(t, a0, a1, sums)``, if given, is called after every step
+    ``t + 1`` with the ``t + 2`` occupied rows of both components, 0 outside
+    the rows held, and the ``(5, G)`` anchor sums (the sides, ``rho00``,
+    ``rho11``) or None.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -752,7 +774,7 @@ def _evolve(
             if sums is None:
                 _crossing(t, w0, w1, lo, crossed[t - start])
             if record is not None:
-                record(t, w0, w1, sums)
+                record(t, a0[off:], a1[:t + 2], sums)
 
         block_sides = _flux(sides, crossed[anchored:len(block)], anchored)
         sides = block_sides[-1]

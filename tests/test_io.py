@@ -178,13 +178,24 @@ class TestScanJson:
             (("winning_by_period",), {"4": 0}),  # the report's max-period is 3
             (("paradox_sequences",), [5]),
             (("paradox_sequences",), ["AC"]),
+            (("paradox_sequences",), ["BA"]),  # BA loses
+            (("paradox_sequences",), []),  # both pure games lose, and ABA and ABB win
+            (("verdict_b",), "Mixed"),  # then there is no paradox to list
+            (("winning_by_period",), {"2": 2, "3": 0}),
+            (("winning_by_period",), {"2": 0}),
+            (("results", slice(1, None)), []),  # only the first result left
+            (("results", 0, "sequence"), "AAAAAAAAAAAAAAAAB"),
+            (("results", 0, "verdict"), "Winning"),  # AB, counted under neither list
         ],
         ids=["string-bias", "bool-bias", "null-entropy", "negative-count", "fractional-count",
              "string-count", "negative-period", "padded-period", "period-over-max",
-             "number-sequence", "foreign-token"],
+             "number-sequence", "foreign-token", "losing-paradox", "missing-paradox",
+             "paradox-without-losers", "wrong-counts", "missing-period", "one-result-left",
+             "sequence-over-max", "uncounted-winner"],
     )
     def test_wrong_values_are_refused(self, small_report, where, value):
-        # these were read back as they stood, a final_bias of "abc" and a period of -7 included
+        # these were read back as they stood, a final_bias of "abc" and a period of -7 included,
+        # and so were reports that contradict themselves
         sink = io.StringIO()
         write_scan_json(small_report, sink)
         document = json.loads(sink.getvalue())

@@ -137,18 +137,21 @@ def sites(t, w0, first):
     return 2 * np.arange(first, first + len(w0)) - (t + 1)
 
 
-def exact_sums(t, w0, w1, first):
-    """Each column's p_left, p_origin, p_right, rho00, rho11 and rho01 after
-    step ``t + 1``, summed over the sites the kernel holds, in the order
-    the kernel sums a batch: a ``(6, k)`` complex array."""
+def exact_sums(t, a0, a1, first, last):
+    """Each column's p_left, p_origin, p_right, rho00 and rho11 after step
+    ``t + 1``, summed over the rows ``first..last - 1`` the kernel holds of
+    the occupied rows ``a0``, ``a1``, and its rho01, one dot over all of
+    them, in the order the kernel takes a batch: a ``(6, k)`` complex array."""
+    w0, w1 = a0[first:last], a1[first:last]
     x = sites(t, w0, first)
     q0 = w0.real * w0.real + w0.imag * w0.imag
     q1 = w1.real * w1.real + w1.imag * w1.imag
     q = q0 + q1
-    cross = w1.conj()  # the product in place, as the kernel takes it; numpy can
-    np.multiply(w0, cross, out=cross)  # round a long one differently into a new array
+    # each column's rows side by side, as the kernel copies them: a strided
+    # dot may round differently
+    rho01 = np.vecdot(np.ascontiguousarray(a1.T), np.ascontiguousarray(a0.T))
     return np.array([q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0),
-                     q0.sum(axis=0), q1.sum(axis=0), cross.sum(axis=0)])
+                     q0.sum(axis=0), q1.sum(axis=0), rho01])
 
 
 def quick_sums(t, w0, w1, first):
@@ -189,9 +192,8 @@ def observed():
 
     def watched_anchor(t, a0, a1, lo, hi):
         lo, hi, sums = anchor(t, a0, a1, lo, hi)
-        w0, w1 = a0[lo:hi], a1[lo:hi]
-        quick.append(quick_sums(t, w0, w1, lo))
-        exact[t] = exact_sums(t, w0, w1, lo)
+        quick.append(quick_sums(t, a0[lo:hi], a1[lo:hi], lo))
+        exact[t] = exact_sums(t, a0, a1[:len(a0)], lo, hi)  # a0: the occupied rows
         return lo, hi, sums
 
     with pytest.MonkeyPatch.context() as patch:
@@ -218,6 +220,32 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
         alone = evolve_games([batch[g]], steps)  # walked alone, on 1-D windows
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
+
+
+def test_a_dot_has_the_bits_of_its_row_in_a_batch():
+    # the kernel's rho01 is one np.vecdot per game: a lone walk's of two 1-D
+    # windows, a batch's of game-major copies in one axis=1 call. Its bits are
+    # the same in any batch only if a BLAS dot rounds by its values and row
+    # count alone, whatever the batch or the alignment of the rows' start.
+    rng = np.random.default_rng(0)
+    counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 300).tolist(), MAX_STEPS + 1]
+    for n in counts:
+        rows = rng.normal(size=(2, 5, n)) + 1j * rng.normal(size=(2, 5, n))
+        for game in rows.transpose(1, 0, 2):  # like the kernel's, 0 outside the rows held
+            lo, hi = np.sort(rng.integers(0, n + 1, 2))
+            game[:, :lo] = game[:, hi:] = 0.0
+        start = int(rng.integers(0, 4))  # rows that start 16 * start bytes into their buffer
+        held = np.zeros((2, 5, n + 4), dtype=complex)
+        held[:, :, start:start + n] = rows
+        batch = np.vecdot(held[1, :, start:start + n], held[0, :, start:start + n], axis=1)
+        for g in range(5):
+            lone = np.zeros((2, n + 4), dtype=complex)
+            offset = int(rng.integers(0, 4))
+            lone[:, offset:offset + n] = rows[:, g]
+            dot = np.vecdot(lone[1, offset:offset + n], lone[0, offset:offset + n])
+            assert dot.tobytes() == batch[g].tobytes(), (
+                f"np.vecdot rounds a {n}-row dot alone differently from its row in a game-major "
+                f"batch; the kernel assumes a BLAS dot's bits depend only on values and row count")
 
 
 def test_anchor_rows_are_direct_site_sums(observed):
