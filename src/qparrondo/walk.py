@@ -10,25 +10,28 @@ elementary step, with the first token applied first.
 The per-step functions (``step``, ``evolve_sequence``) are pure: they never
 mutate the state they are given and return freshly allocated amplitude
 grids. They are the reference path. The batched kernel evolves many games,
-each with its own coin pair, initial phase and schedule, together in place,
-in one loop that also keeps every game's side probabilities: every
+each with its own coin pair, initial phase and schedule, together, in one
+loop that also keeps every game's side probabilities: every
 ``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only
 the rows some game still holds (so decaying tails cost less than T**2) and
 sums the sides over them; in between they follow the flux across the
-origin, in O(1) per game and step. Each step does only what needs its own
-rows: the coin step, the anchor, a copy of the two rows the flux reads and
+origin, in O(1) per game and step. A walk is stored game-major, each game's
+two coin components on contiguous rows, and each step does only what needs
+its own rows: the coin step, one ``np.matmul`` of every game's coin with its
+rows, the anchor, a copy of the two rows the flux reads and
 ``evolve_games``' ``rho01``, one BLAS dot per game over its occupied rows.
 The rest is done once per block of ``_COMPACT_EVERY`` steps: the block's
-coin entries are looked up, its sides rebuilt from the copied rows, and
-its observer called. Observers only record or judge: ``evolve_games``
-records all six columns (scans and simulations), and ``evolve_verdicts``
-judges each game's bias at its payoff points, retiring it at the first
-that breaks its verdict (region grids). Only a lone ``evolve_games`` game
-steps on Python numbers, with the same float operations in the same order,
-so it gives the bits it has in any batch: a dot's rounding depends only on
-its values and its row count, and every game's dot spans all the rows its
-step count occupies. Every other walk takes ``(rows, games)`` windows, one
-column included.
+coins are looked up, its sides rebuilt from the copied rows, and its
+observer called. Observers only record or judge: ``evolve_games`` records
+all six columns (scans and simulations), and ``evolve_verdicts`` judges each
+game's bias at its payoff points, retiring it at the first that breaks its
+verdict (region grids). Only a lone ``evolve_games`` game keeps its books in
+Python numbers, with the same float operations in the same order, so it
+gives the bits it has in any batch: a BLAS product or dot rounds each row by
+its values alone (``test_kernel.py`` pins both), the coin step is taken on
+a multiple of 4 rows, and every game's dot spans all the rows its step
+count occupies. Every other walk takes ``(games, 2, rows)`` buffers, one
+game included.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB. It also bounds
-the kernel's ``rho01`` dots to 4,096 rows: with OpenBLAS 0.3.31 on a 2-core
-x86-64 host, a 4,096-row dot gave the same bits at ``OPENBLAS_NUM_THREADS``
-1 and 2, while a 20,000-row dot did not."""
+the kernel's BLAS calls: its ``rho01`` dots to 4,096 rows and its coin
+steps to 4,100. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a 4,096-row
+dot and a ``(106, 2, 2) @ (106, 2, 4100)`` matmul each gave the same bits at
+``OPENBLAS_NUM_THREADS`` 1 and 2, while a 20,000-row dot did not."""
 
 MAX_GAME_STEPS = 128 * 4096
 """The kernel's budget: most games times steps one walk holds, 128 games at
@@ -372,11 +376,11 @@ class GameColumns(NamedTuple):
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
     density matrix (``rho10`` is the conjugate of ``rho01``). ``rho01`` is
-    one dot per game and step over all the sites the step count occupies,
-    whose rounding depends only on that count; the others are summed at
-    each anchor of the walk, and in between the sides follow the flux and
-    ``rho00``, ``rho11`` the coin, within 1e-13 of direct sums over the
-    sites the walk holds.
+    one dot per game and step over the game's contiguous rows of all the
+    sites the step count occupies, whose rounding depends only on their
+    values and count; the others are summed at each anchor of the walk,
+    and in between the sides follow the flux and ``rho00``, ``rho11`` the
+    coin, within 1e-13 of direct sums over the sites the walk holds.
     """
 
     p_left: NDArray[np.float64]
@@ -444,10 +448,9 @@ def evolve_games(
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
     and every column is recorded at every step (see ``GameColumns``). A
-    lone game walks on 1-D windows of its own, without an observer, and
-    has bitwise the columns it has in any batch: its ``rho01`` is the dot
-    of its two windows, and a batch's the dots of game-major copies of
-    the same rows.
+    lone game walks on a ``(2, rows)`` buffer of its own, without an
+    observer, and has bitwise the columns it has in any batch: it takes
+    the same coin step and the same dot of its two rows of components.
 
     Raises
     ------
@@ -481,25 +484,21 @@ between, the sides follow the flux across the origin and ``rho00`` and
 
 
 def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> tuple:
-    """``evolve_games``' observers. After step t + 1 ``record`` copies every
-    game's occupied rows game-major and writes each game's ``rho01``, one
-    dot over them, into ``rho01[t]``, and at an anchor its coin populations
-    into ``table[t, 3:]``. After each block ``observe`` writes the block's
-    sides into the first three columns of its rows of ``table``, and brings
-    ``rho00`` and ``rho11`` through the block's steps but an anchor by the
-    coin: one gather of the block's factors and one coupling to each step's
-    previous ``rho01``, then per step the two-term update, in
-    ``_walk_one``'s float order."""
-    steps, _, width = table.shape
-    rows0, rows1 = np.empty((2, width, steps + 1), dtype=np.complex128)
+    """``evolve_games``' observers. After step t + 1 ``record`` writes each
+    game's ``rho01``, one dot over its occupied rows, into ``rho01[t]``, and
+    at an anchor its coin populations into ``table[t, 3:]``. After each
+    block ``observe`` writes the block's sides into the first three columns
+    of its rows of ``table``, and brings ``rho00`` and ``rho11`` through the
+    block's steps but an anchor by the coin: one gather of the block's
+    factors and one coupling to each step's previous ``rho01``, then per
+    step the two-term update, in ``_walk_one``'s float order."""
+    width = table.shape[2]
     by_coin = factors.reshape(8, -1)  # row 2i + r: factor i of population r
 
-    def record(t, a0, a1, sums):
+    def record(t, occupied, sums):
         if sums is not None:
             table[t, 3:] = sums[3:]
-        occupied = slice(len(a0))
-        rows0[:, occupied], rows1[:, occupied] = a0.T, a1.T
-        np.vecdot(rows1[:, occupied], rows0[:, occupied], axis=1, out=rho01[t])
+        np.vecdot(occupied[:, 1], occupied[:, 0], out=rho01[t])
 
     def observe(t, sides, columns):
         end = t + len(sides)
@@ -535,7 +534,7 @@ def evolve_verdicts(
     the sides the walk keeps. Any number of games is walked, in input order,
     in the fewest equal batches of at most ``MAX_GAME_STEPS // steps``
     games; a game's bits do not depend on its batch, and a one-game call
-    runs the batched loop on one column. A game is retired at its first
+    runs the batched loop on one game. A game is retired at its first
     payoff point that fails. Retirement acts per block of ``_COMPACT_EVERY``
     steps: after each block a batch judges the block's payoff points and
     drops its retired games, and a walk with no live game left ends at the
@@ -646,49 +645,66 @@ def _batch(
 
 def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) -> GameColumns:
     """``evolve_games`` for a lone game: ``_evolve``'s walk and ``_observe_all``'s
-    columns on 1-D windows of its own, with the same float operations in the
-    same order, so the game has the bits it has in any batch. Its coin entries
-    are 0-d arrays, made once per coin, and its sides, ``rho00`` and ``rho11``
-    Python floats; ``rho01`` is the dot of its two windows of occupied rows,
-    which has the bits of the game's dot in a batch."""
+    columns on a ``(2, rows)`` pair of buffers of its own, with the same coin
+    step, anchor and dot and the same float operations in the same order, so
+    the game has the bits it has in any batch. Its sides, ``rho00`` and
+    ``rho11`` are Python floats, read from single rows."""
     steps = len(choice)
-    a0, a1 = np.zeros((2, steps + 1), dtype=np.complex128)  # _evolve's, for one column
-    a0[steps], a1[0] = 1.0 / math.sqrt(2.0), phase
-    entries = [[np.asarray(u) for u in coin] for coin in coins.reshape(-1, 4)]
+    state, spare = _buffers((2, steps + 4))  # (buffer, the view a step writes it through)
+    state[0][:, 0] = 1.0 / math.sqrt(2.0), phase
+    matrices = list(coins)
     factors = _conjugation(coins).transpose(2, 0, 1).reshape(-1, 8).tolist()
-    multiply, add, vecdot = np.multiply, np.add, np.vecdot
+    coin_step, vecdot = _coin_step, np.vecdot
     rows, rho01 = [], []
-    off, lo, hi = steps, 0, 1
-    w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
+    lo, hi = 0, 1
     for t, c in enumerate(choice):
-        u00, u01, u10, u11 = entries[c]
-        c0, c1 = multiply(w0, u00), multiply(w1, u01)
-        multiply(w0, u10, w0)
-        multiply(w1, u11, w1)
-        add(w1, w0, w1)
-        add(c0, c1, w0)
-        off, hi = off - 1, hi + 1
+        coin_step(matrices[c], state[0], spare[1], lo, hi)
+        state, spare = spare, state
+        held, hi = state[0], hi + 1
         if t % _ANCHOR_EVERY == 0:
-            lo, hi, sums = _anchor(t, a0[off:, None], a1[:, None], lo, hi)
+            lo, hi, sums = _anchor(t, held[None], spare[0][None], lo, hi)
             left, origin, right, rho00, rho11 = sums[:, 0].tolist()
-        else:  # _flux's sides, from the base buffers, and _observe_all's recurrence
-            j, right_start = _sides(t, lo)
+        else:  # _flux's sides, from single rows, and _observe_all's recurrence
+            j, right_start = _sides(t, 0)
             if j == right_start:
-                left, origin = left + _abs2(a1.item(lo + j - 1)), 0.0
-                right += _abs2(a0.item(off + lo + j))
+                left, origin = left + _abs2(held.item(1, j - 1)), 0.0
+                right += _abs2(held.item(0, j))
             else:
-                q0, q1 = _abs2(a0.item(off + lo + j)), _abs2(a1.item(lo + j))
+                q0, q1 = _abs2(held.item(0, j)), _abs2(held.item(1, j))
                 left, origin, right = left - q0, q0 + q1, right - q1
             f00, f01, f10, f11, f20, f21, f30, f31 = factors[c]
             rho00, rho11 = (f00 * rho00 + f10 * rho11 + (f20 * x - f30 * y),
                             f01 * rho00 + f11 * rho11 + (f21 * x - f31 * y))
         rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
                      0.0 if right < 0.0 else right, rho00, rho11))
-        w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
-        total = vecdot(a1[:t + 2], a0[off:]).item()
+        total = vecdot(held[1, :t + 2], held[0, :t + 2]).item()
         rho01.append(total)
         x, y = total.real, total.imag
     return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
+
+
+def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
+    """Two zeroed amplitude buffers of ``shape``, ``(2, rows)`` for a lone
+    game or ``(games, 2, rows)``, component ``c`` of a game on sublattice row
+    ``j`` at ``[..., c, j]``, each with the view a coin step writes it
+    through: ``[..., 0, j]`` of the view is row ``j + 1`` of component 0 and
+    ``[..., 1, j]`` row ``j`` of component 1, which is the shift."""
+    pair = np.zeros((2, *shape), dtype=np.complex128)
+    *lead, component, row = pair[0].strides
+    return [(buffer, np.lib.stride_tricks.as_strided(buffer[..., 1:],
+                                                     strides=(*lead, component - row, row)))
+            for buffer in pair]
+
+
+def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> None:
+    """One step of the rows ``lo..hi - 1`` of ``held``: apply each game's
+    ``(2, 2)`` coin to them in one ``np.matmul`` and write them through
+    ``out``, the shifting view of the other buffer. The rows are rounded up
+    to a multiple of 4: zgemm takes the last ``n % 4`` rows (columns of the
+    product) in another kernel, which rounds differently, and rows past
+    ``hi`` hold 0, so every row a game holds has its bits in any window."""
+    end = lo + (hi - lo + 3) // 4 * 4
+    np.matmul(coin, held[..., lo:end], out=out[..., lo:end])
 
 
 _COMPACT_EVERY = 8
@@ -712,85 +728,89 @@ def _evolve(
 
     After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
     occupied, so each coin component is stored on that sublattice alone,
-    one row per site and one column per game. Coin |1> keeps row ``j`` of
-    ``a1``, since moving left maps site ``j`` at ``t`` to site ``j`` at
-    ``t + 1``. Coin |0> moves right, to ``j + 1``, so its window
-    ``a0[off:off + t + 1]`` slides one row down instead: the shift copies
-    nothing, and the row it uncovers is still zero. Games never mix and
-    every column takes the same float operations, with site sums added one
-    site at a time and dots over every occupied row, so each game gets the
-    same bits in any batch, one column included.
+    game-major: component ``c`` of the batch's ``g``-th game on row ``j`` at
+    ``[g, c, j]`` of a ``(G, 2, rows)`` buffer (see ``_buffers``). Coin |1>
+    keeps its row, since moving left maps site ``j`` at ``t`` to site ``j``
+    at ``t + 1``, and coin |0> moves to ``j + 1``. Each step is one
+    ``_coin_step`` from one buffer into the other, written through a view
+    that puts component 0 one row further on: the shift copies nothing.
+    Games never mix and every game takes the same float operations, with
+    site sums added one site at a time and dots over every occupied row, so
+    each game gets the same bits in any batch, one game included.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
-    below ``lo``. The loop alone keeps each game's sides (``p_left``,
-    ``p_origin``, ``p_right``). At each anchor (``t % _ANCHOR_EVERY == 0``)
-    ``_anchor`` flushes faint amplitudes, narrows the rows to those some
-    game still holds and sums every column over them; rows dropped hold 0
-    for every game, and skipping a 0 never changes a sum. At every other
-    step ``_crossing`` copies the two rows whose mass the step carried
-    across the origin.
+    below ``lo``. Every other row of both buffers holds 0, component 0 of
+    row ``lo`` of the buffer written next too, since no step writes it. The
+    loop alone keeps each game's sides (``p_left``, ``p_origin``,
+    ``p_right``). At each anchor (``t % _ANCHOR_EVERY == 0``) ``_anchor``
+    flushes faint amplitudes, narrows the rows to those some game still
+    holds and sums every game over them; rows dropped hold 0 for every game,
+    and skipping a 0 never changes a sum. At every other step ``_crossing``
+    copies the two rows whose mass the step carried across the origin.
 
     The walk runs in blocks of ``_COMPACT_EVERY`` steps, and a shorter last
-    one. Each block looks up its coin entries at once; after it, ``_flux``
-    rebuilds the sides of all its steps from the rows copied, and the loop
-    calls ``observe(t, sides, columns)`` with the block's first step ``t``,
-    its ``(steps, 3, G)`` sides before they are clipped at 0, and each
-    column's game index. ``observe`` gives None, or a mask of the columns
-    whose games are still live: the loop returns once none is, and
-    otherwise drops the others' columns and sides, copying only the rows
-    held. ``record(t, a0, a1, sums)``, if given, is called after every step
-    ``t + 1`` with the ``t + 2`` occupied rows of both components, 0 outside
-    the rows held, and the ``(5, G)`` anchor sums (the sides, ``rho00``,
-    ``rho11``) or None.
+    one. Each block looks up its coins at once; after it, ``_flux`` rebuilds
+    the sides of all its steps from the rows copied, and the loop calls
+    ``observe(t, sides, columns)`` with the block's first step ``t``, its
+    ``(steps, 3, G)`` sides before they are clipped at 0, and each game's
+    index in the batch. ``observe`` gives None, or a mask of the games still
+    live: the loop returns once none is, and otherwise drops the others. The
+    buffers hold only the rows the walk reaches in its first block; after
+    it, the live games' rows held are copied once into buffers of every row
+    the walk reaches, and when games are dropped later, the rows held of
+    those kept move to the first games of the same buffers, so memory and
+    page faults follow the games still live. ``record(t, occupied, sums)``,
+    if given, is called after every step ``t + 1`` with the ``(G, 2, t + 2)``
+    occupied rows, 0 outside the rows held, and the ``(5, G)`` anchor sums
+    (the sides, ``rho00``, ``rho11``) or None.
     """
     steps, width = choice.shape
     columns = np.arange(width)
-    a0 = np.zeros((steps + 1, width), dtype=np.complex128)
-    a1 = np.zeros_like(a0)
-    a0[steps] = 1.0 / math.sqrt(2.0)
-    a1[0] = phases
-    scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
+    full = steps + 4  # a step's product reaches 3 rows past the t + 2 it occupies
+    state, spare = _buffers((width, 2, min(_COMPACT_EVERY, steps) + 4))
+    state[0][:, 0, 0], state[0][:, 1, 0] = 1.0 / math.sqrt(2.0), phases
     crossed = np.empty((_COMPACT_EVERY, 2, width), dtype=np.complex128)
 
-    off, lo, hi = steps, 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
-    w0, w1 = a0[off + lo:off + hi], a1[lo:hi]
+    lo, hi = 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
     for start in range(0, steps, _COMPACT_EVERY):
-        block = coins.reshape(-1, 4)[choice[start:start + _COMPACT_EVERY]]  # (n, G, 4)
+        block = coins[choice[start:start + _COMPACT_EVERY]]  # (n, G, 2, 2)
         anchored = start % _ANCHOR_EVERY == 0
-        for t, (u00, u01, u10, u11) in enumerate(block.transpose(0, 2, 1), start):
-            c0 = np.multiply(w0, u00, out=scratch0[:hi - lo])
-            c1 = np.multiply(w1, u01, out=scratch1[:hi - lo])
-            np.multiply(w0, u10, out=w0)
-            np.multiply(w1, u11, out=w1)
-            np.add(w1, w0, out=w1)
-            np.add(c0, c1, out=w0)
-            off, hi = off - 1, hi + 1
+        for t, coin in enumerate(block, start):
+            _coin_step(coin, state[0], spare[1], lo, hi)
+            state, spare = spare, state
+            held, hi = state[0], hi + 1
             sums = None
             if t % _ANCHOR_EVERY == 0:
-                lo, hi, sums = _anchor(t, a0[off:], a1, lo, hi)
+                lo, hi, sums = _anchor(t, held, spare[0], lo, hi)
                 sides = sums[:3]
-            w0, w1 = a0[off + lo:off + hi], a1[lo:hi]  # the rows held, and stepped next
-            if sums is None:
-                _crossing(t, w0, w1, lo, crossed[t - start])
+            else:
+                _crossing(t, held[..., lo:hi], lo, crossed[t - start])
             if record is not None:
-                record(t, a0[off:], a1[:t + 2], sums)
+                record(t, held[..., :t + 2], sums)
 
         block_sides = _flux(sides, crossed[anchored:len(block)], anchored)
         sides = block_sides[-1]
         live = observe(start, block_sides, columns)
         if live is None or live.all():
-            continue
-        if not live.any():
+            if held.shape[2] == full:
+                continue
+            keep = slice(None)
+        elif not live.any():
             return
-        keep = np.flatnonzero(live)  # take, unlike a mask, keeps the rows contiguous
-        b0, b1 = np.zeros((2, steps + 1, len(keep)), dtype=np.complex128)
-        w0 = np.take(w0, keep, axis=1, out=b0[off + lo:off + hi])
-        w1 = np.take(w1, keep, axis=1, out=b1[lo:hi])
-        a0, a1, choice = b0, b1, np.take(choice, keep, axis=1)
-        columns, sides = columns[keep], sides[:, keep]
-        scratch0, scratch1 = np.empty_like(a0), np.empty_like(a0)
-        crossed = np.empty((_COMPACT_EVERY, 2, len(keep)), dtype=np.complex128)
+        else:
+            keep = np.flatnonzero(live)
+            choice, columns, sides = choice[:, keep], columns[keep], sides[:, keep]
+            crossed = np.empty((_COMPACT_EVERY, 2, len(keep)), dtype=np.complex128)
+        if held.shape[2] < full:  # grown once, for the live games
+            grown = _buffers((len(columns), 2, full))
+            grown[0][0][..., lo:hi] = held[keep, :, lo:hi]
+            state, spare = grown
+        else:  # the kept games' rows move to the first slots of both buffers
+            kept = len(keep)
+            for buffer, _ in (state, spare):
+                buffer[:kept, :, lo:hi] = buffer[keep, :, lo:hi]
+            state, spare = [(buffer[:kept], view[:kept]) for buffer, view in (state, spare)]
 
 
 _FLUSH_BELOW = 1e-280
@@ -800,27 +820,31 @@ about ``|cos beta| * t`` a walk decays exponentially; left alone, its tail
 passes through subnormal floats, which multiply many times slower, to 0."""
 
 
-def _anchor(t: int, a0: NDArray, a1: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
+def _anchor(t: int, held: NDArray, spare: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
     """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
-    occupied windows ``a0``, ``a1`` (a column per game, one for a lone walk)
-    once, set each game's faint pairs there to 0, and give the rows some game
-    still holds, or the flux reads until the next anchor, with each column's
-    five sums over them: ``p_left``, ``p_origin``, ``p_right``, ``rho00``, ``rho11``."""
-    w0, w1 = a0[lo:hi], a1[lo:hi]
-    q0, q1 = _abs2(w0), _abs2(w1)
-    q = q0 + q1
-    faint = q < _FLUSH_BELOW  # per game and row, from its own values
-    for values in (w0, w1, q0, q1, q):
-        values[faint] = 0.0
-    held = np.flatnonzero(~faint.all(axis=1))
+    ``(G, 2, rows)`` buffer ``held`` once, set each game's faint pairs there
+    to 0, and give the rows some game still holds, or the flux reads until
+    the next anchor, with each game's five sums over them: ``p_left``,
+    ``p_origin``, ``p_right``, ``rho00``, ``rho11``. The rows given start
+    one below the first held, or at the first row a walk occupies, since no
+    step writes component 0 of the lowest row it steps; the rows dropped
+    are set to 0 in ``spare``, the buffer the next step writes."""
+    w = held[..., lo:hi]
+    q = _abs2(w)
+    faint = q[:, 0] + q[:, 1] < _FLUSH_BELOW  # per game and row, from its own values
+    for values in (w, q):
+        np.copyto(values, 0.0, where=faint[:, None])
+    kept = np.flatnonzero(~faint.all(axis=0))
     origin, _ = _sides(t, lo)
-    first, last = min(held[0], origin - 1), max(held[-1] + 1, origin + 1)
-    q0, q1, q = q0[first:last], q1[first:last], q[first:last]
+    first, last = max(min(kept[0], origin) - 1, 0), max(kept[-1] + 1, origin + 1)
+    spare[..., lo:lo + first + 1] = spare[..., lo + last:hi] = 0.0
+    q = q[..., first:last]
+    total = q[:, 0] + q[:, 1]
     left_end, right_start = _sides(t, lo + first)
-    sums = np.zeros((5, w0.shape[1]))
-    sums[0], sums[2] = _site_sum(q[:left_end]), _site_sum(q[right_start:])
-    sums[1] = q[left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
-    sums[3], sums[4] = _site_sum(q0), _site_sum(q1)
+    sums = np.zeros((5, len(w)))
+    sums[0], sums[2] = _site_sum(total[:, :left_end]), _site_sum(total[:, right_start:])
+    sums[1] = total[:, left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
+    sums[3:] = _site_sum(q).T
     return lo + first, lo + last, sums
 
 
@@ -837,25 +861,24 @@ def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _site_sum(values: NDArray) -> NDArray:
-    """Sum over sites (axis 0) for each game, adding one site at a time:
-    numpy reduces several columns row by row but a single column pairwise,
-    so a lone column is accumulated in the order a batch uses."""
-    if values.shape[1] > 1:
-        return values.sum(axis=0)
-    return np.add.accumulate(values, axis=0)[-1]
+    """Sum over sites (the last axis) for each game, adding one site at a
+    time, so that rows of 0 before or after a game's own change nothing:
+    numpy reduces a contiguous axis pairwise, which rounds by its length."""
+    return np.add.accumulate(values, axis=-1)[..., -1]
 
 
-def _crossing(t: int, w0: NDArray, w1: NDArray, first: int, out: NDArray) -> None:
+def _crossing(t: int, held: NDArray, first: int, out: NDArray) -> None:
     """Copy into ``out`` the two rows whose mass step ``t + 1`` carried
-    across the origin, in the windows that start at occupied row ``first``.
-    A step moves mass one site: after an odd count the origin's coin |1>
-    has gone to x = -1 and coin |0> to x = 1, after an even one coin |0>
-    has come to the origin from the left and coin |1> from the right."""
+    across the origin, in the ``(G, 2, rows)`` window that starts at
+    occupied row ``first``. A step moves mass one site: after an odd count
+    the origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
+    even one coin |0> has come to the origin from the left and coin |1> from
+    the right."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
     if j == right_start:
-        out[0], out[1] = w1[j - 1], w0[j]
+        out[0], out[1] = held[:, 1, j - 1], held[:, 0, j]
     else:
-        out[0], out[1] = w0[j], w1[j]
+        out[0], out[1] = held[:, 0, j], held[:, 1, j]
 
 
 def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:

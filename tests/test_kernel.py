@@ -131,44 +131,47 @@ def test_games_are_bitwise_identical_in_any_batch():
             assert np.array_equal(joined, getattr(whole, name)), (size, name)
 
 
-def sites(t, w0, first):
-    """The sites of the rows the kernel holds after step ``t + 1``: row
-    ``j`` of the occupied sublattice lies at x = 2j - (t + 1)."""
-    return 2 * np.arange(first, first + len(w0)) - (t + 1)
+def sites(t, rows, first):
+    """The sites of ``rows`` rows the kernel holds after step ``t + 1``,
+    from row ``first``: row ``j`` of the occupied sublattice lies at
+    x = 2j - (t + 1)."""
+    return 2 * np.arange(first, first + rows) - (t + 1)
 
 
-def exact_sums(t, a0, a1, first, last):
-    """Each column's p_left, p_origin, p_right, rho00 and rho11 after step
+def exact_sums(t, occupied, first, last):
+    """Each game's p_left, p_origin, p_right, rho00 and rho11 after step
     ``t + 1``, summed over the rows ``first..last - 1`` the kernel holds of
-    the occupied rows ``a0``, ``a1``, and its rho01, one dot over all of
-    them, in the order the kernel takes a batch: a ``(6, k)`` complex array."""
-    w0, w1 = a0[first:last], a1[first:last]
-    x = sites(t, w0, first)
+    the ``(games, 2, t + 2)`` occupied rows, and its rho01, one dot over all
+    of them, in the order the kernel takes a batch: a ``(6, games)``
+    complex array."""
+    # site by site: numpy sums several columns of rows row by row
+    w0, w1 = np.ascontiguousarray(occupied[..., first:last].transpose(1, 2, 0))
+    x = sites(t, len(w0), first)
     q0 = w0.real * w0.real + w0.imag * w0.imag
     q1 = w1.real * w1.real + w1.imag * w1.imag
     q = q0 + q1
-    # each column's rows side by side, as the kernel copies them: a strided
-    # dot may round differently
-    rho01 = np.vecdot(np.ascontiguousarray(a1.T), np.ascontiguousarray(a0.T))
+    # each game's contiguous rows, as the kernel holds them: a strided dot
+    # may round differently
+    rho01 = np.vecdot(occupied[:, 1], occupied[:, 0])
     return np.array([q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0),
                      q0.sum(axis=0), q1.sum(axis=0), rho01])
 
 
-def quick_sums(t, w0, w1, first):
-    """``exact_sums``' first five rows, each a sum of squares by ``einsum``
-    in its own order, about four times faster."""
-    x = sites(t, w0, first)
+def quick_sums(t, held, first):
+    """``exact_sums``' first five rows of the ``(games, 2, rows)`` window
+    ``held``, each a sum of squares by ``einsum`` in its own order, about
+    four times faster."""
+    x = sites(t, held.shape[2], first)
     origin, right = np.searchsorted(x, 0), np.searchsorted(x, 1)
 
-    def mass(w, rows=slice(None)):
-        f = w[rows].view(np.float64)  # re and im of each column side by side
-        squares = np.einsum("ij,ij->j", f, f)
-        return squares[0::2] + squares[1::2]
+    def mass(rows=slice(None)):
+        f = held[..., rows].view(np.float64)  # re and im of each row side by side
+        return np.einsum("gcj,gcj->cg", f, f)  # each component's, per game
 
-    return np.array([mass(w0, slice(origin)) + mass(w1, slice(origin)),
-                     mass(w0, slice(origin, right)) + mass(w1, slice(origin, right)),
-                     mass(w0, slice(right, None)) + mass(w1, slice(right, None)),
-                     mass(w0), mass(w1)])
+    return np.array([mass(slice(origin)).sum(axis=0),
+                     mass(slice(origin, right)).sum(axis=0),
+                     mass(slice(right, None)).sum(axis=0),
+                     *mass()])
 
 
 LONG_GAMES = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
@@ -186,14 +189,14 @@ def observed():
     quick, exact = [], {}
     crossing, anchor = walk._crossing, walk._anchor
 
-    def watched_crossing(t, w0, w1, first, out):
-        quick.append(quick_sums(t, w0, w1, first))
-        return crossing(t, w0, w1, first, out)
+    def watched_crossing(t, held, first, out):
+        quick.append(quick_sums(t, held, first))
+        return crossing(t, held, first, out)
 
-    def watched_anchor(t, a0, a1, lo, hi):
-        lo, hi, sums = anchor(t, a0, a1, lo, hi)
-        quick.append(quick_sums(t, a0[lo:hi], a1[lo:hi], lo))
-        exact[t] = exact_sums(t, a0, a1[:len(a0)], lo, hi)  # a0: the occupied rows
+    def watched_anchor(t, held, spare, lo, hi):
+        lo, hi, sums = anchor(t, held, spare, lo, hi)
+        quick.append(quick_sums(t, held[..., lo:hi], lo))
+        exact[t] = exact_sums(t, held[..., :t + 2], lo, hi)
         return lo, hi, sums
 
     with pytest.MonkeyPatch.context() as patch:
@@ -248,6 +251,39 @@ def test_a_dot_has_the_bits_of_its_row_in_a_batch():
                 f"batch; the kernel assumes a BLAS dot's bits depend only on values and row count")
 
 
+def test_a_coin_step_has_the_bits_of_its_rows_in_a_batch():
+    # the kernel's coin step is one np.matmul of each game's (2, 2) coin with
+    # the rows it holds, rounded up to a multiple of 4 and written through the
+    # shifting view of the other buffer: a lone walk's on a (2, rows) buffer, a
+    # batch's on a (games, 2, rows) one whose rows span every game's. Its bits
+    # are the same in any batch only if zgemm rounds each row by its values
+    # alone, whatever the width or the start of the window it lies in.
+    rng = np.random.default_rng(0)
+    counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 200).tolist(), MAX_STEPS + 1]
+    for n in counts:
+        coins = np.stack([walk.make_coin(random_coin(rng)) for _ in range(3)])
+        rows = rng.normal(size=(3, 2, n)) + 1j * rng.normal(size=(3, 2, n))
+        lo, below, above = rng.integers(0, 4, 3)  # the batch holds rows below and above them
+        first, hi = lo + below, lo + below + n + above
+        (held, _), (_, out) = walk._buffers((3, 2, hi + 5))
+        held[..., first:first + n] = rows
+        walk._coin_step(coins, held, out, lo, hi)
+        for g in range(3):
+            start = int(rng.integers(0, 4))
+            (lone, _), (_, lone_out) = walk._buffers((2, start + n + 5))
+            lone[:, start:start + n] = rows[g]
+            walk._coin_step(coins[g], lone, lone_out, start, start + n)
+            assert lone_out[:, start:start + n].tobytes() == out[g, :, first:first + n].tobytes(), (
+                f"np.matmul rounds {n} rows of a (2, 2) @ (2, rows) product alone differently "
+                f"from their rows in a wider batched product; the kernel assumes zgemm's bits "
+                f"of a row depend only on its values once a product's rows are a multiple of 4")
+    # the rounding matters: zgemm takes the last n % 4 rows of a product in
+    # another kernel, whose bits differ from the rows of a wider product
+    coin = walk.make_coin(CoinParams(156, 16, 0))
+    rows = rng.normal(size=(2, 104)) + 1j * rng.normal(size=(2, 104))
+    assert (coin @ rows[:, :103] != (coin @ rows)[:, :103]).any()
+
+
 def test_anchor_rows_are_direct_site_sums(observed):
     _, rows, _, exact = observed
     for t, sums in exact.items():
@@ -296,12 +332,12 @@ def test_games_whose_tails_underflow_match_the_reference_path(tokens):
 
 def test_the_flush_keeps_the_rows_the_flux_reads():
     t = 2 * walk._ANCHOR_EVERY  # an anchor; the occupied rows are 0..t + 1
-    a0, a1 = np.zeros((2, t + 2, 2), dtype=complex)
-    a0[t + 1, 0] = 1.0  # game 0: all of its mass at the right edge,
-    a1[t, 0] = 1e-141  # and a faint pair beside it
-    a1[t, 1] = 1e-139  # game 1: a pair above the threshold, at the same row
-    lo, hi, sums = walk._anchor(t, a0, a1, 0, t + 2)
-    assert a1[t, 0] == 0 and a1[t, 1] == 1e-139  # decided per game
+    held, spare = np.zeros((2, 2, 2, t + 2), dtype=complex)  # (games, components, rows)
+    held[0, 0, t + 1] = 1.0  # game 0: all of its mass at the right edge,
+    held[0, 1, t] = 1e-141  # and a faint pair beside it
+    held[1, 1, t] = 1e-139  # game 1: a pair above the threshold, at the same row
+    lo, hi, sums = walk._anchor(t, held, spare, 0, t + 2)
+    assert held[0, 1, t] == 0 and held[1, 1, t] == 1e-139  # decided per game
     origin, _ = walk._sides(t, 0)
     assert (lo, hi) == (origin - 1, t + 2)
     # the sums are taken after the flush: game 0 keeps no coin-|1> mass
@@ -332,31 +368,22 @@ def handed():
         yield walks
 
 
-class RowCountingNumpy:
-    """numpy, except that ``multiply`` records the rows of each product by a
-    coin entry, a 0-d array: the four a lone walk's step takes."""
-
-    def __init__(self):
-        self.rows = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def multiply(self, *args):
-        if np.ndim(args[1]) == 0:
-            self.rows.append(len(args[0]))
-        return np.multiply(*args)
-
-
 def stepped_rows(game, steps):
     """How many rows the walk of ``game``, alone, steps over ``steps``
-    steps, as a fraction of the sites occupied before each step."""
-    counting = RowCountingNumpy()
+    steps, as a fraction of the sites occupied before each step: the rows
+    each coin step holds, not those its product pads them with."""
+    rows = []
+    coin_step = walk._coin_step
+
+    def counted(coin, held, out, lo, hi):
+        rows.append(hi - lo)
+        return coin_step(coin, held, out, lo, hi)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "np", counting)
+        patch.setattr(walk, "_coin_step", counted)
         evolve_games([game], steps)
-    assert len(counting.rows) == 4 * steps
-    return sum(counting.rows) / 4 / sum(t + 1 for t in range(steps))
+    assert len(rows) == steps
+    return sum(rows) / sum(t + 1 for t in range(steps))
 
 
 def test_only_rows_that_hold_amplitude_are_evolved():
@@ -590,6 +617,28 @@ def test_a_lone_game_equals_its_batch():
             assert held == [holds[g]]
             assert widths == [1] * len(widths)
             assert (len(widths) == steps) == holds[g]
+
+
+def test_a_verdict_batch_holds_only_the_rows_its_live_games_reach():
+    # the largest batch at the README horizon, every schedule of period <= 8 in
+    # turn at the README coins: its buffers hold 12 rows until its first block
+    # retires games, and then every row for the live games alone. It peaks at
+    # 22.3 MiB; a walk holding every game's full height from the start, and
+    # copying into new arrays at each compaction, peaked at 46.1 MiB
+    schedules = every_game(8)
+    count = walk.MAX_GAME_STEPS // 240
+    games = [(REGIME_ONE_SIDED["coin_a"], REGIME_ONE_SIDED["coin_b"], REGIME_ONE_SIDED["eta_deg"],
+              schedules[g % len(schedules)]) for g in range(count)]
+    periods = [seq.period for *_, seq in games]
+    signs = [-1 if period == 1 else 1 for period in periods]
+    tracemalloc.start()
+    try:
+        held = evolve_verdicts(games, 240, periods, signs, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held.any() and not held.all()
+    assert peak < 24 << 20
 
 
 def test_verdict_walks_over_the_step_budget_allocate_nothing():
