@@ -8,8 +8,9 @@ writer given a record of another kind raises ``InvalidParameterError``.
 
 Scan and grid documents are derived from the records: their keys are the
 fields of ``ScanReport``, ``ScanConfig``, ``SequenceResult``,
-``RegionGrid`` and ``GridAxis`` in declaration order, and
-``read_scan_json`` rebuilds a report from its declared field types.
+``RegionGrid`` and ``GridAxis`` in declaration order. ``read_scan_json``
+parses a scan's config, pure verdicts and results, rebuilds its report as
+``run_scan`` does, and reads only what ``write_scan_json`` writes for it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, fields, is_dataclass
 from itertools import count
-from typing import Any, Iterator, TextIO, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
-from .scan import RegionGrid, ScanConfig, ScanReport, enumerate_sequences
-from .walk import CoinParams, GameSequence, check_count, check_real
+from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult, enumerate_sequences
+from .scan import _report
+from .walk import CoinParams, GameSequence, check_real
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -85,24 +87,17 @@ def _to_json(value: Any) -> Any:
 
 def _from_json(kind: Any, value: Any, name: str) -> Any:
     """The inverse of :func:`_to_json` for a value ``name`` of the declared
-    type ``kind``; a float must be finite and an int at least 0."""
+    type ``kind``; a float must be finite, and a config checks its other fields."""
     if kind is CoinParams:
         return CoinParams(*value)
     if kind in (GameSequence, GameVerdict):
         return kind(value)
     if kind is float:
         return check_real(name, value)
-    if kind is int:
-        return check_count(name, value, least=0)
     if is_dataclass(kind):
         hints = get_type_hints(kind)
         return kind(**{f.name: _from_json(hints[f.name], value[f.name], f.name)
                        for f in fields(kind)})
-    args = get_args(kind)
-    if get_origin(kind) is tuple:  # tuple[X, ...]
-        return tuple(_from_json(args[0], item, name) for item in value)
-    if get_origin(kind) is dict:
-        return {args[0](key): _from_json(args[1], item, name) for key, item in value.items()}
     return value
 
 
@@ -127,33 +122,28 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
 
 
 def read_scan_json(source: TextIO) -> ScanReport:
-    """Parse a document produced by :func:`write_scan_json`.
+    """Parse a document produced by :func:`write_scan_json`: its ``config``,
+    ``verdict_a``, ``verdict_b`` and ``results``, from which the report's paradox
+    list and per-period counts are rebuilt as ``run_scan`` builds them.
 
     Raises
     ------
     InvalidParameterError
-        If the source is not JSON, not a scan report's fields and values, or
-        a report that contradicts itself: its results must be those of
-        ``enumerate_sequences(max_period)``, in order; ``winning_by_period``
-        must count the Winning results of each period in ``[2, max_period]``
-        under the key ``str(p)``; and ``paradox_sequences`` must list the
-        Winning schedules in order if both pure games are Losing, and none
-        otherwise.
+        If the source is not JSON, those fields are not a scan's, the results
+        are not those of ``enumerate_sequences(max_period)`` in order, or the
+        document is not, value for value and type for type, what
+        :func:`write_scan_json` writes for the rebuilt report.
     """
     try:
         document = json.load(source)
-        report = _from_json(ScanReport, document, "report")
-        most = report.config.max_period
-        if [r.sequence for r in report.results] != enumerate_sequences(most):
-            raise ValueError(f"results must be the schedules of periods 2 to {most}, in order")
-        winners = [r.sequence for r in report.results if r.verdict is GameVerdict.WINNING]
-        counts = {str(p): sum(seq.period == p for seq in winners) for p in range(2, most + 1)}
-        if document["winning_by_period"] != counts:
-            raise ValueError(f"winning_by_period must be {counts}, the Winning results' periods")
-        losing = report.verdict_a is GameVerdict.LOSING and report.verdict_b is GameVerdict.LOSING
-        if report.paradox_sequences != (tuple(seq.tokens for seq in winners) if losing else ()):
-            raise ValueError("paradox_sequences must list the Winning schedules when both "
-                             "pure games are Losing, and none otherwise")
+        config = _from_json(ScanConfig, document["config"], "config")
+        results = [_from_json(SequenceResult, r, "result") for r in document["results"]]
+        if [r.sequence for r in results] != enumerate_sequences(config.max_period):
+            raise ValueError("results must be the enumerated schedules, in order")
+        report = _report(config, GameVerdict(document["verdict_a"]),
+                         GameVerdict(document["verdict_b"]), results)
+        if json.dumps(_to_json(report)) != json.dumps(document):  # a float 1.0 is not an int 1
+            raise ValueError("the document is not what write_scan_json writes for its report")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
     return report

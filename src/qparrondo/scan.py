@@ -229,10 +229,9 @@ def _share(
     index, shares = share
     schedules = enumerate_sequences(config.max_period)
     dealt = range(index, len(pures) + len(schedules) * len(cells), shares)
-    batches = -(-len(dealt) // (walk.MAX_GAME_STEPS // config.horizon_steps))
-    for b in range(batches):
+    for part in walk._batches(len(dealt), config.horizon_steps):
         owners, games = [], []
-        for j in dealt[b * len(dealt) // batches:(b + 1) * len(dealt) // batches]:
+        for j in dealt[part]:
             k, c = divmod(j - len(pures), len(cells))  # k < 0 for a pure game
             owners.append(j if k < 0 else len(pures) + c)
             games.append(pures[j] if k < 0 else (*cells[c], schedules[k]))
@@ -284,11 +283,10 @@ def run_scan(config: ScanConfig) -> ScanReport:
     for i, seq in enumerate(schedules):
         served.setdefault(_root(seq), []).append(i)
     roots = list(served)
-    chunks = -(-len(roots) // (walk.MAX_GAME_STEPS // MAX_STEPS))
     cell = (config.coin_a, config.coin_b, config.eta_deg)
     found: dict[int, SequenceResult] = {}
-    for k in range(chunks):
-        part = roots[k * len(roots) // chunks:(k + 1) * len(roots) // chunks]
+    for chunk in walk._batches(len(roots), MAX_STEPS):
+        part = roots[chunk]
         columns = evolve_games([(*cell, root) for root in part], config.horizon_steps)
         biases = bias(columns.p_left, columns.p_right)
         finals, lows = biases[:, -1].tolist(), biases.min(axis=1).tolist()
@@ -300,20 +298,21 @@ def run_scan(config: ScanConfig) -> ScanReport:
         for i, r, verdict in zip(served_here, rows, verdicts):
             found[i] = SequenceResult(schedules[i], verdict, finals[r], lows[r], peaks[r])
     pure_a, pure_b, *results = [found[i] for i in range(len(schedules))]
-    winners = [r for r in results if r.verdict is GameVerdict.WINNING]
-    paradox = _paradox(pure_a.verdict is GameVerdict.LOSING, pure_b.verdict is GameVerdict.LOSING,
+    return _report(config, pure_a.verdict, pure_b.verdict, results)
+
+
+def _report(config: ScanConfig, verdict_a: GameVerdict, verdict_b: GameVerdict,
+            results: Sequence[SequenceResult]) -> ScanReport:
+    """The report of a scan at ``config`` with pure verdicts ``verdict_a``,
+    ``verdict_b`` and sequence ``results``: the Winning schedules are its paradox
+    list under ``_paradox``, and counted per period in ``[2, config.max_period]``."""
+    winners = [r.sequence for r in results if r.verdict is GameVerdict.WINNING]
+    paradox = _paradox(verdict_a is GameVerdict.LOSING, verdict_b is GameVerdict.LOSING,
                        len(winners))
-    winning_by_period: dict[int, int] = {p: 0 for p in range(2, config.max_period + 1)}
-    for r in winners:
-        winning_by_period[r.sequence.period] += 1
-    return ScanReport(
-        config=config,
-        verdict_a=pure_a.verdict,
-        verdict_b=pure_b.verdict,
-        results=tuple(results),
-        paradox_sequences=tuple(r.sequence.tokens for r in winners) if paradox else (),
-        winning_by_period=winning_by_period,
-    )
+    counts = {p: sum(seq.period == p for seq in winners) for p in range(2, config.max_period + 1)}
+    return ScanReport(config, verdict_a, verdict_b, tuple(results),
+                      paradox_sequences=tuple(seq.tokens for seq in winners) if paradox else (),
+                      winning_by_period=counts)
 
 
 @dataclass(frozen=True)
@@ -356,6 +355,8 @@ class RegionGrid:
     """Paradox indicator and winning-sequence count per grid cell.
 
     Arrays are indexed by the axes in order (row-major over cells).
+    Construction raises ``InvalidParameterError`` unless ``paradox`` holds
+    bools and ``winning_counts`` integers >= 0, each in the axes' shape.
     """
 
     axes: tuple[GridAxis, ...]
@@ -365,14 +366,15 @@ class RegionGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", _check_axes(self.axes))
         shape = tuple(len(axis.values) for axis in self.axes)
-        paradox = np.asarray(self.paradox, dtype=bool)
-        counts = np.asarray(self.winning_counts, dtype=int)
+        paradox, counts = np.asarray(self.paradox), np.asarray(self.winning_counts)
+        if paradox.dtype != bool or counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise InvalidParameterError("grid flags must be bools and counts integers >= 0")
         if paradox.shape != shape or counts.shape != shape:
             raise InvalidParameterError(
                 f"grid arrays must have shape {shape}, got {paradox.shape} and {counts.shape}"
             )
         object.__setattr__(self, "paradox", paradox)
-        object.__setattr__(self, "winning_counts", counts)
+        object.__setattr__(self, "winning_counts", counts.astype(int))
 
 
 def _check_axes(axes: Iterable[GridAxis]) -> tuple[GridAxis, ...]:

@@ -468,12 +468,12 @@ def evolve_games(
     if len(games) * steps > MAX_GAME_STEPS:
         raise CapacityError(f"{len(games)} games of {steps} steps exceed the budget of "
                             f"{MAX_GAME_STEPS} game-steps per call")
-    coins, choice, phases = _batch(games, steps)
+    coins, choice, initial = _batch(games, steps)
     if len(games) == 1:
-        return _walk_one(coins, choice[:, 0].tolist(), phases.item())
+        return _walk_one(coins, choice[:, 0].tolist(), initial[0])
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    _evolve(coins, choice, phases, *_observe_all(table, rho01, _conjugation(coins), choice))
+    _evolve(coins, choice, initial, *_observe_all(table, rho01, _conjugation(coins), choice))
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
@@ -567,28 +567,32 @@ def evolve_verdicts(
         )
     signs = np.asarray(signs)
     held = np.ones(len(games), dtype=bool)
-    batches = -(-len(games) // (MAX_GAME_STEPS // steps))
-    for k in range(batches):
-        part = slice(k * len(games) // batches, (k + 1) * len(games) // batches)
+    for part in _batches(len(games), steps):
         observe = _judge(held[part], periods[part], signs[part], epsilon)
         _evolve(*_batch(games[part], steps), observe)
     return held
 
 
+def _batches(count: int, steps: int) -> list[slice]:
+    """The fewest equal batches of ``count`` items, in order, that hold at most
+    ``MAX_GAME_STEPS // steps`` each: walks of ``steps`` steps within the budget."""
+    batches = -(-count // (MAX_GAME_STEPS // steps))
+    return [slice(k * count // batches, (k + 1) * count // batches) for k in range(batches)]
+
+
 def _judge(held: NDArray, periods: NDArray, signs: NDArray, epsilon: float) -> Callable:
     """``evolve_verdicts``' observer of one batch: after each block it sets
     ``held[g]``, a view into the flags of all games, to False if one of game
-    ``g``'s payoff points in the block fails, and gives the mask of the
-    batch's columns still live."""
+    ``g``'s payoff points in the block fails, and gives the flags of the
+    batch's columns, which are the games still live when it is called."""
 
     def observe(t, sides, columns):
-        live = held[columns]
-        due = live & (np.arange(t + 1, t + 1 + len(sides))[:, None] % periods[columns] == 0)
+        due = np.arange(t + 1, t + 1 + len(sides))[:, None] % periods[columns] == 0
         if due.any():
             left, right = np.maximum(sides[:, ::2], 0.0).transpose(1, 0, 2)
             failed = (due & ~(signs[columns] * (right - left) > epsilon)).any(axis=0)
-            held[columns[failed]] = live[failed] = False
-        return live
+            held[columns[failed]] = False
+        return held[columns]
 
     return observe
 
@@ -624,34 +628,35 @@ def _batch(
     games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
 ) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
     """The coin table of games that ``_checked_games`` passed, the ``(T, G)`` table
-    rows each game applies at each step, and each game's initial coin-|1>
-    amplitude."""
+    rows each game applies at each step, and the ``(G, 2)`` initial coin
+    vectors, each game's ``(1, e^{i eta}) / sqrt(2)`` at the origin."""
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     schedules: dict[str, int] = {}
-    pair_of, schedule_of, etas = [], [], []
+    pair_of, schedule_of, phases = [], [], []
     for coin_a, coin_b, eta_deg, seq in games:
         pair_of.append(pairs.setdefault((coin_a, coin_b), len(pairs)))
         schedule_of.append(schedules.setdefault(seq.tokens, len(schedules)))
-        etas.append(float(eta_deg))
+        phases.append((0.0, float(eta_deg)))  # e^{i 0} is exactly 1
     letters = np.frombuffer("".join(schedules).encode(), dtype=np.uint8) == ord("B")
     lengths = np.array([len(tokens) for tokens in schedules])
     starts = np.cumsum(lengths) - lengths  # of each schedule's tokens in letters
     plays_b = letters[starts + np.arange(steps)[:, None] % lengths]  # (T, schedules)
     choice = np.ascontiguousarray(plays_b[:, schedule_of] + 2 * np.array(pair_of, dtype=np.intp))
     coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
-    return coins, choice, np.exp(1j * np.radians(etas)) / math.sqrt(2.0)
+    return coins, choice, np.exp(1j * np.radians(phases)) / math.sqrt(2.0)
 
 
-def _walk_one(coins: NDArray[np.complex128], choice: list[int], phase: complex) -> GameColumns:
-    """``evolve_games`` for a lone game: ``_evolve``'s walk and ``_observe_all``'s
+def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray) -> GameColumns:
+    """``evolve_games`` for a lone game that starts in the ``(2,)`` coin
+    vector ``initial`` at the origin: ``_evolve``'s walk and ``_observe_all``'s
     columns on a ``(2, rows)`` pair of buffers of its own, with the same coin
     step, anchor and dot and the same float operations in the same order, so
     the game has the bits it has in any batch. Its sides, ``rho00`` and
     ``rho11`` are Python floats, read from single rows."""
     steps = len(choice)
     state, spare = _buffers((2, steps + 4))  # (buffer, the view a step writes it through)
-    state[0][:, 0] = 1.0 / math.sqrt(2.0), phase
+    state[0][:, 0] = initial
     matrices = list(coins)
     factors = _conjugation(coins).transpose(2, 0, 1).reshape(-1, 8).tolist()
     coin_step, vecdot = _coin_step, np.vecdot
@@ -720,11 +725,12 @@ the sides: an odd count adds the mass that crossed, an even one takes it."""
 def _evolve(
     coins: NDArray[np.complex128],
     choice: NDArray[np.intp],
-    phases: NDArray[np.complex128],
+    initial: NDArray[np.complex128],
     observe: Callable[..., NDArray[np.bool_] | None],
     record: Callable[..., None] | None = None,
 ) -> None:
-    """The one evolution loop of the batched kernel.
+    """The one evolution loop of the batched kernel, from each game's
+    ``(2,)`` coin vector ``initial[g]`` at the origin.
 
     After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
     occupied, so each coin component is stored on that sublattice alone,
@@ -769,7 +775,7 @@ def _evolve(
     columns = np.arange(width)
     full = steps + 4  # a step's product reaches 3 rows past the t + 2 it occupies
     state, spare = _buffers((width, 2, min(_COMPACT_EVERY, steps) + 4))
-    state[0][:, 0, 0], state[0][:, 1, 0] = 1.0 / math.sqrt(2.0), phases
+    state[0][:, :, 0] = initial
     crossed = np.empty((_COMPACT_EVERY, 2, width), dtype=np.complex128)
 
     lo, hi = 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0

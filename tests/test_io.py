@@ -186,12 +186,16 @@ class TestScanJson:
             (("results", slice(1, None)), []),  # only the first result left
             (("results", 0, "sequence"), "AAAAAAAAAAAAAAAAB"),
             (("results", 0, "verdict"), "Winning"),  # AB, counted under neither list
+            (("extra",), 0),
+            (("config", "extra"), 0),
+            (("winning_by_period", "2"), False),  # == 0, but not an int
         ],
         ids=["string-bias", "bool-bias", "null-entropy", "negative-count", "fractional-count",
              "string-count", "negative-period", "padded-period", "period-over-max",
              "number-sequence", "foreign-token", "losing-paradox", "missing-paradox",
              "paradox-without-losers", "wrong-counts", "missing-period", "one-result-left",
-             "sequence-over-max", "uncounted-winner"],
+             "sequence-over-max", "uncounted-winner", "extra-key", "extra-config-key",
+             "false-count"],
     )
     def test_wrong_values_are_refused(self, small_report, where, value):
         # these were read back as they stood, a final_bias of "abc" and a period of -7 included,

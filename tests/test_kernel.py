@@ -284,6 +284,25 @@ def test_a_coin_step_has_the_bits_of_its_rows_in_a_batch():
     assert (coin @ rows[:, :103] != (coin @ rows)[:, :103]).any()
 
 
+@pytest.mark.parametrize("flush", [1e-12, 1e-6])
+@pytest.mark.parametrize("steps", [129, 240])
+def test_a_lone_game_trimmed_apart_from_its_batch_keeps_its_bits(flush, steps):
+    # a coarse flush trims each game's tails at rows of its own, so a lone
+    # game's window ends below its batch's: their coin steps round alike only
+    # if both take their rows in multiples of 4 (see walk._coin_step)
+    rng = np.random.default_rng(7)
+    games = [(random_coin(rng), random_coin(rng), float(rng.uniform(0.0, 360.0)),
+              GameSequence(tokens)) for _ in range(3) for tokens in ("A", "AB", "ABB", "B", "BAB")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_FLUSH_BELOW", flush)
+        together = evolve_games(games, steps)
+        for g, game in enumerate(games):
+            alone = evolve_games([game], steps)
+            for name in GameColumns._fields:
+                assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (
+                    g, name)
+
+
 def test_anchor_rows_are_direct_site_sums(observed):
     _, rows, _, exact = observed
     for t, sums in exact.items():

@@ -226,6 +226,11 @@ class TestRunScan:
         assert strict_wins <= relaxed_wins
 
 
+def two_cells(paradox, counts):
+    """A builder of the grid of one axis of two values with these arrays."""
+    return lambda: scan.RegionGrid((GridAxis("beta_a", (1.0, 2.0)),), paradox, counts)
+
+
 class TestRegionGrid:
     def test_single_cell_at_the_paradox_point(self):
         grid = scan_region_grid(
@@ -345,6 +350,11 @@ class TestRegionGrid:
                 GridAxis("beta_a", (6.0,)), GridAxis("beta_b", (6.0,))}), id="set-of-axes"),
             pytest.param(lambda: scan.RegionGrid(axes=(), paradox=np.zeros(()),
                                                  winning_counts=np.zeros(())), id="no-axis"),
+            # these were read as [True, True], [1, -3] and numpy's bare ValueError
+            pytest.param(two_cells([0.5, "x"], [1, 2]), id="flags-not-bools"),
+            pytest.param(two_cells([True, False], [1.7, -3]), id="fractional-and-negative-counts"),
+            pytest.param(two_cells([True, False], [1, -3]), id="negative-count"),
+            pytest.param(two_cells([True, False], [float("nan"), 1]), id="nan-count"),
         ],
     )
     def test_refuses_a_grid_it_cannot_build(self, no_process, build):
