@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, check_epsilon, check_periods
+from .walk import WalkerState, _complex_array, check_epsilon, check_periods
 
 __all__ = [
     "GameVerdict",
@@ -229,9 +229,7 @@ def entanglement_entropy(rho: ReducedCoinDensity) -> float:
 
     See :func:`entropy_bits`, which this evaluates for one matrix.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise InvalidParameterError(f"density matrix must be 2x2, got shape {rho.shape}")
+    rho = _complex_array("density matrix", rho, (2, 2))
     return float(entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1]))
 
 

@@ -328,8 +328,9 @@ class GridAxis:
                 f"unknown axis parameter {self.parameter!r}; "
                 f"choose one of {', '.join(AXIS_PARAMETERS)}"
             )
-        unordered = isinstance(self.values, (abc.Set, abc.Mapping))  # a set's order is its hash's
-        values = tuple(self.values) if isinstance(self.values, Iterable) and not unordered else ()
+        # a set's order is its hash's, and a string's or bytes' items are characters or codes
+        loose = isinstance(self.values, (abc.Set, abc.Mapping, str, bytes, bytearray))
+        values = tuple(self.values) if isinstance(self.values, Iterable) and not loose else ()
         if not values:
             raise InvalidParameterError(f"axis {self.parameter} needs a list, got {self.values!r}")
         name = f"axis {self.parameter} value"
@@ -366,7 +367,10 @@ class RegionGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", _check_axes(self.axes))
         shape = tuple(len(axis.values) for axis in self.axes)
-        paradox, counts = np.asarray(self.paradox), np.asarray(self.winning_counts)
+        try:
+            paradox, counts = np.asarray(self.paradox), np.asarray(self.winning_counts)
+        except ValueError:  # numpy's own, for ragged arrays
+            raise InvalidParameterError(f"grid arrays must have shape {shape}") from None
         if paradox.dtype != bool or counts.dtype.kind not in "iu" or (counts < 0).any():
             raise InvalidParameterError("grid flags must be bools and counts integers >= 0")
         if paradox.shape != shape or counts.shape != shape:

@@ -19,19 +19,19 @@ origin, in O(1) per game and step. A walk is stored game-major, each game's
 two coin components on contiguous rows, and each step does only what needs
 its own rows: the coin step, one ``np.matmul`` of every game's coin with its
 rows, the anchor, a copy of the two rows the flux reads and
-``evolve_games``' ``rho01``, one BLAS dot per game over its occupied rows.
-The rest is done once per block of ``_COMPACT_EVERY`` steps: the block's
-coins are looked up, its sides rebuilt from the copied rows, and its
-observer called. Observers only record or judge: ``evolve_games`` records
-all six columns (scans and simulations), and ``evolve_verdicts`` judges each
-game's bias at its payoff points, retiring it at the first that breaks its
-verdict (region grids). Only a lone ``evolve_games`` game keeps its books in
-Python numbers, with the same float operations in the same order, so it
-gives the bits it has in any batch: a BLAS product or dot rounds each row by
-its values alone (``test_kernel.py`` pins both), the coin step is taken on
-a multiple of 4 rows, and every game's dot spans all the rows its step
-count occupies. Every other walk takes ``(games, 2, rows)`` buffers, one
-game included.
+``evolve_games``' ``rho00`` and ``rho01``, one ``np.vecdot`` call of two BLAS
+dots per game over its occupied rows. The rest is done once per block of
+``_COMPACT_EVERY`` steps: the block's coins are looked up, its sides rebuilt
+from the copied rows, and its observer called. Observers only record or
+judge: ``evolve_games`` records all six columns (scans and simulations), and
+``evolve_verdicts`` judges each game's bias at its payoff points, retiring
+it at the first that breaks its verdict (region grids). Only a lone
+``evolve_games`` game keeps its books in Python numbers, with the same float
+operations in the same order, so it gives the bits it has in any batch: a
+BLAS product or dot rounds each row by its values alone (``test_kernel.py``
+pins both), the coin step is taken on a multiple of 4 rows, and every game's
+dots span all the rows its step count occupies. Every other walk takes
+``(games, 2, rows)`` buffers, one game included.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB. It also bounds
-the kernel's BLAS calls: its ``rho01`` dots to 4,096 rows and its coin
-steps to 4,100. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a 4,096-row
+the kernel's BLAS calls: its ``rho00`` and ``rho01`` dots to 4,096 rows and
+its coin steps to 4,100. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a 4,096-row
 dot and a ``(106, 2, 2) @ (106, 2, 4100)`` matmul each gave the same bits at
 ``OPENBLAS_NUM_THREADS`` 1 and 2, while a 20,000-row dot did not."""
 
@@ -187,12 +187,7 @@ class WalkerState:
             raise InvalidParameterError(
                 f"step must lie in [0, half_width={self.half_width}], got {self.step}"
             )
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        expected = (2, 2 * self.half_width + 1)
-        if amp.shape != expected:
-            raise InvalidParameterError(
-                f"amplitudes must have shape {expected}, got {amp.shape}"
-            )
+        amp = _complex_array("amplitudes", self.amplitudes, (2, 2 * self.half_width + 1))
         object.__setattr__(self, "amplitudes", amp)
 
     def site_index(self, x: int) -> int:
@@ -276,17 +271,22 @@ def initial_state(spec: InitialStateSpec, half_width: int) -> WalkerState:
     return WalkerState(step=0, half_width=half_width, amplitudes=amp)
 
 
-def _check_coin(coin: CoinMatrix) -> NDArray[np.complex128]:
-    coin = np.asarray(coin, dtype=np.complex128)
-    if coin.shape != (2, 2):
-        raise InvalidParameterError(f"coin must be a 2x2 matrix, got shape {coin.shape}")
-    return coin
+def _complex_array(name: str, value: Any, shape: tuple[int, ...]) -> NDArray[np.complex128]:
+    """``value`` as a complex array; raise ``InvalidParameterError`` unless
+    it is one of ``shape``. A ragged or non-numeric value is refused too."""
+    try:
+        array = np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError):  # numpy's own, e.g. for [[1, 0], [0]]
+        raise InvalidParameterError(f"{name} must be a complex array, got {value!r}") from None
+    if array.shape != shape:
+        raise InvalidParameterError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
 
 
 def apply_coin(state: WalkerState, coin: CoinMatrix) -> WalkerState:
     """Rotate the coin at every site: the 2-vector of amplitudes at each
     position is replaced by ``coin @ (a0, a1)``. Norm is preserved."""
-    coin = _check_coin(coin)
+    coin = _complex_array("coin", coin, (2, 2))
     return WalkerState(
         step=state.step,
         half_width=state.half_width,
@@ -375,12 +375,13 @@ class GameColumns(NamedTuple):
     after ``k + 1`` elementary steps. ``p_left``, ``p_origin`` and
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
-    density matrix (``rho10`` is the conjugate of ``rho01``). ``rho01`` is
-    one dot per game and step over the game's contiguous rows of all the
-    sites the step count occupies, whose rounding depends only on their
-    values and count; the others are summed at each anchor of the walk,
-    and in between the sides follow the flux and ``rho00``, ``rho11`` the
-    coin, within 1e-13 of direct sums over the sites the walk holds.
+    density matrix (``rho10`` is the conjugate of ``rho01``). ``rho00`` and
+    ``rho01`` are dots, per game and step, over the game's contiguous rows
+    of all the sites the step count occupies, whose rounding depends only
+    on their values and count. The sides are summed at each anchor of the
+    walk and in between follow the flux, and ``rho11`` is their unclipped
+    sum less ``rho00``, within 1e-13 of direct sums over the sites the walk
+    holds.
     """
 
     p_left: NDArray[np.float64]
@@ -450,7 +451,7 @@ def evolve_games(
     and every column is recorded at every step (see ``GameColumns``). A
     lone game walks on a ``(2, rows)`` buffer of its own, without an
     observer, and has bitwise the columns it has in any batch: it takes
-    the same coin step and the same dot of its two rows of components.
+    the same coin step and the same dots of its rows of components.
 
     Raises
     ------
@@ -472,46 +473,35 @@ def evolve_games(
     if len(games) == 1:
         return _walk_one(coins, choice[:, 0].tolist(), initial[0])
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
-    rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    _evolve(coins, choice, initial, *_observe_all(table, rho01, _conjugation(coins), choice))
-    return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
+    dots = np.empty((steps, len(games), 2), dtype=np.complex128)  # rho00 and rho01 per step
+    _evolve(coins, choice, initial, *_observe_all(table, dots))
+    return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), dots[:, :, 1].T.copy())
 
 
 _ANCHOR_EVERY = 64
-"""Steps between two direct site sums of every column of a batch. In
-between, the sides follow the flux across the origin and ``rho00`` and
-``rho11`` the coin, each rounding a little; the sums bound the drift."""
+"""Steps between two direct site sums of a batch's sides. In between, the
+sides follow the flux across the origin, each step rounding a little; the
+sums bound the drift."""
 
 
-def _observe_all(table: NDArray, rho01: NDArray, factors: NDArray, choice: NDArray) -> tuple:
+def _observe_all(table: NDArray, dots: NDArray) -> tuple:
     """``evolve_games``' observers. After step t + 1 ``record`` writes each
-    game's ``rho01``, one dot over its occupied rows, into ``rho01[t]``, and
-    at an anchor its coin populations into ``table[t, 3:]``. After each
-    block ``observe`` writes the block's sides into the first three columns
-    of its rows of ``table``, and brings ``rho00`` and ``rho11`` through the
-    block's steps but an anchor by the coin: one gather of the block's
-    factors and one coupling to each step's previous ``rho01``, then per
-    step the two-term update, in ``_walk_one``'s float order."""
-    width = table.shape[2]
-    by_coin = factors.reshape(8, -1)  # row 2i + r: factor i of population r
+    game's ``rho00`` and ``rho01`` into ``dots[t]``, in one ``np.vecdot``
+    of its occupied rows of both components with those of component 0.
+    After each block ``observe`` writes the block's sides into the first
+    three columns of its rows of ``table``, ``rho00`` into the fourth and
+    ``rho11``, the unclipped sides' sum less ``rho00``, into the fifth, in
+    ``_walk_one``'s float order."""
 
-    def record(t, occupied, sums):
-        if sums is not None:
-            table[t, 3:] = sums[3:]
-        np.vecdot(occupied[:, 1], occupied[:, 0], out=rho01[t])
+    def record(t, occupied):
+        np.vecdot(occupied, occupied[..., :1, :], out=dots[t])
 
     def observe(t, sides, columns):
-        end = t + len(sides)
-        rows = table[t:end]
+        rows = table[t:t + len(sides)]
         np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
         rows[:, 1] = sides[:, 1]
-        first = t + (t % _ANCHOR_EVERY == 0)  # an anchor's populations are its sums
-        f = by_coin.take(choice[first:end], axis=1).reshape(4, 2, end - first, width)
-        f = f.swapaxes(1, 2)  # (4, steps, 2, G)
-        before = rho01[first - 1:end - 1, None]
-        coupling = f[2] * before.real - f[3] * before.imag
-        for s, f0, f1, c in zip(range(first, end), f[0], f[1], coupling):
-            np.add(f0 * table[s - 1, 3] + f1 * table[s - 1, 4], c, out=table[s, 3:])
+        rows[:, 3] = dots[t:t + len(sides), :, 0].real
+        rows[:, 4] = sides[:, 0] + sides[:, 1] + sides[:, 2] - rows[:, 3]
         return None
 
     return observe, record
@@ -651,14 +641,13 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray
     """``evolve_games`` for a lone game that starts in the ``(2,)`` coin
     vector ``initial`` at the origin: ``_evolve``'s walk and ``_observe_all``'s
     columns on a ``(2, rows)`` pair of buffers of its own, with the same coin
-    step, anchor and dot and the same float operations in the same order, so
-    the game has the bits it has in any batch. Its sides, ``rho00`` and
-    ``rho11`` are Python floats, read from single rows."""
+    step, anchor and dots and the same float operations in the same order, so
+    the game has the bits it has in any batch. Its sides and ``rho00`` are
+    Python floats, read from single rows and from its dot."""
     steps = len(choice)
     state, spare = _buffers((2, steps + 4))  # (buffer, the view a step writes it through)
     state[0][:, 0] = initial
     matrices = list(coins)
-    factors = _conjugation(coins).transpose(2, 0, 1).reshape(-1, 8).tolist()
     coin_step, vecdot = _coin_step, np.vecdot
     rows, rho01 = [], []
     lo, hi = 0, 1
@@ -668,8 +657,8 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray
         held, hi = state[0], hi + 1
         if t % _ANCHOR_EVERY == 0:
             lo, hi, sums = _anchor(t, held[None], spare[0][None], lo, hi)
-            left, origin, right, rho00, rho11 = sums[:, 0].tolist()
-        else:  # _flux's sides, from single rows, and _observe_all's recurrence
+            left, origin, right = sums[:, 0].tolist()
+        else:  # _flux's sides, from single rows
             j, right_start = _sides(t, 0)
             if j == right_start:
                 left, origin = left + _abs2(held.item(1, j - 1)), 0.0
@@ -677,14 +666,11 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray
             else:
                 q0, q1 = _abs2(held.item(0, j)), _abs2(held.item(1, j))
                 left, origin, right = left - q0, q0 + q1, right - q1
-            f00, f01, f10, f11, f20, f21, f30, f31 = factors[c]
-            rho00, rho11 = (f00 * rho00 + f10 * rho11 + (f20 * x - f30 * y),
-                            f01 * rho00 + f11 * rho11 + (f21 * x - f31 * y))
+        dot00, dot10 = vecdot(held[:, :t + 2], held[:1, :t + 2]).tolist()
+        rho00 = dot00.real
         rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
-                     0.0 if right < 0.0 else right, rho00, rho11))
-        total = vecdot(held[1, :t + 2], held[0, :t + 2]).item()
-        rho01.append(total)
-        x, y = total.real, total.imag
+                     0.0 if right < 0.0 else right, rho00, left + origin + right - rho00))
+        rho01.append(dot10)
     return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
 
 
@@ -766,10 +752,9 @@ def _evolve(
     it, the live games' rows held are copied once into buffers of every row
     the walk reaches, and when games are dropped later, the rows held of
     those kept move to the first games of the same buffers, so memory and
-    page faults follow the games still live. ``record(t, occupied, sums)``,
+    page faults follow the games still live. ``record(t, occupied)``,
     if given, is called after every step ``t + 1`` with the ``(G, 2, t + 2)``
-    occupied rows, 0 outside the rows held, and the ``(5, G)`` anchor sums
-    (the sides, ``rho00``, ``rho11``) or None.
+    occupied rows, 0 outside the rows held.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -786,14 +771,12 @@ def _evolve(
             _coin_step(coin, state[0], spare[1], lo, hi)
             state, spare = spare, state
             held, hi = state[0], hi + 1
-            sums = None
             if t % _ANCHOR_EVERY == 0:
-                lo, hi, sums = _anchor(t, held, spare[0], lo, hi)
-                sides = sums[:3]
+                lo, hi, sides = _anchor(t, held, spare[0], lo, hi)
             else:
                 _crossing(t, held[..., lo:hi], lo, crossed[t - start])
             if record is not None:
-                record(t, held[..., :t + 2], sums)
+                record(t, held[..., :t + 2])
 
         block_sides = _flux(sides, crossed[anchored:len(block)], anchored)
         sides = block_sides[-1]
@@ -830,27 +813,26 @@ def _anchor(t: int, held: NDArray, spare: NDArray, lo: int, hi: int) -> tuple[in
     """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
     ``(G, 2, rows)`` buffer ``held`` once, set each game's faint pairs there
     to 0, and give the rows some game still holds, or the flux reads until
-    the next anchor, with each game's five sums over them: ``p_left``,
-    ``p_origin``, ``p_right``, ``rho00``, ``rho11``. The rows given start
-    one below the first held, or at the first row a walk occupies, since no
-    step writes component 0 of the lowest row it steps; the rows dropped
-    are set to 0 in ``spare``, the buffer the next step writes."""
+    the next anchor, with each game's three sides summed over them:
+    ``p_left``, ``p_origin``, ``p_right``. The rows given start one below
+    the first held, or at the first row a walk occupies, since no step
+    writes component 0 of the lowest row it steps; the rows dropped are set
+    to 0 in ``spare``, the buffer the next step writes."""
     w = held[..., lo:hi]
     q = _abs2(w)
-    faint = q[:, 0] + q[:, 1] < _FLUSH_BELOW  # per game and row, from its own values
-    for values in (w, q):
-        np.copyto(values, 0.0, where=faint[:, None])
+    total = q[:, 0] + q[:, 1]
+    faint = total < _FLUSH_BELOW  # per game and row, from its own values
+    np.copyto(w, 0.0, where=faint[:, None])
+    total[faint] = 0.0
     kept = np.flatnonzero(~faint.all(axis=0))
     origin, _ = _sides(t, lo)
     first, last = max(min(kept[0], origin) - 1, 0), max(kept[-1] + 1, origin + 1)
     spare[..., lo:lo + first + 1] = spare[..., lo + last:hi] = 0.0
-    q = q[..., first:last]
-    total = q[:, 0] + q[:, 1]
+    total = total[:, first:last]
     left_end, right_start = _sides(t, lo + first)
-    sums = np.zeros((5, len(w)))
+    sums = np.zeros((3, len(w)))
     sums[0], sums[2] = _site_sum(total[:, :left_end]), _site_sum(total[:, right_start:])
     sums[1] = total[:, left_end] if left_end < right_start else 0.0  # an even count reaches x = 0
-    sums[3:] = _site_sum(q).T
     return lo + first, lo + last, sums
 
 
@@ -906,13 +888,3 @@ def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:
     origin[anchored::2] = 0.0
     return run[1 - anchored:]
 
-
-def _conjugation(coins: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """The diagonal of ``C rho C^dagger`` in real arithmetic: ``[:, r, c]`` of
-    this ``(4, 2, coins)`` table holds, for row ``r`` of coin ``c``,
-    ``|u_r0|^2``, ``|u_r1|^2`` and twice Re and Im of ``u_r0 conj(u_r1)``, and
-    ``rho_rr = f0 * rho00 + f1 * rho11 + (f2 * Re rho01 - f3 * Im rho01)``.
-    The shift leaves the diagonal alone."""
-    u0, u1 = coins[:, :, 0].T, coins[:, :, 1].T  # (2, coins): each row's entries
-    cross = 2.0 * u0 * u1.conj()
-    return np.stack((_abs2(u0), _abs2(u1), cross.real, cross.imag))

@@ -139,22 +139,20 @@ def sites(t, rows, first):
 
 
 def exact_sums(t, occupied, first, last):
-    """Each game's p_left, p_origin, p_right, rho00 and rho11 after step
-    ``t + 1``, summed over the rows ``first..last - 1`` the kernel holds of
-    the ``(games, 2, t + 2)`` occupied rows, and its rho01, one dot over all
-    of them, in the order the kernel takes a batch: a ``(6, games)``
-    complex array."""
+    """Each game's p_left, p_origin and p_right after step ``t + 1``, summed
+    over the rows ``first..last - 1`` the kernel holds of the ``(games, 2,
+    t + 2)`` occupied rows; its rho00 and rho01, one dot each over all of
+    them; and its rho11, the sides' sum less rho00; in the order the kernel
+    takes a batch: a ``(6, games)`` complex array."""
     # site by site: numpy sums several columns of rows row by row
     w0, w1 = np.ascontiguousarray(occupied[..., first:last].transpose(1, 2, 0))
     x = sites(t, len(w0), first)
-    q0 = w0.real * w0.real + w0.imag * w0.imag
-    q1 = w1.real * w1.real + w1.imag * w1.imag
-    q = q0 + q1
+    q = w0.real * w0.real + w0.imag * w0.imag + (w1.real * w1.real + w1.imag * w1.imag)
+    left, origin, right = q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0)
     # each game's contiguous rows, as the kernel holds them: a strided dot
     # may round differently
-    rho01 = np.vecdot(occupied[:, 1], occupied[:, 0])
-    return np.array([q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0),
-                     q0.sum(axis=0), q1.sum(axis=0), rho01])
+    rho00, rho01 = np.vecdot(occupied, occupied[:, :1]).T
+    return np.array([left, origin, right, rho00.real, left + origin + right - rho00.real, rho01])
 
 
 def quick_sums(t, held, first):
@@ -226,26 +224,29 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
 
 
 def test_a_dot_has_the_bits_of_its_row_in_a_batch():
-    # the kernel's rho01 is one np.vecdot per game: a lone walk's of two 1-D
-    # windows, a batch's of game-major copies in one axis=1 call. Its bits are
-    # the same in any batch only if a BLAS dot rounds by its values and row
-    # count alone, whatever the batch or the alignment of the rows' start.
+    # the kernel's rho00 and rho01 are one np.vecdot of each game's two
+    # components with its component 0: a lone walk's of a (2, rows) window, a
+    # batch's of a (games, 2, rows) one in one call. Their bits are the same
+    # in any batch only if a BLAS dot rounds by its values and row count
+    # alone, whatever the batch or the alignment of the rows' start.
     rng = np.random.default_rng(0)
     counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 300).tolist(), MAX_STEPS + 1]
     for n in counts:
-        rows = rng.normal(size=(2, 5, n)) + 1j * rng.normal(size=(2, 5, n))
-        for game in rows.transpose(1, 0, 2):  # like the kernel's, 0 outside the rows held
+        rows = rng.normal(size=(5, 2, n)) + 1j * rng.normal(size=(5, 2, n))
+        for game in rows:  # like the kernel's, 0 outside the rows held
             lo, hi = np.sort(rng.integers(0, n + 1, 2))
             game[:, :lo] = game[:, hi:] = 0.0
         start = int(rng.integers(0, 4))  # rows that start 16 * start bytes into their buffer
-        held = np.zeros((2, 5, n + 4), dtype=complex)
-        held[:, :, start:start + n] = rows
-        batch = np.vecdot(held[1, :, start:start + n], held[0, :, start:start + n], axis=1)
+        held = np.zeros((5, 2, n + 4), dtype=complex)
+        held[..., start:start + n] = rows
+        games = held[..., start:start + n]
+        batch = np.vecdot(games, games[:, :1])  # (5, 2): each game's rho00 and rho01
         for g in range(5):
             lone = np.zeros((2, n + 4), dtype=complex)
             offset = int(rng.integers(0, 4))
-            lone[:, offset:offset + n] = rows[:, g]
-            dot = np.vecdot(lone[1, offset:offset + n], lone[0, offset:offset + n])
+            lone[:, offset:offset + n] = rows[g]
+            window = lone[:, offset:offset + n]
+            dot = np.vecdot(window, window[:1])
             assert dot.tobytes() == batch[g].tobytes(), (
                 f"np.vecdot rounds a {n}-row dot alone differently from its row in a game-major "
                 f"batch; the kernel assumes a BLAS dot's bits depend only on values and row count")
@@ -310,8 +311,9 @@ def test_anchor_rows_are_direct_site_sums(observed):
 
 
 def test_every_column_stays_near_direct_site_sums(observed):
-    # between anchors, the sides follow the flux across the origin and rho00,
-    # rho11 the coin; the swap games' mass crosses the origin at every step
+    # between anchors, the sides follow the flux across the origin, and rho11
+    # is their sum less rho00; the swap games' mass crosses the origin at
+    # every step
     _, rows, quick, _ = observed
     assert np.abs(rows[:, :5].real - quick).max() <= 1e-13
 
@@ -359,9 +361,12 @@ def test_the_flush_keeps_the_rows_the_flux_reads():
     assert held[0, 1, t] == 0 and held[1, 1, t] == 1e-139  # decided per game
     origin, _ = walk._sides(t, 0)
     assert (lo, hi) == (origin - 1, t + 2)
-    # the sums are taken after the flush: game 0 keeps no coin-|1> mass
-    assert sums[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
-    assert sums[:, 1].tolist() == [0.0, 0.0, 1e-139 * 1e-139, 0.0, 1e-139 * 1e-139]
+    # the sums are taken after the flush, and the record's dots of the rows
+    # after it: game 0 keeps no coin-|1> mass
+    assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1e-139 * 1e-139]]
+    rho00 = np.vecdot(held, held[:, :1])[:, 0].real
+    assert rho00.tolist() == [1.0, 0.0]
+    assert (sums.sum(axis=0) - rho00).tolist() == [0.0, 1e-139 * 1e-139]
 
 
 @contextlib.contextmanager

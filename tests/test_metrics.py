@@ -233,8 +233,9 @@ class TestEntanglementEntropy:
         assert entanglement_entropy(rho) == 0.0
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(InvalidParameterError):
-            entanglement_entropy(np.eye(3))
+        for rho in (np.eye(3), [[0.5, 0], [0.5]]):  # the second is ragged
+            with pytest.raises(InvalidParameterError):
+                entanglement_entropy(rho)
 
 
 class TestTrajectoryWithEntropy:

@@ -62,7 +62,7 @@ def test_budgets_quote_the_code():
         (r"`--max-cells` \(default (\d+)\)", max_cells),
         (r"one axis holds at most (\d+) values \(`qparrondo\.scan\.MAX_AXIS_VALUES`",
          scan.MAX_AXIS_VALUES),
-        (r"Every (\d+) steps, from the first, all columns are summed over sites",
+        (r"Every (\d+) steps, from the first, the sides are summed over sites",
          walk._ANCHOR_EVERY),
         (r"whose \|w0\|² \+ \|w1\|² is below ([\d.e-]+),", walk._FLUSH_BELOW),
         (r"drops at most (\S+) of probability per site each time", walk._FLUSH_BELOW),

@@ -319,10 +319,12 @@ class TestRegionGrid:
             lambda: GridAxis.linspace("beta_a", "1", 3.0, 2),
             lambda: GridAxis("beta_a", {30.0, 10.0, 20.0}),  # a set's order is its hash's
             lambda: GridAxis("beta_a", {30.0: 1, 10.0: 2}),
+            lambda: GridAxis("beta_a", b"12"),  # bytes are not a list of the codes 49 and 50
+            lambda: GridAxis("beta_a", bytearray(b"12")),
         ],
         ids=["string-values", "string-value", "fractional-count", "bool-count", "zero-count",
              "number-values", "bool-value", "bool-start", "string-start", "set-values",
-             "mapping-values"],
+             "mapping-values", "bytes-values", "bytearray-values"],
     )
     def test_rejects_values_and_counts_of_the_wrong_type(self, build):
         with pytest.raises(InvalidParameterError):
@@ -355,6 +357,8 @@ class TestRegionGrid:
             pytest.param(two_cells([True, False], [1.7, -3]), id="fractional-and-negative-counts"),
             pytest.param(two_cells([True, False], [1, -3]), id="negative-count"),
             pytest.param(two_cells([True, False], [float("nan"), 1]), id="nan-count"),
+            pytest.param(two_cells([[True], [True, False]], [1, 2]), id="ragged-flags"),
+            pytest.param(two_cells([True, False], [[1], [2, 3]]), id="ragged-counts"),
         ],
     )
     def test_refuses_a_grid_it_cannot_build(self, no_process, build):

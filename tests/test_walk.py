@@ -142,6 +142,8 @@ class TestInitialState:
                      InvalidParameterError, id="bool-state-step"),
         pytest.param(lambda: WalkerState(step=-1, half_width=2, amplitudes=np.zeros((2, 5))),
                      InvalidParameterError, id="negative-state-step"),
+        pytest.param(lambda: WalkerState(step=0, half_width=1, amplitudes=[[1, 0, 0], [0, 0]]),
+                     InvalidParameterError, id="ragged-amplitudes"),
         pytest.param(lambda: evolve_sequence(90.0, ONE_SIDED_A, ONE_SIDED_B, GameSequence("AB"), 3),
                      InvalidParameterError, id="float-spec-sequence"),
         pytest.param(lambda: evolve_sequence(InitialStateSpec(0), ONE_SIDED_A, ONE_SIDED_B, "AB", 3),
@@ -199,8 +201,10 @@ class TestApplyCoin:
 
     def test_rejects_wrong_shape(self):
         state = initial_state(InitialStateSpec(eta_deg=0), half_width=2)
-        with pytest.raises(InvalidParameterError):
-            apply_coin(state, np.eye(3))
+        for apply in (apply_coin, step):
+            for coin in (np.eye(3), [[1, 0], [0]]):  # the second is ragged
+                with pytest.raises(InvalidParameterError):
+                    apply(state, coin)
 
 
 class TestApplyShift:
