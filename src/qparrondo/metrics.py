@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, _complex_array, check_epsilon, check_periods
+from .walk import WalkerState, _array, check_epsilon, check_periods
 
 __all__ = [
     "GameVerdict",
@@ -99,7 +99,7 @@ class BiasTrajectory:
 
     def __post_init__(self) -> None:
         names = ("p_left", "p_origin", "p_right", "entropy")
-        columns = [np.asarray(getattr(self, name), np.float64) for name in names]
+        columns = [_array(name, getattr(self, name), np.float64) for name in names]
         p_left, p_origin, p_right, entropy = columns
         if p_left.ndim != 1 or not p_left.size or any(c.shape != p_left.shape for c in columns):
             raise InvalidParameterError(f"columns must be 1-D, of equal length and at least one "
@@ -163,7 +163,7 @@ def payoff_verdicts(
         (bools are refused) in ``[1, T]``.
     """
     check_epsilon(epsilon)
-    biases = np.asarray(biases, dtype=np.float64)
+    biases = _array("biases", biases, np.float64)
     if biases.ndim != 2:
         raise InvalidParameterError(f"biases must be a (G, T) array, got shape {biases.shape}")
     steps = biases.shape[1]
@@ -229,7 +229,7 @@ def entanglement_entropy(rho: ReducedCoinDensity) -> float:
 
     See :func:`entropy_bits`, which this evaluates for one matrix.
     """
-    rho = _complex_array("density matrix", rho, (2, 2))
+    rho = _array("density matrix", rho, np.complex128, (2, 2))
     return float(entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1]))
 
 

@@ -15,23 +15,26 @@ loop that also keeps every game's side probabilities: every
 ``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only
 the rows some game still holds (so decaying tails cost less than T**2) and
 sums the sides over them; in between they follow the flux across the
-origin, in O(1) per game and step. A walk is stored game-major, each game's
-two coin components on contiguous rows, and each step does only what needs
-its own rows: the coin step, one ``np.matmul`` of every game's coin with its
-rows, the anchor, a copy of the two rows the flux reads and
-``evolve_games``' ``rho00`` and ``rho01``, one ``np.vecdot`` call of two BLAS
-dots per game over its occupied rows. The rest is done once per block of
+origin, in O(1) per game and step. A walk is stored game-major in real
+numbers: each game's four rows, the re and im parts of its coin |1> and then
+its coin |0> component, lie contiguous in one of two buffers. Each step does
+only what needs its own rows: the coin step, one real ``np.matmul`` of every
+game's coin with its four rows; the anchor; a copy of the two rows the flux
+reads; and for ``evolve_games`` one ``np.matmul`` of each game's two coin
+|0> rows with its four, eight dots over its occupied rows that give
+``rho00`` and ``rho01``. The rest is done once per block of
 ``_COMPACT_EVERY`` steps: the block's coins are looked up, its sides rebuilt
-from the copied rows, and its observer called. Observers only record or
-judge: ``evolve_games`` records all six columns (scans and simulations), and
-``evolve_verdicts`` judges each game's bias at its payoff points, retiring
-it at the first that breaks its verdict (region grids). Only a lone
-``evolve_games`` game keeps its books in Python numbers, with the same float
-operations in the same order, so it gives the bits it has in any batch: a
-BLAS product or dot rounds each row by its values alone (``test_kernel.py``
-pins both), the coin step is taken on a multiple of 4 rows, and every game's
-dots span all the rows its step count occupies. Every other walk takes
-``(games, 2, rows)`` buffers, one game included.
+from the copied rows, its products folded into columns, and its observer
+called. Observers only record or judge: ``evolve_games`` records all six
+columns (scans and simulations), and ``evolve_verdicts`` judges each game's
+bias at its payoff points, retiring it at the first that breaks its verdict
+(region grids). Only a lone ``evolve_games`` game keeps its books in Python
+numbers, with the same float operations in the same order, so it gives the
+bits it has in any batch: dgemm rounds each row of a product, and each dot,
+by its values and length alone (``test_kernel.py`` pins both), the coin step
+is taken on a multiple of 4 rows, and every game's dots span all the rows its
+step count occupies. Every other walk takes ``(games, 2, 2, rows)`` buffers,
+one game included.
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB. It also bounds
-the kernel's BLAS calls: its ``rho00`` and ``rho01`` dots to 4,096 rows and
-its coin steps to 4,100. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a 4,096-row
-dot and a ``(106, 2, 2) @ (106, 2, 4100)`` matmul each gave the same bits at
-``OPENBLAS_NUM_THREADS`` 1 and 2, while a 20,000-row dot did not."""
+the kernel's BLAS calls: its density products to dots of 4,096 rows and its
+coin steps to 4,100 rows. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a
+``(2, 4096) @ (4096, 4)`` density product and a ``(106, 2, 2, 4) @ (106, 1,
+4, 4100)`` coin step each gave the same bits at ``OPENBLAS_NUM_THREADS`` 1
+and 2, and so did products of 20,000 and 100,000 rows; ``test_kernel.py``
+pins a lone walk and a batch of ``MAX_STEPS``."""
 
 MAX_GAME_STEPS = 128 * 4096
 """The kernel's budget: most games times steps one walk holds, 128 games at
@@ -187,7 +192,7 @@ class WalkerState:
             raise InvalidParameterError(
                 f"step must lie in [0, half_width={self.half_width}], got {self.step}"
             )
-        amp = _complex_array("amplitudes", self.amplitudes, (2, 2 * self.half_width + 1))
+        amp = _array("amplitudes", self.amplitudes, np.complex128, (2, 2 * self.half_width + 1))
         object.__setattr__(self, "amplitudes", amp)
 
     def site_index(self, x: int) -> int:
@@ -271,14 +276,15 @@ def initial_state(spec: InitialStateSpec, half_width: int) -> WalkerState:
     return WalkerState(step=0, half_width=half_width, amplitudes=amp)
 
 
-def _complex_array(name: str, value: Any, shape: tuple[int, ...]) -> NDArray[np.complex128]:
-    """``value`` as a complex array; raise ``InvalidParameterError`` unless
-    it is one of ``shape``. A ragged or non-numeric value is refused too."""
+def _array(name: str, value: Any, dtype: type, shape: tuple[int, ...] | None = None) -> NDArray:
+    """``value`` as an array of ``dtype``; raise ``InvalidParameterError``
+    if it is ragged or not numeric, or, with a ``shape``, not of it."""
     try:
-        array = np.asarray(value, dtype=np.complex128)
+        array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):  # numpy's own, e.g. for [[1, 0], [0]]
-        raise InvalidParameterError(f"{name} must be a complex array, got {value!r}") from None
-    if array.shape != shape:
+        raise InvalidParameterError(
+            f"{name} must be an array of {np.dtype(dtype)}, got {value!r}") from None
+    if shape is not None and array.shape != shape:
         raise InvalidParameterError(f"{name} must have shape {shape}, got {array.shape}")
     return array
 
@@ -286,7 +292,7 @@ def _complex_array(name: str, value: Any, shape: tuple[int, ...]) -> NDArray[np.
 def apply_coin(state: WalkerState, coin: CoinMatrix) -> WalkerState:
     """Rotate the coin at every site: the 2-vector of amplitudes at each
     position is replaced by ``coin @ (a0, a1)``. Norm is preserved."""
-    coin = _complex_array("coin", coin, (2, 2))
+    coin = _array("coin", coin, np.complex128, (2, 2))
     return WalkerState(
         step=state.step,
         half_width=state.half_width,
@@ -376,9 +382,10 @@ class GameColumns(NamedTuple):
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
     density matrix (``rho10`` is the conjugate of ``rho01``). ``rho00`` and
-    ``rho01`` are dots, per game and step, over the game's contiguous rows
-    of all the sites the step count occupies, whose rounding depends only
-    on their values and count. The sides are summed at each anchor of the
+    ``rho01`` are sums of dots, per game and step, of the re and im rows of
+    its coin |0> component with those of both components, over all the
+    sites the step count occupies; a dot's rounding depends only on its
+    values and count. The sides are summed at each anchor of the
     walk and in between follow the flux, and ``rho11`` is their unclipped
     sum less ``rho00``, within 1e-13 of direct sums over the sites the walk
     holds.
@@ -449,9 +456,9 @@ def evolve_games(
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
     and every column is recorded at every step (see ``GameColumns``). A
-    lone game walks on a ``(2, rows)`` buffer of its own, without an
+    lone game walks on a ``(2, 2, rows)`` buffer of its own, without an
     observer, and has bitwise the columns it has in any batch: it takes
-    the same coin step and the same dots of its rows of components.
+    the same coin step and the same dots of its rows.
 
     Raises
     ------
@@ -473,9 +480,9 @@ def evolve_games(
     if len(games) == 1:
         return _walk_one(coins, choice[:, 0].tolist(), initial[0])
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
-    dots = np.empty((steps, len(games), 2), dtype=np.complex128)  # rho00 and rho01 per step
-    _evolve(coins, choice, initial, *_observe_all(table, dots))
-    return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), dots[:, :, 1].T.copy())
+    rho01 = np.empty((steps, len(games)), dtype=np.complex128)
+    _evolve(coins, choice, initial, *_observe_all(table, rho01))
+    return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
 _ANCHOR_EVERY = 64
@@ -484,24 +491,31 @@ sides follow the flux across the origin, each step rounding a little; the
 sums bound the drift."""
 
 
-def _observe_all(table: NDArray, dots: NDArray) -> tuple:
-    """``evolve_games``' observers. After step t + 1 ``record`` writes each
-    game's ``rho00`` and ``rho01`` into ``dots[t]``, in one ``np.vecdot``
-    of its occupied rows of both components with those of component 0.
-    After each block ``observe`` writes the block's sides into the first
-    three columns of its rows of ``table``, ``rho00`` into the fourth and
+def _observe_all(table: NDArray, rho01: NDArray) -> tuple:
+    """``evolve_games``' observers. After step t + 1 ``record`` keeps, for the
+    block, each game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` rows with
+    its ``(Re w1, Im w1, Re w0, Im w0)`` rows over the occupied sites, in one
+    ``np.matmul``: ``[p, q]`` is the dot of row ``p`` with row ``q``. After
+    each block ``observe`` folds the block's products into ``rho00``, ``[0,
+    2] + [1, 3]``, in the fourth column of its rows of ``table``, and into
+    ``rho01``, ``[0, 0] + [1, 1]`` and ``[1, 0] - [0, 1]``, in its rows of
+    ``rho01``; it writes the block's sides into the first three columns and
     ``rho11``, the unclipped sides' sum less ``rho00``, into the fifth, in
     ``_walk_one``'s float order."""
+    products = np.empty((_COMPACT_EVERY, table.shape[2], 2, 4))
 
     def record(t, occupied):
-        np.vecdot(occupied, occupied[..., :1, :], out=dots[t])
+        np.matmul(occupied[:, 1], occupied.reshape(len(occupied), 4, -1).swapaxes(1, 2),
+                  out=products[t % _COMPACT_EVERY])
 
     def observe(t, sides, columns):
-        rows = table[t:t + len(sides)]
+        rows, p, block = table[t:t + len(sides)], products[:len(sides)], rho01[t:t + len(sides)]
         np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
         rows[:, 1] = sides[:, 1]
-        rows[:, 3] = dots[t:t + len(sides), :, 0].real
+        np.add(p[..., 0, 2], p[..., 1, 3], out=rows[:, 3])
         rows[:, 4] = sides[:, 0] + sides[:, 1] + sides[:, 2] - rows[:, 3]
+        np.add(p[..., 0, 0], p[..., 1, 1], out=block.real)
+        np.subtract(p[..., 1, 0], p[..., 0, 1], out=block.imag)
         return None
 
     return observe, record
@@ -616,10 +630,17 @@ def _checked_games(
 
 def _batch(
     games: Sequence[tuple[CoinParams, CoinParams, float, GameSequence]], steps: int
-) -> tuple[NDArray[np.complex128], NDArray[np.intp], NDArray[np.complex128]]:
+) -> tuple[NDArray[np.float64], NDArray[np.intp], NDArray[np.float64]]:
     """The coin table of games that ``_checked_games`` passed, the ``(T, G)`` table
-    rows each game applies at each step, and the ``(G, 2)`` initial coin
-    vectors, each game's ``(1, e^{i eta}) / sqrt(2)`` at the origin."""
+    rows each game applies at each step, and the ``(G, 2, 2)`` initial coin
+    vectors, each game's ``(w0, w1) = (1, e^{i eta}) / sqrt(2)`` at the origin
+    as ``[[Re w1, Im w1], [Re w0, Im w0]]``, coin |1> first as a walk stores
+    it (see ``_buffers``). So each row of the table is a coin C taken in the
+    order |1>, |0>, ``B = C[::-1, ::-1]``, as a real ``(2, 2, 4)`` map of
+    ``u = (Re w1, Im w1, Re w0, Im w0)``: ``[s, 0]``, giving the re part of
+    slot ``s`` (0 for coin |1>, 1 for coin |0>), is ``(Re B[s,0], -Im B[s,0],
+    Re B[s,1], -Im B[s,1])``, and ``[s, 1]``, its im part, is ``(Im B[s,0],
+    Re B[s,0], Im B[s,1], Re B[s,1])``."""
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     schedules: dict[str, int] = {}
@@ -627,28 +648,32 @@ def _batch(
     for coin_a, coin_b, eta_deg, seq in games:
         pair_of.append(pairs.setdefault((coin_a, coin_b), len(pairs)))
         schedule_of.append(schedules.setdefault(seq.tokens, len(schedules)))
-        phases.append((0.0, float(eta_deg)))  # e^{i 0} is exactly 1
+        phases.append((float(eta_deg), 0.0))  # coin |1>, then |0>: e^{i 0} is exactly 1
     letters = np.frombuffer("".join(schedules).encode(), dtype=np.uint8) == ord("B")
     lengths = np.array([len(tokens) for tokens in schedules])
     starts = np.cumsum(lengths) - lengths  # of each schedule's tokens in letters
     plays_b = letters[starts + np.arange(steps)[:, None] % lengths]  # (T, schedules)
     choice = np.ascontiguousarray(plays_b[:, schedule_of] + 2 * np.array(pair_of, dtype=np.intp))
-    coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])
-    return coins, choice, np.exp(1j * np.radians(phases)) / math.sqrt(2.0)
+    coins = np.stack([make_coin(coin) for pair in pairs for coin in pair])[:, ::-1, ::-1]
+    re, im = coins.real, coins.imag
+    table = np.stack([np.stack([re, -im], -1), np.stack([im, re], -1)], axis=2)
+    initial = np.exp(1j * np.radians(phases)) / math.sqrt(2.0)
+    return table.reshape(-1, 2, 2, 4), choice, np.stack([initial.real, initial.imag], axis=-1)
 
 
-def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray) -> GameColumns:
-    """``evolve_games`` for a lone game that starts in the ``(2,)`` coin
+def _walk_one(coins: NDArray[np.float64], choice: list[int], initial: NDArray) -> GameColumns:
+    """``evolve_games`` for a lone game that starts in the ``(2, 2)`` coin
     vector ``initial`` at the origin: ``_evolve``'s walk and ``_observe_all``'s
-    columns on a ``(2, rows)`` pair of buffers of its own, with the same coin
-    step, anchor and dots and the same float operations in the same order, so
-    the game has the bits it has in any batch. Its sides and ``rho00`` are
-    Python floats, read from single rows and from its dot."""
+    columns on a ``(2, 2, rows)`` pair of buffers of its own, with the same
+    coin step, anchor and density product and the same float operations in
+    the same order, so the game has the bits it has in any batch. Its sides
+    and ``rho`` entries are Python floats, read from single rows and from
+    its product with ``.tolist()``."""
     steps = len(choice)
-    state, spare = _buffers((2, steps + 4))  # (buffer, the view a step writes it through)
-    state[0][:, 0] = initial
+    state, spare = _buffers((2, 2, steps + 4))  # (buffer, the view a step writes it through)
+    state[0][..., 0] = initial
     matrices = list(coins)
-    coin_step, vecdot = _coin_step, np.vecdot
+    coin_step, matmul = _coin_step, np.matmul
     rows, rho01 = [], []
     lo, hi = 0, 1
     for t, c in enumerate(choice):
@@ -661,41 +686,55 @@ def _walk_one(coins: NDArray[np.complex128], choice: list[int], initial: NDArray
         else:  # _flux's sides, from single rows
             j, right_start = _sides(t, 0)
             if j == right_start:
-                left, origin = left + _abs2(held.item(1, j - 1)), 0.0
-                right += _abs2(held.item(0, j))
+                left, origin = left + _abs2(held.item(0, 0, j - 1), held.item(0, 1, j - 1)), 0.0
+                right += _abs2(held.item(1, 0, j), held.item(1, 1, j))
             else:
-                q0, q1 = _abs2(held.item(0, j)), _abs2(held.item(1, j))
+                q0 = _abs2(held.item(1, 0, j), held.item(1, 1, j))
+                q1 = _abs2(held.item(0, 0, j), held.item(0, 1, j))
                 left, origin, right = left - q0, q0 + q1, right - q1
-        dot00, dot10 = vecdot(held[:, :t + 2], held[:1, :t + 2]).tolist()
-        rho00 = dot00.real
+        occupied = held[..., :t + 2]
+        (p00, p01, p02, _), (p10, p11, _, p13) = matmul(occupied[1],
+                                                        occupied.reshape(4, -1).T).tolist()
+        rho00 = p02 + p13
         rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
                      0.0 if right < 0.0 else right, rho00, left + origin + right - rho00))
-        rho01.append(dot10)
+        rho01.append(complex(p00 + p11, p10 - p01))
     return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
 
 
 def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
-    """Two zeroed amplitude buffers of ``shape``, ``(2, rows)`` for a lone
-    game or ``(games, 2, rows)``, component ``c`` of a game on sublattice row
-    ``j`` at ``[..., c, j]``, each with the view a coin step writes it
-    through: ``[..., 0, j]`` of the view is row ``j + 1`` of component 0 and
-    ``[..., 1, j]`` row ``j`` of component 1, which is the shift."""
-    pair = np.zeros((2, *shape), dtype=np.complex128)
-    *lead, component, row = pair[0].strides
-    return [(buffer, np.lib.stride_tricks.as_strided(buffer[..., 1:],
-                                                     strides=(*lead, component - row, row)))
+    """Two zeroed real amplitude buffers of ``shape``, ``(2, 2, rows)`` for a
+    lone game or ``(games, 2, 2, rows)``: part ``p`` (0 re, 1 im) of a
+    game's coin |1> on sublattice row ``j`` at ``[..., 0, p, j]`` and of its
+    coin |0> at ``[..., 1, p, j]``. Each comes with the view a coin step
+    writes it through: ``[..., 0, p, j]`` of the view is row ``j`` of coin
+    |1> and ``[..., 1, p, j]`` row ``j + 1`` of coin |0>, which is the shift.
+    The order of the four rows is the order in which dgemm adds each output's
+    four products, so it sets their rounding. With coin |0> first, the swap
+    walks of ``test_kernel.py`` (beta 90 and 270 degrees) drifted up to
+    1.7e-13 from norm 1 in 4,095 steps, and with coin |1> first at most
+    6e-14; over 40 random swap-coin games either order drifted up to about
+    4e-13, as zgemm did."""
+    pair = np.zeros((2, *shape))
+    *lead, component, part, row = pair[0].strides
+    return [(buffer, np.lib.stride_tricks.as_strided(
+                buffer, (*shape[:-1], shape[-1] - 1), (*lead, component + row, part, row)))
             for buffer in pair]
 
 
 def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> None:
     """One step of the rows ``lo..hi - 1`` of ``held``: apply each game's
-    ``(2, 2)`` coin to them in one ``np.matmul`` and write them through
-    ``out``, the shifting view of the other buffer. The rows are rounded up
-    to a multiple of 4: zgemm takes the last ``n % 4`` rows (columns of the
-    product) in another kernel, which rounds differently, and rows past
-    ``hi`` hold 0, so every row a game holds has its bits in any window."""
+    real ``(2, 2, 4)`` coin (see ``_batch``) to its four rows ``(Re w1, Im
+    w1, Re w0, Im w0)`` in one ``np.matmul``, a ``(2, 4) @ (4, rows)`` dgemm
+    per game and coin component, and write them through ``out``, the
+    shifting view of the other buffer. The rows are rounded up to a multiple
+    of 4, and rows past ``hi`` hold 0, so every row a game holds has its bits
+    in any window: numpy hands a one-row product to gemv, which rounds
+    differently, while in 3,000 random windows of 2 to 63 rows each row had
+    the bits it has in a wider product."""
     end = lo + (hi - lo + 3) // 4 * 4
-    np.matmul(coin, held[..., lo:end], out=out[..., lo:end])
+    window = held[..., lo:end]
+    np.matmul(coin, window.reshape(*window.shape[:-3], 1, 4, end - lo), out=out[..., lo:end])
 
 
 _COMPACT_EVERY = 8
@@ -709,31 +748,32 @@ the sides: an odd count adds the mass that crossed, an even one takes it."""
 
 
 def _evolve(
-    coins: NDArray[np.complex128],
+    coins: NDArray[np.float64],
     choice: NDArray[np.intp],
-    initial: NDArray[np.complex128],
+    initial: NDArray[np.float64],
     observe: Callable[..., NDArray[np.bool_] | None],
     record: Callable[..., None] | None = None,
 ) -> None:
     """The one evolution loop of the batched kernel, from each game's
-    ``(2,)`` coin vector ``initial[g]`` at the origin.
+    ``(2, 2)`` coin vector ``initial[g]`` at the origin (see ``_batch``).
 
     After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
     occupied, so each coin component is stored on that sublattice alone,
-    game-major: component ``c`` of the batch's ``g``-th game on row ``j`` at
-    ``[g, c, j]`` of a ``(G, 2, rows)`` buffer (see ``_buffers``). Coin |1>
-    keeps its row, since moving left maps site ``j`` at ``t`` to site ``j``
-    at ``t + 1``, and coin |0> moves to ``j + 1``. Each step is one
-    ``_coin_step`` from one buffer into the other, written through a view
-    that puts component 0 one row further on: the shift copies nothing.
+    game-major and in real numbers: part ``p`` (re, im) of coin |1> of the
+    batch's ``g``-th game on row ``j`` at ``[g, 0, p, j]`` of a ``(G, 2, 2,
+    rows)`` buffer, and of coin |0> at ``[g, 1, p, j]`` (see ``_buffers``).
+    Coin |1> keeps its row, since moving left maps site ``j`` at ``t`` to
+    site ``j`` at ``t + 1``, and coin |0> moves to ``j + 1``. Each step is
+    one ``_coin_step`` from one buffer into the other, written through a view
+    that puts coin |0> one row further on: the shift copies nothing.
     Games never mix and every game takes the same float operations, with
     site sums added one site at a time and dots over every occupied row, so
     each game gets the same bits in any batch, one game included.
 
     Only the rows ``lo..hi - 1`` may hold amplitude, and only they are
     stepped: a step adds row ``hi``, where coin |0> moves, and nothing moves
-    below ``lo``. Every other row of both buffers holds 0, component 0 of
-    row ``lo`` of the buffer written next too, since no step writes it. The
+    below ``lo``. Every other row of both buffers holds 0, coin |0> of row
+    ``lo`` of the buffer written next too, since no step writes it. The
     loop alone keeps each game's sides (``p_left``, ``p_origin``,
     ``p_right``). At each anchor (``t % _ANCHOR_EVERY == 0``) ``_anchor``
     flushes faint amplitudes, narrows the rows to those some game still
@@ -753,19 +793,19 @@ def _evolve(
     the walk reaches, and when games are dropped later, the rows held of
     those kept move to the first games of the same buffers, so memory and
     page faults follow the games still live. ``record(t, occupied)``,
-    if given, is called after every step ``t + 1`` with the ``(G, 2, t + 2)``
-    occupied rows, 0 outside the rows held.
+    if given, is called after every step ``t + 1`` with the ``(G, 2, 2, t +
+    2)`` occupied rows, 0 outside the rows held.
     """
     steps, width = choice.shape
     columns = np.arange(width)
     full = steps + 4  # a step's product reaches 3 rows past the t + 2 it occupies
-    state, spare = _buffers((width, 2, min(_COMPACT_EVERY, steps) + 4))
-    state[0][:, :, 0] = initial
-    crossed = np.empty((_COMPACT_EVERY, 2, width), dtype=np.complex128)
+    state, spare = _buffers((width, 2, 2, min(_COMPACT_EVERY, steps) + 4))
+    state[0][..., 0] = initial
+    crossed = np.empty((_COMPACT_EVERY, 2, width, 2))
 
     lo, hi = 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
     for start in range(0, steps, _COMPACT_EVERY):
-        block = coins[choice[start:start + _COMPACT_EVERY]]  # (n, G, 2, 2)
+        block = coins[choice[start:start + _COMPACT_EVERY]]  # (n, G, 2, 2, 4)
         anchored = start % _ANCHOR_EVERY == 0
         for t, coin in enumerate(block, start):
             _coin_step(coin, state[0], spare[1], lo, hi)
@@ -782,7 +822,7 @@ def _evolve(
         sides = block_sides[-1]
         live = observe(start, block_sides, columns)
         if live is None or live.all():
-            if held.shape[2] == full:
+            if held.shape[-1] == full:
                 continue
             keep = slice(None)
         elif not live.any():
@@ -790,15 +830,15 @@ def _evolve(
         else:
             keep = np.flatnonzero(live)
             choice, columns, sides = choice[:, keep], columns[keep], sides[:, keep]
-            crossed = np.empty((_COMPACT_EVERY, 2, len(keep)), dtype=np.complex128)
-        if held.shape[2] < full:  # grown once, for the live games
-            grown = _buffers((len(columns), 2, full))
-            grown[0][0][..., lo:hi] = held[keep, :, lo:hi]
+            crossed = np.empty((_COMPACT_EVERY, 2, len(keep), 2))
+        if held.shape[-1] < full:  # grown once, for the live games
+            grown = _buffers((len(columns), 2, 2, full))
+            grown[0][0][..., lo:hi] = held[keep, ..., lo:hi]
             state, spare = grown
         else:  # the kept games' rows move to the first slots of both buffers
             kept = len(keep)
             for buffer, _ in (state, spare):
-                buffer[:kept, :, lo:hi] = buffer[keep, :, lo:hi]
+                buffer[:kept, ..., lo:hi] = buffer[keep, ..., lo:hi]
             state, spare = [(buffer[:kept], view[:kept]) for buffer, view in (state, spare)]
 
 
@@ -811,18 +851,18 @@ passes through subnormal floats, which multiply many times slower, to 0."""
 
 def _anchor(t: int, held: NDArray, spare: NDArray, lo: int, hi: int) -> tuple[int, int, NDArray]:
     """The anchor after step ``t + 1``: square the rows ``lo..hi - 1`` of the
-    ``(G, 2, rows)`` buffer ``held`` once, set each game's faint pairs there
+    ``(G, 2, 2, rows)`` buffer ``held`` once, set each game's faint pairs there
     to 0, and give the rows some game still holds, or the flux reads until
     the next anchor, with each game's three sides summed over them:
     ``p_left``, ``p_origin``, ``p_right``. The rows given start one below
     the first held, or at the first row a walk occupies, since no step
-    writes component 0 of the lowest row it steps; the rows dropped are set
+    writes coin |0> of the lowest row it steps; the rows dropped are set
     to 0 in ``spare``, the buffer the next step writes."""
     w = held[..., lo:hi]
-    q = _abs2(w)
+    q = _abs2(w[:, :, 0], w[:, :, 1])
     total = q[:, 0] + q[:, 1]
     faint = total < _FLUSH_BELOW  # per game and row, from its own values
-    np.copyto(w, 0.0, where=faint[:, None])
+    np.copyto(w, 0.0, where=faint[:, None, None])
     total[faint] = 0.0
     kept = np.flatnonzero(~faint.all(axis=0))
     origin, _ = _sides(t, lo)
@@ -843,9 +883,10 @@ def _sides(t: int, first: int) -> tuple[int, int]:
     return (t + 2) // 2 - first, (t + 1) // 2 + 1 - first
 
 
-def _abs2(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Squared moduli of ``amplitudes``, each ``re * re + im * im``."""
-    return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+def _abs2(re: Any, im: Any) -> Any:
+    """Squared moduli ``re * re + im * im`` of amplitudes given by their
+    parts, floats or arrays."""
+    return re * re + im * im
 
 
 def _site_sum(values: NDArray) -> NDArray:
@@ -857,16 +898,17 @@ def _site_sum(values: NDArray) -> NDArray:
 
 def _crossing(t: int, held: NDArray, first: int, out: NDArray) -> None:
     """Copy into ``out`` the two rows whose mass step ``t + 1`` carried
-    across the origin, in the ``(G, 2, rows)`` window that starts at
-    occupied row ``first``. A step moves mass one site: after an odd count
+    across the origin, each as its re and im parts, in the ``(G, 2, 2,
+    rows)`` window that starts at occupied row ``first``. A step moves mass
+    one site: after an odd count
     the origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
     even one coin |0> has come to the origin from the left and coin |1> from
     the right."""
     j, right_start = _sides(t, first)  # j: the row after the last left of the origin
     if j == right_start:
-        out[0], out[1] = held[:, 1, j - 1], held[:, 0, j]
+        out[0], out[1] = held[:, 0, :, j - 1], held[:, 1, :, j]
     else:
-        out[0], out[1] = held[:, 0, j], held[:, 1, j]
+        out[0], out[1] = held[:, 1, :, j], held[:, 0, :, j]
 
 
 def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:
@@ -878,7 +920,7 @@ def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:
     is taken, and the origin holds it. The sides of all steps come from one
     ``np.add.accumulate``, which adds in step order; ``a - b`` is
     ``a + (-b)``, so they are bitwise those of one step at a time."""
-    q = _abs2(crossed)  # (steps, 2, G): the squared rows
+    q = _abs2(crossed[..., 0], crossed[..., 1])  # (steps, 2, G): the squared rows
     run = np.empty((len(q) + 1, 3, sides.shape[1]))
     run[0] = sides
     np.multiply(q, _SIGNS[anchored:anchored + len(q)], out=run[1:, ::2])

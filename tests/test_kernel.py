@@ -9,7 +9,11 @@ the same loop judging each bias at its payoff points, must give the verdicts
 """
 
 import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from qparrondo import (
     scan_region_grid,
     trajectory_with_entropy,
 )
-from qparrondo import walk
+from qparrondo import scan, walk
 from qparrondo.metrics import bias, entropy_bits, payoff_verdicts
 from qparrondo.scan import SequenceResult
 from qparrondo.walk import MAX_STEPS, GameColumns, evolve_games, evolve_verdicts
@@ -138,38 +142,45 @@ def sites(t, rows, first):
     return 2 * np.arange(first, first + rows) - (t + 1)
 
 
+def density(occupied):
+    """Each game's rho00 and rho01 from the ``(games, 2, 2, rows)`` re and im
+    rows ``occupied``, as the kernel takes them: from one product of the two
+    rows of its component 0 with the four of both components, eight dots
+    over its contiguous rows (a strided dot may round differently)."""
+    p = np.matmul(occupied[:, 1], occupied.reshape(len(occupied), 4, -1).swapaxes(1, 2))
+    return p[:, 0, 2] + p[:, 1, 3], (p[:, 0, 0] + p[:, 1, 1]) + 1j * (p[:, 1, 0] - p[:, 0, 1])
+
+
 def exact_sums(t, occupied, first, last):
     """Each game's p_left, p_origin and p_right after step ``t + 1``, summed
-    over the rows ``first..last - 1`` the kernel holds of the ``(games, 2,
-    t + 2)`` occupied rows; its rho00 and rho01, one dot each over all of
-    them; and its rho11, the sides' sum less rho00; in the order the kernel
-    takes a batch: a ``(6, games)`` complex array."""
+    over the rows ``first..last - 1`` the kernel holds of the ``(games, 2, 2,
+    t + 2)`` occupied re and im rows; its rho00 and rho01 (see ``density``)
+    over all of them; and its rho11, the sides' sum less rho00; in the order
+    the kernel takes a batch: a ``(6, games)`` complex array."""
     # site by site: numpy sums several columns of rows row by row
-    w0, w1 = np.ascontiguousarray(occupied[..., first:last].transpose(1, 2, 0))
-    x = sites(t, len(w0), first)
-    q = w0.real * w0.real + w0.imag * w0.imag + (w1.real * w1.real + w1.imag * w1.imag)
+    (re1, im1), (re0, im0) = np.ascontiguousarray(occupied[..., first:last].transpose(1, 2, 3, 0))
+    x = sites(t, len(re0), first)
+    q = re0 * re0 + im0 * im0 + (re1 * re1 + im1 * im1)
     left, origin, right = q[x < 0].sum(axis=0), q[x == 0].sum(axis=0), q[x > 0].sum(axis=0)
-    # each game's contiguous rows, as the kernel holds them: a strided dot
-    # may round differently
-    rho00, rho01 = np.vecdot(occupied, occupied[:, :1]).T
-    return np.array([left, origin, right, rho00.real, left + origin + right - rho00.real, rho01])
+    rho00, rho01 = density(occupied)
+    return np.array([left, origin, right, rho00, left + origin + right - rho00, rho01])
 
 
 def quick_sums(t, held, first):
-    """``exact_sums``' first five rows of the ``(games, 2, rows)`` window
+    """``exact_sums``' first five rows of the ``(games, 2, 2, rows)`` window
     ``held``, each a sum of squares by ``einsum`` in its own order, about
     four times faster."""
-    x = sites(t, held.shape[2], first)
+    x = sites(t, held.shape[-1], first)
     origin, right = np.searchsorted(x, 0), np.searchsorted(x, 1)
 
     def mass(rows=slice(None)):
-        f = held[..., rows].view(np.float64)  # re and im of each row side by side
-        return np.einsum("gcj,gcj->cg", f, f)  # each component's, per game
+        f = held[..., rows]  # the re and im rows of each component
+        return np.einsum("gcpj,gcpj->cg", f, f)  # each component's, per game
 
     return np.array([mass(slice(origin)).sum(axis=0),
                      mass(slice(origin, right)).sum(axis=0),
                      mass(slice(right, None)).sum(axis=0),
-                     *mass()])
+                     *mass()[::-1]])
 
 
 LONG_GAMES = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], GameSequence(tokens))
@@ -223,66 +234,100 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
 
 
+def thread_walks():
+    """The columns of a lone ABB walk and of a batch of A, B and ABB, each of
+    ``MAX_STEPS``: the longest dots and coin steps a walk takes."""
+    columns = {"lone": evolve_games(LONG_GAMES[2:3], MAX_STEPS),
+               "batch": evolve_games(LONG_GAMES[:3], MAX_STEPS)}
+    return {f"{kind}-{name}": getattr(walked, name)
+            for kind, walked in columns.items() for name in GameColumns._fields}
+
+
+def test_columns_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS call may split a large product over threads, which changes its
+    # rounding; MAX_STEPS keeps the kernel's products below that size
+    out = tmp_path / "walks.npz"
+    child = ("import sys, numpy as np; sys.path[:0] = sys.argv[2:]; import test_kernel; "
+             "np.savez(sys.argv[1], **test_kernel.thread_walks())")
+    paths = [str(Path(walk.__file__).parents[1]), str(Path(__file__).parent)]
+    subprocess.run([sys.executable, "-c", child, str(out), *paths], check=True, timeout=300,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    with np.load(out) as single:
+        for name, column in thread_walks().items():
+            assert single[name].tobytes() == column.tobytes(), name
+
+
 def test_a_dot_has_the_bits_of_its_row_in_a_batch():
-    # the kernel's rho00 and rho01 are one np.vecdot of each game's two
-    # components with its component 0: a lone walk's of a (2, rows) window, a
-    # batch's of a (games, 2, rows) one in one call. Their bits are the same
-    # in any batch only if a BLAS dot rounds by its values and row count
-    # alone, whatever the batch or the alignment of the rows' start.
+    # the kernel's rho00 and rho01 come from one np.matmul of each game's re
+    # and im rows of component 0 with the four rows of both components, eight
+    # dots: a lone walk's of a (2, 2, rows) window, a batch's of a (games, 2,
+    # 2, rows) one in one call. Their bits are the same in any batch only if
+    # dgemm rounds each dot by its values and row count alone, whatever the
+    # batch or the alignment of the rows' start.
     rng = np.random.default_rng(0)
     counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 300).tolist(), MAX_STEPS + 1]
     for n in counts:
-        rows = rng.normal(size=(5, 2, n)) + 1j * rng.normal(size=(5, 2, n))
+        rows = rng.normal(size=(5, 2, 2, n))
         for game in rows:  # like the kernel's, 0 outside the rows held
             lo, hi = np.sort(rng.integers(0, n + 1, 2))
-            game[:, :lo] = game[:, hi:] = 0.0
-        start = int(rng.integers(0, 4))  # rows that start 16 * start bytes into their buffer
-        held = np.zeros((5, 2, n + 4), dtype=complex)
+            game[..., :lo] = game[..., hi:] = 0.0
+        start = int(rng.integers(0, 4))  # rows that start 8 * start bytes into their buffer
+        held = np.zeros((5, 2, 2, n + 4))
         held[..., start:start + n] = rows
         games = held[..., start:start + n]
-        batch = np.vecdot(games, games[:, :1])  # (5, 2): each game's rho00 and rho01
+        batch = np.matmul(games[:, 1], games.reshape(5, 4, n).swapaxes(1, 2))  # (5, 2, 4)
         for g in range(5):
-            lone = np.zeros((2, n + 4), dtype=complex)
+            lone = np.zeros((2, 2, n + 4))
             offset = int(rng.integers(0, 4))
-            lone[:, offset:offset + n] = rows[g]
-            window = lone[:, offset:offset + n]
-            dot = np.vecdot(window, window[:1])
-            assert dot.tobytes() == batch[g].tobytes(), (
-                f"np.vecdot rounds a {n}-row dot alone differently from its row in a game-major "
-                f"batch; the kernel assumes a BLAS dot's bits depend only on values and row count")
+            lone[..., offset:offset + n] = rows[g]
+            window = lone[..., offset:offset + n]
+            product = np.matmul(window[1], window.reshape(4, n).T)
+            assert product.tobytes() == batch[g].tobytes(), (
+                f"np.matmul rounds a {n}-row product alone differently from its game's in a "
+                f"game-major batch; the kernel assumes dgemm's bits of a dot depend only on its "
+                f"values and row count")
+
+
+def kernel_coins(rng, count):
+    """``count`` random coins as the kernel's real ``(2, 2, 4)`` maps (see ``walk._batch``)."""
+    pairs = [(random_coin(rng), random_coin(rng), 0.0, GameSequence("A"))
+             for _ in range(-(-count // 2))]
+    return walk._batch(pairs, 1)[0][:count]
 
 
 def test_a_coin_step_has_the_bits_of_its_rows_in_a_batch():
-    # the kernel's coin step is one np.matmul of each game's (2, 2) coin with
-    # the rows it holds, rounded up to a multiple of 4 and written through the
-    # shifting view of the other buffer: a lone walk's on a (2, rows) buffer, a
-    # batch's on a (games, 2, rows) one whose rows span every game's. Its bits
-    # are the same in any batch only if zgemm rounds each row by its values
-    # alone, whatever the width or the start of the window it lies in.
+    # the kernel's coin step is one np.matmul of each game's real (2, 2, 4)
+    # coin with the re and im rows it holds, rounded up to a multiple of 4 and
+    # written through the shifting view of the other buffer: a lone walk's on
+    # a (2, 2, rows) buffer, a batch's on a (games, 2, 2, rows) one whose rows
+    # span every game's. Its bits are the same in any batch only if dgemm
+    # rounds each row by its values alone, whatever the width or the start of
+    # the window it lies in.
     rng = np.random.default_rng(0)
     counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 200).tolist(), MAX_STEPS + 1]
     for n in counts:
-        coins = np.stack([walk.make_coin(random_coin(rng)) for _ in range(3)])
-        rows = rng.normal(size=(3, 2, n)) + 1j * rng.normal(size=(3, 2, n))
+        coins = kernel_coins(rng, 3)
+        rows = rng.normal(size=(3, 2, 2, n))
         lo, below, above = rng.integers(0, 4, 3)  # the batch holds rows below and above them
         first, hi = lo + below, lo + below + n + above
-        (held, _), (_, out) = walk._buffers((3, 2, hi + 5))
+        (held, _), (_, out) = walk._buffers((3, 2, 2, hi + 5))
         held[..., first:first + n] = rows
         walk._coin_step(coins, held, out, lo, hi)
         for g in range(3):
             start = int(rng.integers(0, 4))
-            (lone, _), (_, lone_out) = walk._buffers((2, start + n + 5))
-            lone[:, start:start + n] = rows[g]
+            (lone, _), (_, lone_out) = walk._buffers((2, 2, start + n + 5))
+            lone[..., start:start + n] = rows[g]
             walk._coin_step(coins[g], lone, lone_out, start, start + n)
-            assert lone_out[:, start:start + n].tobytes() == out[g, :, first:first + n].tobytes(), (
-                f"np.matmul rounds {n} rows of a (2, 2) @ (2, rows) product alone differently "
-                f"from their rows in a wider batched product; the kernel assumes zgemm's bits "
+            assert (lone_out[..., start:start + n].tobytes()
+                    == out[g, ..., first:first + n].tobytes()), (
+                f"np.matmul rounds {n} rows of a (2, 4) @ (4, rows) product alone differently "
+                f"from their rows in a wider batched product; the kernel assumes dgemm's bits "
                 f"of a row depend only on its values once a product's rows are a multiple of 4")
-    # the rounding matters: zgemm takes the last n % 4 rows of a product in
-    # another kernel, whose bits differ from the rows of a wider product
-    coin = walk.make_coin(CoinParams(156, 16, 0))
-    rows = rng.normal(size=(2, 104)) + 1j * rng.normal(size=(2, 104))
-    assert (coin @ rows[:, :103] != (coin @ rows)[:, :103]).any()
+    # the rounding matters: numpy takes a one-row product as a matrix-vector
+    # product, whose bits differ from the row's in a wider product
+    coin = kernel_coins(rng, 1)[0, 0]
+    rows = rng.normal(size=(4, 8))
+    assert (coin @ rows[:, :1] != (coin @ rows)[:, :1]).any()
 
 
 @pytest.mark.parametrize("flush", [1e-12, 1e-6])
@@ -353,18 +398,18 @@ def test_games_whose_tails_underflow_match_the_reference_path(tokens):
 
 def test_the_flush_keeps_the_rows_the_flux_reads():
     t = 2 * walk._ANCHOR_EVERY  # an anchor; the occupied rows are 0..t + 1
-    held, spare = np.zeros((2, 2, 2, t + 2), dtype=complex)  # (games, components, rows)
-    held[0, 0, t + 1] = 1.0  # game 0: all of its mass at the right edge,
-    held[0, 1, t] = 1e-141  # and a faint pair beside it
-    held[1, 1, t] = 1e-139  # game 1: a pair above the threshold, at the same row
+    held, spare = np.zeros((2, 2, 2, 2, t + 2))  # (games, components, re and im, rows)
+    held[0, 1, 0, t + 1] = 1.0  # game 0: all of its mass at the right edge, in coin |0>,
+    held[0, 0, 1, t] = 1e-141  # and a faint coin |1> pair beside it
+    held[1, 0, 0, t] = 1e-139  # game 1: a pair above the threshold, at the same row
     lo, hi, sums = walk._anchor(t, held, spare, 0, t + 2)
-    assert held[0, 1, t] == 0 and held[1, 1, t] == 1e-139  # decided per game
+    assert held[0, 0, 1, t] == 0 and held[1, 0, 0, t] == 1e-139  # decided per game
     origin, _ = walk._sides(t, 0)
     assert (lo, hi) == (origin - 1, t + 2)
-    # the sums are taken after the flush, and the record's dots of the rows
+    # the sums are taken after the flush, and the record's product of the rows
     # after it: game 0 keeps no coin-|1> mass
     assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1e-139 * 1e-139]]
-    rho00 = np.vecdot(held, held[:, :1])[:, 0].real
+    rho00, _ = density(held)
     assert rho00.tolist() == [1.0, 0.0]
     assert (sums.sum(axis=0) - rho00).tolist() == [0.0, 1e-139 * 1e-139]
 
@@ -663,6 +708,24 @@ def test_a_verdict_batch_holds_only_the_rows_its_live_games_reach():
         tracemalloc.stop()
     assert held.any() and not held.all()
     assert peak < 24 << 20
+
+
+def test_a_scan_call_holds_no_more_than_its_columns_and_buffers():
+    # run_scan's widest call at 1,024 steps: 128 distinct roots of period <= 8
+    # at the README coins. Its columns take 7 MiB and its two buffers 8 MiB;
+    # it peaked at 20.2 MiB, and at 26.1 MiB when the walk kept each step's
+    # (G, 2, 4) density product until the end
+    roots = list(dict.fromkeys(scan._root(seq) for seq in every_game(8)))[:128]
+    regime = REGIME_ONE_SIDED
+    games = [(regime["coin_a"], regime["coin_b"], regime["eta_deg"], seq) for seq in roots]
+    tracemalloc.start()
+    try:
+        columns = evolve_games(games, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert columns.rho01.shape == (128, 1024)
+    assert peak < 23 << 20
 
 
 def test_verdict_walks_over_the_step_budget_allocate_nothing():

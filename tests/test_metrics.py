@@ -173,6 +173,13 @@ class TestPayoffVerdicts:
         with pytest.raises(InvalidParameterError, match="biases"):
             payoff_verdicts(np.full(shape, 0.1), [1, 1])
 
+    @pytest.mark.parametrize("biases, periods", [([[0.1], [0.1, 0.2]], [1, 1]), ("ab", [1])],
+                             ids=["ragged", "string"])
+    def test_rejects_biases_that_are_not_numbers(self, biases, periods):
+        # both raised numpy's ValueError
+        with pytest.raises(InvalidParameterError, match="biases"):
+            payoff_verdicts(biases, periods, 0.0)
+
     def test_accepts_numpy_integer_periods(self):
         verdicts = payoff_verdicts(np.full((2, 5), 0.1), np.array([1, 5]))
         assert verdicts == [GameVerdict.WINNING] * 2
@@ -303,9 +310,13 @@ class TestBiasTrajectory:
             (one_step_changed("entropy", 7, 1.0 + 1e-9), "entropy out of"),
             (one_step_changed("entropy", 7, -1e-9), "entropy out of"),
             (one_step_changed("entropy", 7, np.nan), "entropy out of"),
+            (dict(p_left=[[0.1], [0.2, 0.3]], p_origin=[0.1], p_right=[0.1], entropy=[0.1]),
+             "p_left must be an array"),
+            (dict(valid_columns(), entropy="ab"), "entropy must be an array"),
         ],
         ids=["empty", "unequal-length", "two-dimensional", "sides-miss-1-at-one-step",
-             "nan-side", "entropy-above-1", "entropy-below-0", "nan-entropy"],
+             "nan-side", "entropy-above-1", "entropy-below-0", "nan-entropy", "ragged-side",
+             "string-entropy"],
     )
     def test_rejects_invalid_columns(self, columns, message):
         with pytest.raises(InvalidParameterError, match=message):
