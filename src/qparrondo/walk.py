@@ -12,29 +12,28 @@ mutate the state they are given and return freshly allocated amplitude
 grids. They are the reference path. The batched kernel evolves many games,
 each with its own coin pair, initial phase and schedule, together, in one
 loop that also keeps every game's side probabilities: every
-``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only
-the rows some game still holds (so decaying tails cost less than T**2) and
-sums the sides over them; in between they follow the flux across the
-origin, in O(1) per game and step. A walk is stored game-major in real
-numbers: each game's four rows, the re and im parts of its coin |1> and then
-its coin |0> component, lie contiguous in one of two buffers. Each step does
-only what needs its own rows: the coin step, one real ``np.matmul`` of every
-game's coin with its four rows; the anchor; a copy of the two rows the flux
-reads; and for ``evolve_games`` one ``np.matmul`` of each game's two coin
-|0> rows with its four, eight dots over its occupied rows that give
-``rho00`` and ``rho01``. The rest is done once per block of
-``_COMPACT_EVERY`` steps: the block's coins are looked up, its sides rebuilt
-from the copied rows, its products folded into columns, and its observer
-called. Observers only record or judge: ``evolve_games`` records all six
-columns (scans and simulations), and ``evolve_verdicts`` judges each game's
-bias at its payoff points, retiring it at the first that breaks its verdict
-(region grids). Only a lone ``evolve_games`` game keeps its books in Python
-numbers, with the same float operations in the same order, so it gives the
-bits it has in any batch: dgemm rounds each row of a product, and each dot,
-by its values and length alone (``test_kernel.py`` pins both), the coin step
-is taken on a multiple of 4 rows, and every game's dots span all the rows its
-step count occupies. Every other walk takes ``(games, 2, 2, rows)`` buffers,
-one game included.
+``_ANCHOR_EVERY`` steps it sets amplitudes under 1e-140 to 0, keeps only the
+rows some game still holds (so decaying tails cost less than T**2) and sums
+the sides over them; in between they follow the flux across the origin, in
+O(1) per game and step. A walk is stored game-major in real numbers, each
+game's four parts (re and im of its coin |1>, then of its coin |0>) on
+contiguous rows, and each step does only what needs its own rows: the coin
+step, one real ``np.matmul`` of every game's coin with its parts, the
+anchor, a copy of the two rows the flux reads, and for ``evolve_games`` one
+``np.matmul`` of each game's two coin |0> parts with its four, eight dots
+over its occupied rows that give ``rho00`` and ``rho01``. The rest is done
+once per block of ``_COMPACT_EVERY`` steps: the block's coins are looked up,
+its sides rebuilt from the copied rows, its products folded into columns,
+and its observer called. Observers only record or judge: ``evolve_games``
+records all six columns (scans and simulations), and ``evolve_verdicts``
+judges each game's bias at its payoff points, retiring it at the first that
+breaks its verdict (region grids). Only a lone ``evolve_games`` game keeps
+its books in Python numbers, with the same float operations in the same
+order, so it gives the bits it has in any batch: dgemm rounds each row of a
+product, and each dot, by its values and length alone (``test_kernel.py``
+pins both), the coin step is taken on a multiple of 4 rows, and every game's
+dots span all the rows its step count occupies. Every other walk takes
+``(games, 2, 2, rows)`` buffers, one game included.
 """
 
 from __future__ import annotations
@@ -83,12 +82,11 @@ memory is O(G*T), but its work per game is at most T**2 site-steps, less
 where the game's tails decay. ``evolve_sequence``
 runs at most this many steps on a lattice of that half-width, which keeps
 its snapshots, at most 4095*2*8191*16 bytes, under 1 GiB. It also bounds
-the kernel's BLAS calls: its density products to dots of 4,096 rows and its
-coin steps to 4,100 rows. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a
-``(2, 4096) @ (4096, 4)`` density product and a ``(106, 2, 2, 4) @ (106, 1,
-4, 4100)`` coin step each gave the same bits at ``OPENBLAS_NUM_THREADS`` 1
-and 2, and so did products of 20,000 and 100,000 rows; ``test_kernel.py``
-pins a lone walk and a batch of ``MAX_STEPS``."""
+the kernel's BLAS calls: its density dots to 4,096 rows and its coin steps
+to 4,100. With OpenBLAS 0.3.31 on a 2-core x86-64 host, a ``(2, 4096) @
+(4096, 4)`` product and a ``(106, 2, 2, 4) @ (106, 1, 4, 4100)`` coin step
+each gave the same bits at ``OPENBLAS_NUM_THREADS`` 1 and 2, and so did
+products of 100,000 rows (``test_kernel.py`` pins walks of ``MAX_STEPS``)."""
 
 MAX_GAME_STEPS = 128 * 4096
 """The kernel's budget: most games times steps one walk holds, 128 games at
@@ -382,7 +380,7 @@ class GameColumns(NamedTuple):
     ``p_right`` are the probabilities left of, at and right of the origin;
     ``rho00``, ``rho11`` and ``rho01`` are the entries of the reduced coin
     density matrix (``rho10`` is the conjugate of ``rho01``). ``rho00`` and
-    ``rho01`` are sums of dots, per game and step, of the re and im rows of
+    ``rho01`` are sums of dots, per game and step, of the re and im parts of
     its coin |0> component with those of both components, over all the
     sites the step count occupies; a dot's rounding depends only on its
     values and count. The sides are summed at each anchor of the
@@ -492,15 +490,13 @@ sums bound the drift."""
 
 
 def _observe_all(table: NDArray, rho01: NDArray) -> tuple:
-    """``evolve_games``' observers. After step t + 1 ``record`` keeps, for the
-    block, each game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` rows with
-    its ``(Re w1, Im w1, Re w0, Im w0)`` rows over the occupied sites, in one
-    ``np.matmul``: ``[p, q]`` is the dot of row ``p`` with row ``q``. After
-    each block ``observe`` folds the block's products into ``rho00``, ``[0,
-    2] + [1, 3]``, in the fourth column of its rows of ``table``, and into
-    ``rho01``, ``[0, 0] + [1, 1]`` and ``[1, 0] - [0, 1]``, in its rows of
-    ``rho01``; it writes the block's sides into the first three columns and
-    ``rho11``, the unclipped sides' sum less ``rho00``, into the fifth, in
+    """``evolve_games``' observers. After step t + 1 ``record`` keeps each
+    game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` parts with its ``(Re
+    w1, Im w1, Re w0, Im w0)`` parts over the occupied rows, in one
+    ``np.matmul``. After each block ``observe`` writes into its rows of
+    ``table`` the block's sides, ``rho00`` (``[0, 2] + [1, 3]`` of the
+    products) and ``rho11``, the unclipped sides' sum less ``rho00``, and
+    into those of ``rho01`` ``[0, 0] + [1, 1]`` and ``[1, 0] - [0, 1]``, in
     ``_walk_one``'s float order."""
     products = np.empty((_COMPACT_EVERY, table.shape[2], 2, 4))
 
@@ -633,14 +629,13 @@ def _batch(
 ) -> tuple[NDArray[np.float64], NDArray[np.intp], NDArray[np.float64]]:
     """The coin table of games that ``_checked_games`` passed, the ``(T, G)`` table
     rows each game applies at each step, and the ``(G, 2, 2)`` initial coin
-    vectors, each game's ``(w0, w1) = (1, e^{i eta}) / sqrt(2)`` at the origin
-    as ``[[Re w1, Im w1], [Re w0, Im w0]]``, coin |1> first as a walk stores
-    it (see ``_buffers``). So each row of the table is a coin C taken in the
-    order |1>, |0>, ``B = C[::-1, ::-1]``, as a real ``(2, 2, 4)`` map of
-    ``u = (Re w1, Im w1, Re w0, Im w0)``: ``[s, 0]``, giving the re part of
-    slot ``s`` (0 for coin |1>, 1 for coin |0>), is ``(Re B[s,0], -Im B[s,0],
-    Re B[s,1], -Im B[s,1])``, and ``[s, 1]``, its im part, is ``(Im B[s,0],
-    Re B[s,0], Im B[s,1], Re B[s,1])``."""
+    vectors, each game's ``(w0, w1) = (1, e^{i eta}) / sqrt(2)`` at the origin,
+    stored coin |1> first as ``[[Re w1, Im w1], [Re w0, Im w0]]`` (see
+    ``_buffers``). A coin C, taken in that order as ``B = C[::-1, ::-1]``, is
+    the real ``(2, 2, 4)`` map of ``(Re w1, Im w1, Re w0, Im w0)`` whose row
+    ``[s, 0]`` gives the re part of slot ``s``, ``(Re B[s,0], -Im B[s,0], Re
+    B[s,1], -Im B[s,1])``, and ``[s, 1]`` its im part, ``(Im B[s,0], Re
+    B[s,0], Im B[s,1], Re B[s,1])``."""
     # coin table: rows 2p and 2p + 1 are coins A and B of the p-th distinct pair
     pairs: dict[tuple[CoinParams, CoinParams], int] = {}
     schedules: dict[str, int] = {}
@@ -692,9 +687,9 @@ def _walk_one(coins: NDArray[np.float64], choice: list[int], initial: NDArray) -
                 q0 = _abs2(held.item(1, 0, j), held.item(1, 1, j))
                 q1 = _abs2(held.item(0, 0, j), held.item(0, 1, j))
                 left, origin, right = left - q0, q0 + q1, right - q1
-        occupied = held[..., :t + 2]
-        (p00, p01, p02, _), (p10, p11, _, p13) = matmul(occupied[1],
-                                                        occupied.reshape(4, -1).T).tolist()
+        occupied = held[..., :t + 2]  # the density product of its coin |0> parts with all four
+        product = matmul(occupied[1], occupied.reshape(4, -1).T).tolist()
+        (p00, p01, p02, _), (p10, p11, _, p13) = product
         rho00 = p02 + p13
         rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
                      0.0 if right < 0.0 else right, rho00, left + origin + right - rho00))
@@ -709,12 +704,11 @@ def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
     coin |0> at ``[..., 1, p, j]``. Each comes with the view a coin step
     writes it through: ``[..., 0, p, j]`` of the view is row ``j`` of coin
     |1> and ``[..., 1, p, j]`` row ``j + 1`` of coin |0>, which is the shift.
-    The order of the four rows is the order in which dgemm adds each output's
-    four products, so it sets their rounding. With coin |0> first, the swap
-    walks of ``test_kernel.py`` (beta 90 and 270 degrees) drifted up to
-    1.7e-13 from norm 1 in 4,095 steps, and with coin |1> first at most
-    6e-14; over 40 random swap-coin games either order drifted up to about
-    4e-13, as zgemm did."""
+    dgemm adds a coin step's four terms in the order of the parts, which sets
+    its rounding: with coin |0> first, the swap walks of ``test_kernel.py``
+    drifted 1.7e-13 from norm 1 in 4,095 steps, with coin |1> first at most
+    6e-14; random swap coins drifted up to 4e-13 in either order, as under
+    zgemm."""
     pair = np.zeros((2, *shape))
     *lead, component, part, row = pair[0].strides
     return [(buffer, np.lib.stride_tricks.as_strided(
@@ -724,7 +718,7 @@ def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
 
 def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> None:
     """One step of the rows ``lo..hi - 1`` of ``held``: apply each game's
-    real ``(2, 2, 4)`` coin (see ``_batch``) to its four rows ``(Re w1, Im
+    real ``(2, 2, 4)`` coin (see ``_batch``) to its four parts ``(Re w1, Im
     w1, Re w0, Im w0)`` in one ``np.matmul``, a ``(2, 4) @ (4, rows)`` dgemm
     per game and coin component, and write them through ``out``, the
     shifting view of the other buffer. The rows are rounded up to a multiple
@@ -733,8 +727,7 @@ def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> 
     differently, while in 3,000 random windows of 2 to 63 rows each row had
     the bits it has in a wider product."""
     end = lo + (hi - lo + 3) // 4 * 4
-    window = held[..., lo:end]
-    np.matmul(coin, window.reshape(*window.shape[:-3], 1, 4, end - lo), out=out[..., lo:end])
+    np.matmul(coin, held[..., lo:end].reshape(*held.shape[:-3], 1, 4, -1), out=out[..., lo:end])
 
 
 _COMPACT_EVERY = 8
@@ -884,8 +877,7 @@ def _sides(t: int, first: int) -> tuple[int, int]:
 
 
 def _abs2(re: Any, im: Any) -> Any:
-    """Squared moduli ``re * re + im * im`` of amplitudes given by their
-    parts, floats or arrays."""
+    """Squared moduli ``re * re + im * im`` of amplitudes, floats or arrays."""
     return re * re + im * im
 
 

@@ -144,9 +144,9 @@ def sites(t, rows, first):
 
 def density(occupied):
     """Each game's rho00 and rho01 from the ``(games, 2, 2, rows)`` re and im
-    rows ``occupied``, as the kernel takes them: from one product of the two
-    rows of its component 0 with the four of both components, eight dots
-    over its contiguous rows (a strided dot may round differently)."""
+    rows ``occupied``, coin |1> first, as the kernel takes them: from one
+    product of the two rows of its coin |0> with all four, eight dots over
+    its contiguous rows (a strided dot may round differently)."""
     p = np.matmul(occupied[:, 1], occupied.reshape(len(occupied), 4, -1).swapaxes(1, 2))
     return p[:, 0, 2] + p[:, 1, 3], (p[:, 0, 0] + p[:, 1, 1]) + 1j * (p[:, 1, 0] - p[:, 0, 1])
 
@@ -244,8 +244,8 @@ def thread_walks():
 
 
 def test_columns_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a BLAS call may split a large product over threads, which changes its
-    # rounding; MAX_STEPS keeps the kernel's products below that size
+    # a BLAS call may split a large product over threads, which can change its
+    # rounding; a game's bits hold only while no product the kernel takes does
     out = tmp_path / "walks.npz"
     child = ("import sys, numpy as np; sys.path[:0] = sys.argv[2:]; import test_kernel; "
              "np.savez(sys.argv[1], **test_kernel.thread_walks())")
@@ -259,7 +259,7 @@ def test_columns_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_a_dot_has_the_bits_of_its_row_in_a_batch():
     # the kernel's rho00 and rho01 come from one np.matmul of each game's re
-    # and im rows of component 0 with the four rows of both components, eight
+    # and im rows of coin |0> with the four rows of both components, eight
     # dots: a lone walk's of a (2, 2, rows) window, a batch's of a (games, 2,
     # 2, rows) one in one call. Their bits are the same in any batch only if
     # dgemm rounds each dot by its values and row count alone, whatever the
@@ -713,7 +713,7 @@ def test_a_verdict_batch_holds_only_the_rows_its_live_games_reach():
 def test_a_scan_call_holds_no_more_than_its_columns_and_buffers():
     # run_scan's widest call at 1,024 steps: 128 distinct roots of period <= 8
     # at the README coins. Its columns take 7 MiB and its two buffers 8 MiB;
-    # it peaked at 20.2 MiB, and at 26.1 MiB when the walk kept each step's
+    # it peaked at 20.2 MiB, and at 28.1 MiB when the walk kept every step's
     # (G, 2, 4) density product until the end
     roots = list(dict.fromkeys(scan._root(seq) for seq in every_game(8)))[:128]
     regime = REGIME_ONE_SIDED
