@@ -727,7 +727,7 @@ def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> 
     differently, while in 3,000 random windows of 2 to 63 rows each row had
     the bits it has in a wider product."""
     end = lo + (hi - lo + 3) // 4 * 4
-    np.matmul(coin, held[..., lo:end].reshape(*held.shape[:-3], 1, 4, -1), out=out[..., lo:end])
+    np.matmul(coin, held[..., lo:end].reshape(held.shape[:-3] + (1, 4, -1)), out=out[..., lo:end])
 
 
 _COMPACT_EVERY = 8
