@@ -26,7 +26,7 @@ from .errors import InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult, enumerate_sequences
 from .scan import _report
-from .walk import CoinParams, GameSequence, check_real
+from .walk import CoinParams, GameSequence, _checked, check_real
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -41,13 +41,6 @@ TRAJECTORY_CSV_HEADER = "step,p_left,p_origin,p_right,bias,entropy"
 _TRAJECTORY_KEYS = TRAJECTORY_CSV_HEADER.split(",")
 
 _CSV_ROW = "%d," + ",".join(["%.12e"] * 5) + "\n"  # 13 significant digits
-
-
-def _checked(record: Any, kind: type) -> Any:
-    """``record``; raise ``InvalidParameterError`` unless it is a ``kind``."""
-    if not isinstance(record, kind):
-        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(record).__name__}")
-    return record
 
 
 def _trajectory_rows(trajectory: BiasTrajectory) -> Iterator[tuple[Any, ...]]:

@@ -13,6 +13,7 @@ per-trajectory functions are thin wrappers over them.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, _array, check_epsilon, check_periods
+from .walk import WalkerState, _array, _checked, check_epsilon, check_periods
 
 __all__ = [
     "GameVerdict",
@@ -86,8 +87,9 @@ class BiasTrajectory:
     ``p_left``, ``p_origin``, ``p_right`` and ``entropy`` are 1-D arrays
     whose entry ``k`` is step ``k + 1``; ``bias`` is derived from the sides
     with :func:`bias`. Raises ``InvalidParameterError`` unless the columns
-    have one length of at least 1, the sides sum to 1 at every step, and
-    every entropy lies in [0, 1].
+    have one length of at least 1, the sides sum to 1 at every step, every
+    entropy lies in [0, 1], and ``metadata`` is a mapping, which is kept as
+    a dict.
     """
 
     p_left: NDArray[np.float64]
@@ -113,6 +115,7 @@ class BiasTrajectory:
             raise InvalidParameterError(f"entropy out of [0, 1]: {entropy.min()} to {entropy.max()}")
         for name, column in zip(names, columns):
             object.__setattr__(self, name, column)
+        object.__setattr__(self, "metadata", dict(_checked(self.metadata, abc.Mapping)))
         object.__setattr__(self, "bias", bias(p_left, p_right))
 
 
@@ -123,7 +126,7 @@ def bias_sample(state: WalkerState) -> BiasSample:
     and ``p_origin`` is the mass at x = 0, which counts toward neither
     side.
     """
-    per_site = state.site_probabilities()
+    per_site = _checked(state, WalkerState).site_probabilities()
     center = state.half_width
     p_left = float(per_site[:center].sum())
     p_origin = float(per_site[center])
@@ -208,7 +211,7 @@ def classify(
         integer (bools are refused) of at least 1, or the trajectory
         contains no sample at a multiple of ``period``.
     """
-    return payoff_verdicts(trajectory.bias[None, :], [period], epsilon)[0]
+    return payoff_verdicts(_checked(trajectory, BiasTrajectory).bias[None, :], [period], epsilon)[0]
 
 
 def reduced_density(state: WalkerState) -> ReducedCoinDensity:
@@ -217,7 +220,7 @@ def reduced_density(state: WalkerState) -> ReducedCoinDensity:
     ``rho[c, c'] = sum_x amp(c, x) * conj(amp(c', x))``; the result is
     Hermitian with unit trace for a normalized state.
     """
-    amp = state.amplitudes
+    amp = _checked(state, WalkerState).amplitudes
     return amp @ amp.conj().T
 
 
@@ -266,12 +269,13 @@ def trajectory_with_entropy(
     Raises
     ------
     InvalidParameterError
-        If the snapshot list is empty or out of order.
+        If ``snapshots`` is not a non-empty sequence of ``WalkerState`` in
+        order, or ``metadata`` is neither None nor a mapping.
     """
-    if not snapshots:
+    if not _checked(snapshots, abc.Sequence):
         raise InvalidParameterError("no snapshots to build a trajectory from")
     for i, snap in enumerate(snapshots):
-        if snap.step != i + 1:
+        if _checked(snap, WalkerState).step != i + 1:
             raise InvalidParameterError(
                 f"snapshots must be ordered by step and start at 1; "
                 f"position {i} has step {snap.step}"
@@ -279,4 +283,4 @@ def trajectory_with_entropy(
     sides = [(s.p_left, s.p_origin, s.p_right) for s in map(bias_sample, snapshots)]
     rho = np.array([reduced_density(snap) for snap in snapshots])
     entropy = entropy_bits(rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1])
-    return BiasTrajectory(*np.transpose(sides), entropy, dict(metadata or {}))
+    return BiasTrajectory(*np.transpose(sides), entropy, {} if metadata is None else metadata)

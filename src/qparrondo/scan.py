@@ -37,7 +37,7 @@ from .metrics import (
     payoff_verdicts,
 )
 from . import walk
-from .walk import CoinParams, GameSequence
+from .walk import CoinParams, GameSequence, _checked
 from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games, evolve_verdicts
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
@@ -636,5 +636,5 @@ def entropy_comparison(report: ScanReport) -> list[tuple[GameSequence, float]]:
 
     Ties keep the enumeration order (the sort is stable).
     """
-    ordered = sorted(report.results, key=lambda r: -r.max_entropy)
+    ordered = sorted(_checked(report, ScanReport).results, key=lambda r: -r.max_entropy)
     return [(r.sequence, r.max_entropy) for r in ordered]

@@ -27,13 +27,13 @@ its sides rebuilt from the copied rows, its products folded into columns,
 and its observer called. Observers only record or judge: ``evolve_games``
 records all six columns (scans and simulations), and ``evolve_verdicts``
 judges each game's bias at its payoff points, retiring it at the first that
-breaks its verdict (region grids). Only a lone ``evolve_games`` game keeps
-its books in Python numbers, with the same float operations in the same
-order, so it gives the bits it has in any batch: dgemm rounds each row of a
-product, and each dot, by its values and length alone (``test_kernel.py``
-pins both), the coin step is taken on a multiple of 4 rows, and every game's
-dots span all the rows its step count occupies. Every other walk takes
-``(games, 2, 2, rows)`` buffers, one game included.
+breaks its verdict (region grids). A lone ``evolve_games`` game walks in a
+loop of its own, without blocks, but with the batch's functions, so it
+gives the bits it has in any batch: dgemm rounds each row of a product, and
+each dot, by its values and length alone (``test_kernel.py`` pins both),
+the coin step is taken on a multiple of 4 rows, every game's dots span all
+the rows its step count occupies, the flux adds in step order and the fold
+is elementwise. Every walk takes ``(games, 2, 2, rows)`` buffers.
 """
 
 from __future__ import annotations
@@ -287,10 +287,17 @@ def _array(name: str, value: Any, dtype: type, shape: tuple[int, ...] | None = N
     return array
 
 
+def _checked(record: Any, kind: type) -> Any:
+    """``record``; raise ``InvalidParameterError`` unless it is a ``kind``."""
+    if not isinstance(record, kind):
+        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(record).__name__}")
+    return record
+
+
 def apply_coin(state: WalkerState, coin: CoinMatrix) -> WalkerState:
     """Rotate the coin at every site: the 2-vector of amplitudes at each
     position is replaced by ``coin @ (a0, a1)``. Norm is preserved."""
-    coin = _array("coin", coin, np.complex128, (2, 2))
+    coin, state = _array("coin", coin, np.complex128, (2, 2)), _checked(state, WalkerState)
     return WalkerState(
         step=state.step,
         half_width=state.half_width,
@@ -307,7 +314,7 @@ def apply_shift(state: WalkerState) -> WalkerState:
         If the walk has already reached the edge of the grid
         (``state.step == half_width``); shifting would truncate amplitude.
     """
-    if state.step >= state.half_width:
+    if _checked(state, WalkerState).step >= state.half_width:
         raise CapacityError(
             f"cannot shift beyond the grid: step {state.step} with half_width {state.half_width}"
         )
@@ -454,9 +461,8 @@ def evolve_games(
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
     and every column is recorded at every step (see ``GameColumns``). A
-    lone game walks on a ``(2, 2, rows)`` buffer of its own, without an
-    observer, and has bitwise the columns it has in any batch: it takes
-    the same coin step and the same dots of its rows.
+    lone game walks in a loop of its own, without blocks, and has bitwise
+    the columns it has in any batch: it takes the same functions.
 
     Raises
     ------
@@ -475,11 +481,12 @@ def evolve_games(
         raise CapacityError(f"{len(games)} games of {steps} steps exceed the budget of "
                             f"{MAX_GAME_STEPS} game-steps per call")
     coins, choice, initial = _batch(games, steps)
-    if len(games) == 1:
-        return _walk_one(coins, choice[:, 0].tolist(), initial[0])
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    _evolve(coins, choice, initial, *_observe_all(table, rho01))
+    if len(games) == 1:
+        _walk_one(coins, choice[:, 0].tolist(), initial[0], table, rho01)
+    else:
+        _evolve(coins, choice, initial, *_observe_all(table, rho01))
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
@@ -493,11 +500,8 @@ def _observe_all(table: NDArray, rho01: NDArray) -> tuple:
     """``evolve_games``' observers. After step t + 1 ``record`` keeps each
     game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` parts with its ``(Re
     w1, Im w1, Re w0, Im w0)`` parts over the occupied rows, in one
-    ``np.matmul``. After each block ``observe`` writes into its rows of
-    ``table`` the block's sides, ``rho00`` (``[0, 2] + [1, 3]`` of the
-    products) and ``rho11``, the unclipped sides' sum less ``rho00``, and
-    into those of ``rho01`` ``[0, 0] + [1, 1]`` and ``[1, 0] - [0, 1]``, in
-    ``_walk_one``'s float order."""
+    ``np.matmul``. After each block ``observe`` hands the block's sides and
+    products to ``_fold``, with its rows of ``table`` and ``rho01``."""
     products = np.empty((_COMPACT_EVERY, table.shape[2], 2, 4))
 
     def record(t, occupied):
@@ -505,16 +509,23 @@ def _observe_all(table: NDArray, rho01: NDArray) -> tuple:
                   out=products[t % _COMPACT_EVERY])
 
     def observe(t, sides, columns):
-        rows, p, block = table[t:t + len(sides)], products[:len(sides)], rho01[t:t + len(sides)]
-        np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
-        rows[:, 1] = sides[:, 1]
-        np.add(p[..., 0, 2], p[..., 1, 3], out=rows[:, 3])
-        rows[:, 4] = sides[:, 0] + sides[:, 1] + sides[:, 2] - rows[:, 3]
-        np.add(p[..., 0, 0], p[..., 1, 1], out=block.real)
-        np.subtract(p[..., 1, 0], p[..., 0, 1], out=block.imag)
-        return None
+        end = t + len(sides)
+        _fold(sides, products[:len(sides)], table[t:end], rho01[t:end])
 
     return observe, record
+
+
+def _fold(sides: NDArray, products: NDArray, rows: NDArray, rho01: NDArray) -> None:
+    """Write into ``rows`` of ``evolve_games``' table the ``(steps, 3, G)``
+    ``sides``, clipped at 0, ``rho00`` (``[0, 2] + [1, 3]`` of the ``(steps,
+    G, 2, 4)`` ``products``) and ``rho11``, the unclipped sides' sum less
+    ``rho00``, and into ``rho01`` ``[0, 0] + [1, 1]`` and ``[1, 0] - [0, 1]``."""
+    np.maximum(sides[:, ::2], 0.0, out=rows[:, 0:3:2])
+    rows[:, 1] = sides[:, 1]
+    np.add(products[..., 0, 2], products[..., 1, 3], out=rows[:, 3])
+    rows[:, 4] = sides[:, 0] + sides[:, 1] + sides[:, 2] - rows[:, 3]
+    np.add(products[..., 0, 0], products[..., 1, 1], out=rho01.real)
+    np.subtract(products[..., 1, 0], products[..., 0, 1], out=rho01.imag)
 
 
 def evolve_verdicts(
@@ -656,50 +667,39 @@ def _batch(
     return table.reshape(-1, 2, 2, 4), choice, np.stack([initial.real, initial.imag], axis=-1)
 
 
-def _walk_one(coins: NDArray[np.float64], choice: list[int], initial: NDArray) -> GameColumns:
-    """``evolve_games`` for a lone game that starts in the ``(2, 2)`` coin
-    vector ``initial`` at the origin: ``_evolve``'s walk and ``_observe_all``'s
-    columns on a ``(2, 2, rows)`` pair of buffers of its own, with the same
-    coin step, anchor and density product and the same float operations in
-    the same order, so the game has the bits it has in any batch. Its sides
-    and ``rho`` entries are Python floats, read from single rows and from
-    its product with ``.tolist()``."""
+def _walk_one(coins: NDArray[np.float64], choice: list[int], initial: NDArray,
+              table: NDArray, rho01: NDArray) -> None:
+    """``evolve_games`` for a lone game from the ``(2, 2)`` coin vector
+    ``initial``: ``_evolve``'s steps and ``_observe_all``'s products, in one
+    loop without blocks; after it, ``_flux`` gives the sides of each
+    anchor's segment and ``_fold`` writes the columns into ``table`` and
+    ``rho01``."""
     steps = len(choice)
-    state, spare = _buffers((2, 2, steps + 4))  # (buffer, the view a step writes it through)
-    state[0][..., 0] = initial
+    state, spare = _buffers((1, 2, 2, steps + 4))  # (buffer, the view a step writes it through)
+    state[0][0, ..., 0] = initial
     matrices = list(coins)
-    coin_step, matmul = _coin_step, np.matmul
-    rows, rho01 = [], []
+    sides = np.empty((steps, 3, 1))
+    crossed = np.empty((steps, 2, 1, 2))
+    products = np.empty((steps, 2, 4))
     lo, hi = 0, 1
     for t, c in enumerate(choice):
-        coin_step(matrices[c], state[0], spare[1], lo, hi)
+        _coin_step(matrices[c], state[0], spare[1], lo, hi)
         state, spare = spare, state
         held, hi = state[0], hi + 1
         if t % _ANCHOR_EVERY == 0:
-            lo, hi, sums = _anchor(t, held[None], spare[0][None], lo, hi)
-            left, origin, right = sums[:, 0].tolist()
-        else:  # _flux's sides, from single rows
-            j, right_start = _sides(t, 0)
-            if j == right_start:
-                left, origin = left + _abs2(held.item(0, 0, j - 1), held.item(0, 1, j - 1)), 0.0
-                right += _abs2(held.item(1, 0, j), held.item(1, 1, j))
-            else:
-                q0 = _abs2(held.item(1, 0, j), held.item(1, 1, j))
-                q1 = _abs2(held.item(0, 0, j), held.item(0, 1, j))
-                left, origin, right = left - q0, q0 + q1, right - q1
-        occupied = held[..., :t + 2]  # the density product of its coin |0> parts with all four
-        product = matmul(occupied[1], occupied.reshape(4, -1).T).tolist()
-        (p00, p01, p02, _), (p10, p11, _, p13) = product
-        rho00 = p02 + p13
-        rows.append((0.0 if left < 0.0 else left, origin,  # max(side, 0.0) without a call
-                     0.0 if right < 0.0 else right, rho00, left + origin + right - rho00))
-        rho01.append(complex(p00 + p11, p10 - p01))
-    return GameColumns(*np.array(rows).T.copy()[:, None], np.array([rho01]))
+            lo, hi, sides[t] = _anchor(t, held, spare[0], lo, hi)
+        else:
+            _crossing(t, held, 0, crossed[t])
+        occupied = held[0, ..., :t + 2]
+        np.matmul(occupied[1], occupied.reshape(4, -1).T, out=products[t])
+    for t in range(0, steps, _ANCHOR_EVERY):
+        sides[t:t + _ANCHOR_EVERY] = _flux(sides[t], crossed[t + 1:t + _ANCHOR_EVERY], True)
+    _fold(sides, products[:, None], table, rho01)
 
 
 def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
-    """Two zeroed real amplitude buffers of ``shape``, ``(2, 2, rows)`` for a
-    lone game or ``(games, 2, 2, rows)``: part ``p`` (0 re, 1 im) of a
+    """Two zeroed real amplitude buffers of ``shape``, ``(games, 2, 2,
+    rows)``: part ``p`` (0 re, 1 im) of a
     game's coin |1> on sublattice row ``j`` at ``[..., 0, p, j]`` and of its
     coin |0> at ``[..., 1, p, j]``. Each comes with the view a coin step
     writes it through: ``[..., 0, p, j]`` of the view is row ``j`` of coin
@@ -735,9 +735,9 @@ _COMPACT_EVERY = 8
 an anchor always starts a block. After each block the walk rebuilds its
 sides, calls its observer and drops the games no longer live."""
 
-_SIGNS = np.resize([1.0, -1.0], _COMPACT_EVERY)[:, None, None]
-"""Per step of a block, whose first step count is odd, how the flux moves
-the sides: an odd count adds the mass that crossed, an even one takes it."""
+_SIGNS = np.resize([1.0, -1.0], _ANCHOR_EVERY)[:, None, None]
+"""Per step from an odd step count, how the flux moves the sides: an odd
+count adds the mass that crossed, an even one takes it."""
 
 
 def _evolve(
@@ -876,8 +876,8 @@ def _sides(t: int, first: int) -> tuple[int, int]:
     return (t + 2) // 2 - first, (t + 1) // 2 + 1 - first
 
 
-def _abs2(re: Any, im: Any) -> Any:
-    """Squared moduli ``re * re + im * im`` of amplitudes, floats or arrays."""
+def _abs2(re: NDArray, im: NDArray) -> NDArray:
+    """Squared moduli ``re * re + im * im`` of the amplitudes in two arrays."""
     return re * re + im * im
 
 

@@ -216,8 +216,9 @@ def observed():
     return columns, rows, np.array(quick), exact
 
 
-# 7, 9, 63, 71: ending within a block of the kernel or just past one; 65, 129: past an anchor
-@pytest.mark.parametrize("steps", [1, 2, 3, 7, 9, 63, 65, 71, 129, 2400, MAX_STEPS])
+# 7, 9, 63, 71: ending within a block of the kernel or just past one; 65, 129: past an anchor;
+# 64, 128: at the last step of a lone walk's first and second full anchor segments
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 9, 63, 64, 65, 71, 128, 129, 2400, MAX_STEPS])
 def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
     if steps < MAX_STEPS:
         # A, B and ABB in each regime, A, AB, AAB on swap coins, translations, real coins
@@ -229,7 +230,7 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
         batch, picked = LONG_GAMES, (2, 10, 16)
         together = request.getfixturevalue("observed")[0]
     for g in picked:
-        alone = evolve_games([batch[g]], steps)  # walked alone, on 1-D windows
+        alone = evolve_games([batch[g]], steps)  # walked alone, in a loop of its own
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
 
