@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, _array, _checked, check_epsilon, check_periods
+from .walk import WalkerState, _array, _checked, check_count, check_epsilon, check_periods, check_real
 
 __all__ = [
     "GameVerdict",
@@ -62,7 +62,8 @@ class GameVerdict(Enum):
 @dataclass(frozen=True)
 class BiasSample:
     """Side probabilities and bias of one snapshot, as :func:`bias_sample`
-    measures them on the reference path."""
+    measures them on the reference path: ``step`` an integer >= 0, stored as
+    an int, and the rest finite reals, stored as floats."""
 
     step: int
     p_left: float
@@ -71,6 +72,9 @@ class BiasSample:
     bias: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step", check_count("step", self.step, least=0))
+        for name in ("p_left", "p_origin", "p_right", "bias"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         total = self.p_left + self.p_origin + self.p_right
         if abs(total - 1.0) > _CLOSURE_TOL:
             raise InvalidParameterError(
@@ -148,6 +152,14 @@ def bias(p_left: Any, p_right: Any) -> Any:
     return p_right - p_left
 
 
+def _finite(name: str, array: NDArray) -> NDArray:
+    """``array``; raise ``InvalidParameterError`` if an entry is NaN or infinite."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        raise InvalidParameterError(f"{name} must be finite, got {array[bad][0]}")
+    return array
+
+
 def payoff_verdicts(
     biases: NDArray[np.float64],
     periods: Sequence[int],
@@ -161,12 +173,12 @@ def payoff_verdicts(
     Raises
     ------
     InvalidParameterError
-        If ``biases`` is not 2-D, ``epsilon`` is negative or not finite,
-        there is not one period per row, or a period is not an integer
-        (bools are refused) in ``[1, T]``.
+        If ``biases`` is not 2-D or not finite, ``epsilon`` is negative or
+        not finite, there is not one period per row, or a period is not an
+        integer (bools are refused) in ``[1, T]``.
     """
     check_epsilon(epsilon)
-    biases = _array("biases", biases, np.float64)
+    biases = _finite("biases", _array("biases", biases, np.float64))
     if biases.ndim != 2:
         raise InvalidParameterError(f"biases must be a (G, T) array, got shape {biases.shape}")
     steps = biases.shape[1]
@@ -230,9 +242,10 @@ _EIGENVALUE_SNAP = 1e-12
 def entanglement_entropy(rho: ReducedCoinDensity) -> float:
     """Von Neumann entropy of a 2x2 Hermitian density matrix, in bits.
 
-    See :func:`entropy_bits`, which this evaluates for one matrix.
+    See :func:`entropy_bits`, which this evaluates for one matrix. Raises
+    ``InvalidParameterError`` unless ``rho`` is a finite 2x2 array.
     """
-    rho = _array("density matrix", rho, np.complex128, (2, 2))
+    rho = _finite("density matrix", _array("density matrix", rho, np.complex128, (2, 2)))
     return float(entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1]))
 
 

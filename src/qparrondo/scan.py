@@ -126,7 +126,7 @@ class SequenceResult:
 
     ``final_bias`` is the bias at the last elementary step, ``min_bias``
     the minimum over all elementary steps, and ``max_entropy`` the maximum
-    coin-position entropy over the horizon.
+    coin-position entropy over the horizon, each a finite real, stored as a float.
     """
 
     sequence: GameSequence
@@ -134,6 +134,12 @@ class SequenceResult:
     final_bias: float
     min_bias: float
     max_entropy: float
+
+    def __post_init__(self) -> None:
+        _checked(self.sequence, GameSequence)
+        _checked(self.verdict, GameVerdict)
+        for name in ("final_bias", "min_bias", "max_entropy"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ class ScanReport:
     ``paradox_sequences`` lists the token strings that win while both pure
     games lose; it is empty unless both pure verdicts are Losing.
     ``winning_by_period`` counts winning sequences per period, reported as
-    data (longer periods often, but not always, win more).
+    data (longer periods often, but not always, win more). Each field, and
+    each item of a field, must be of its declared kind.
     """
 
     config: ScanConfig
@@ -152,6 +159,18 @@ class ScanReport:
     results: tuple[SequenceResult, ...]
     paradox_sequences: tuple[str, ...]
     winning_by_period: dict[int, int]
+
+    def __post_init__(self) -> None:
+        _checked(self.config, ScanConfig)
+        _checked(self.verdict_a, GameVerdict)
+        _checked(self.verdict_b, GameVerdict)
+        for result in _checked(self.results, tuple):
+            _checked(result, SequenceResult)
+        for tokens in _checked(self.paradox_sequences, tuple):
+            _checked(tokens, str)
+        for period, count in _checked(self.winning_by_period, dict).items():
+            check_count("period", period)
+            check_count("winning count", count, least=0)
 
 
 def enumerate_sequences(max_period: int) -> list[GameSequence]:
@@ -248,11 +267,6 @@ def _paradox(a_loses: bool, b_loses: bool, winners: int) -> bool:
     return a_loses and b_loses and winners > 0
 
 
-def _check_config(config: ScanConfig) -> None:
-    if not isinstance(config, ScanConfig):
-        raise InvalidParameterError(f"expected a ScanConfig, got {config!r}")
-
-
 def _root(seq: GameSequence) -> GameSequence:
     """The shortest schedule that ``seq`` repeats: ``AB`` for ``ABAB``, ``seq`` itself
     if it repeats none. Both play the same coin at every step."""
@@ -277,7 +291,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     InvalidParameterError
         If ``config`` is not a ``ScanConfig``.
     """
-    _check_config(config)
+    _checked(config, ScanConfig)
     schedules = [*_PURE, *enumerate_sequences(config.max_period)]
     served: dict[GameSequence, list[int]] = {}  # each root's schedules, by position
     for i, seq in enumerate(schedules):
@@ -600,7 +614,7 @@ def scan_region_grid(
         are given, two axes sweep the same parameter, the grid exceeds
         ``max_cells``, or ``max_cells`` or ``workers`` is not a positive integer.
     """
-    _check_config(base)
+    _checked(base, ScanConfig)
     check_count("max_cells", max_cells)
     check_count("workers", workers)
     axes = _check_axes(axes)

@@ -19,21 +19,22 @@ O(1) per game and step. A walk is stored game-major in real numbers, each
 game's four parts (re and im of its coin |1>, then of its coin |0>) on
 contiguous rows, and each step does only what needs its own rows: the coin
 step, one real ``np.matmul`` of every game's coin with its parts, the
-anchor, a copy of the two rows the flux reads, and for ``evolve_games`` one
-``np.matmul`` of each game's two coin |0> parts with its four, eight dots
-over its occupied rows that give ``rho00`` and ``rho01``. The rest is done
-once per block of ``_COMPACT_EVERY`` steps: the block's coins are looked up,
-its sides rebuilt from the copied rows, its products folded into columns,
-and its observer called. Observers only record or judge: ``evolve_games``
-records all six columns (scans and simulations), and ``evolve_verdicts``
-judges each game's bias at its payoff points, retiring it at the first that
-breaks its verdict (region grids). A lone ``evolve_games`` game walks in a
-loop of its own, without blocks, but with the batch's functions, so it
-gives the bits it has in any batch: dgemm rounds each row of a product, and
-each dot, by its values and length alone (``test_kernel.py`` pins both),
-the coin step is taken on a multiple of 4 rows, every game's dots span all
-the rows its step count occupies, the flux adds in step order and the fold
-is elementwise. Every walk takes ``(games, 2, 2, rows)`` buffers.
+anchor, one copy of the two rows the flux reads, and for ``evolve_games``
+one ``np.matmul`` of each game's two coin |0> parts with its four, eight
+dots over its occupied rows that give ``rho00`` and ``rho01``. The rest is
+done once per block of steps: the block's coins are looked up, its sides
+rebuilt from the copied rows, its products folded into columns, and its
+observer called. Observers only record or judge: ``evolve_games`` records
+all six columns (scans and simulations), and ``evolve_verdicts`` judges
+each game's bias at its payoff points, retiring it at the first that
+breaks its verdict (region grids). Every walk, one game included, runs
+the same loop, in blocks of ``_COMPACT_EVERY`` steps, or of
+``_ANCHOR_EVERY`` for a lone ``evolve_games`` game, which has no games to
+retire. A game gives the bits it has in any batch and any block length:
+dgemm rounds each row of a product, and each dot, by its values and length
+alone (``test_kernel.py`` pins both), the coin step is taken on a multiple
+of 4 rows, every game's dots span all the rows its step count occupies,
+the flux adds in step order and the fold is elementwise.
 """
 
 from __future__ import annotations
@@ -461,8 +462,8 @@ def evolve_games(
     ``reduced_density`` give for each game alone, but keeps no snapshot:
     memory is O(G*T) for G games of T steps. Every game runs all T steps
     and every column is recorded at every step (see ``GameColumns``). A
-    lone game walks in a loop of its own, without blocks, and has bitwise
-    the columns it has in any batch: it takes the same functions.
+    lone game runs the batched loop in blocks of ``_ANCHOR_EVERY`` steps
+    and has bitwise the columns it has in any batch.
 
     Raises
     ------
@@ -483,10 +484,10 @@ def evolve_games(
     coins, choice, initial = _batch(games, steps)
     table = np.zeros((steps, 5, len(games)))  # row t: the first five columns after step t + 1
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
-    if len(games) == 1:
-        _walk_one(coins, choice[:, 0].tolist(), initial[0], table, rho01)
-    else:
-        _evolve(coins, choice, initial, *_observe_all(table, rho01))
+    # a lone game retires nothing, and pays each block's lookups and flux alone
+    block = _COMPACT_EVERY if len(games) > 1 else _ANCHOR_EVERY
+    observe, products = _observe_all(table, rho01, block)
+    _evolve(coins, choice, initial, observe, block, products)
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
 
@@ -496,23 +497,18 @@ sides follow the flux across the origin, each step rounding a little; the
 sums bound the drift."""
 
 
-def _observe_all(table: NDArray, rho01: NDArray) -> tuple:
-    """``evolve_games``' observers. After step t + 1 ``record`` keeps each
-    game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` parts with its ``(Re
-    w1, Im w1, Re w0, Im w0)`` parts over the occupied rows, in one
-    ``np.matmul``. After each block ``observe`` hands the block's sides and
-    products to ``_fold``, with its rows of ``table`` and ``rho01``."""
-    products = np.empty((_COMPACT_EVERY, table.shape[2], 2, 4))
-
-    def record(t, occupied):
-        np.matmul(occupied[:, 1], occupied.reshape(len(occupied), 4, -1).swapaxes(1, 2),
-                  out=products[t % _COMPACT_EVERY])
+def _observe_all(table: NDArray, rho01: NDArray, block: int) -> tuple[Callable, NDArray]:
+    """``evolve_games``' observer, and the ``(block, G, 2, 4)`` buffer that
+    ``_evolve`` writes each step's products into. After each block
+    ``observe`` hands the block's sides and products to ``_fold``, with its
+    rows of ``table`` and ``rho01``."""
+    products = np.empty((block, table.shape[2], 2, 4))
 
     def observe(t, sides, columns):
         end = t + len(sides)
         _fold(sides, products[:len(sides)], table[t:end], rho01[t:end])
 
-    return observe, record
+    return observe, products
 
 
 def _fold(sides: NDArray, products: NDArray, rows: NDArray, rho01: NDArray) -> None:
@@ -580,7 +576,7 @@ def evolve_verdicts(
     held = np.ones(len(games), dtype=bool)
     for part in _batches(len(games), steps):
         observe = _judge(held[part], periods[part], signs[part], epsilon)
-        _evolve(*_batch(games[part], steps), observe)
+        _evolve(*_batch(games[part], steps), observe, _COMPACT_EVERY)
     return held
 
 
@@ -667,36 +663,6 @@ def _batch(
     return table.reshape(-1, 2, 2, 4), choice, np.stack([initial.real, initial.imag], axis=-1)
 
 
-def _walk_one(coins: NDArray[np.float64], choice: list[int], initial: NDArray,
-              table: NDArray, rho01: NDArray) -> None:
-    """``evolve_games`` for a lone game from the ``(2, 2)`` coin vector
-    ``initial``: ``_evolve``'s steps and ``_observe_all``'s products, in one
-    loop without blocks; after it, ``_flux`` gives the sides of each
-    anchor's segment and ``_fold`` writes the columns into ``table`` and
-    ``rho01``."""
-    steps = len(choice)
-    state, spare = _buffers((1, 2, 2, steps + 4))  # (buffer, the view a step writes it through)
-    state[0][0, ..., 0] = initial
-    matrices = list(coins)
-    sides = np.empty((steps, 3, 1))
-    crossed = np.empty((steps, 2, 1, 2))
-    products = np.empty((steps, 2, 4))
-    lo, hi = 0, 1
-    for t, c in enumerate(choice):
-        _coin_step(matrices[c], state[0], spare[1], lo, hi)
-        state, spare = spare, state
-        held, hi = state[0], hi + 1
-        if t % _ANCHOR_EVERY == 0:
-            lo, hi, sides[t] = _anchor(t, held, spare[0], lo, hi)
-        else:
-            _crossing(t, held, 0, crossed[t])
-        occupied = held[0, ..., :t + 2]
-        np.matmul(occupied[1], occupied.reshape(4, -1).T, out=products[t])
-    for t in range(0, steps, _ANCHOR_EVERY):
-        sides[t:t + _ANCHOR_EVERY] = _flux(sides[t], crossed[t + 1:t + _ANCHOR_EVERY], True)
-    _fold(sides, products[:, None], table, rho01)
-
-
 def _buffers(shape: tuple[int, ...]) -> list[tuple[NDArray, NDArray]]:
     """Two zeroed real amplitude buffers of ``shape``, ``(games, 2, 2,
     rows)``: part ``p`` (0 re, 1 im) of a
@@ -731,9 +697,10 @@ def _coin_step(coin: NDArray, held: NDArray, out: NDArray, lo: int, hi: int) -> 
 
 
 _COMPACT_EVERY = 8
-"""Steps in one block of a batched walk, a divisor of ``_ANCHOR_EVERY``, so
-an anchor always starts a block. After each block the walk rebuilds its
-sides, calls its observer and drops the games no longer live."""
+"""Steps in one block of a walk of several games, and of every
+``evolve_verdicts`` walk, a divisor of ``_ANCHOR_EVERY``, so an anchor
+always starts a block. After each block the walk rebuilds its sides, calls
+its observer and drops the games no longer live."""
 
 _SIGNS = np.resize([1.0, -1.0], _ANCHOR_EVERY)[:, None, None]
 """Per step from an odd step count, how the flux moves the sides: an odd
@@ -745,10 +712,11 @@ def _evolve(
     choice: NDArray[np.intp],
     initial: NDArray[np.float64],
     observe: Callable[..., NDArray[np.bool_] | None],
-    record: Callable[..., None] | None = None,
+    block: int,
+    products: NDArray | None = None,
 ) -> None:
-    """The one evolution loop of the batched kernel, from each game's
-    ``(2, 2)`` coin vector ``initial[g]`` at the origin (see ``_batch``).
+    """The one evolution loop of the kernel, from each game's ``(2, 2)``
+    coin vector ``initial[g]`` at the origin (see ``_batch``).
 
     After ``t`` steps only the sites ``x = -t + 2j`` (``j = 0..t``) are
     occupied, so each coin component is stored on that sublattice alone,
@@ -773,45 +741,49 @@ def _evolve(
     holds and sums every game over them; rows dropped hold 0 for every game,
     and skipping a 0 never changes a sum. At every other step ``_crossing``
     copies the two rows whose mass the step carried across the origin.
+    Into ``products``, if given, each step of a block writes its row: each
+    game's ``(2, 4)`` product of its ``(Re w0, Im w0)`` parts with its ``(Re
+    w1, Im w1, Re w0, Im w0)`` parts over the rows its step count occupies.
 
-    The walk runs in blocks of ``_COMPACT_EVERY`` steps, and a shorter last
-    one. Each block looks up its coins at once; after it, ``_flux`` rebuilds
-    the sides of all its steps from the rows copied, and the loop calls
-    ``observe(t, sides, columns)`` with the block's first step ``t``, its
-    ``(steps, 3, G)`` sides before they are clipped at 0, and each game's
-    index in the batch. ``observe`` gives None, or a mask of the games still
-    live: the loop returns once none is, and otherwise drops the others. The
-    buffers hold only the rows the walk reaches in its first block; after
-    it, the live games' rows held are copied once into buffers of every row
-    the walk reaches, and when games are dropped later, the rows held of
-    those kept move to the first games of the same buffers, so memory and
-    page faults follow the games still live. ``record(t, occupied)``,
-    if given, is called after every step ``t + 1`` with the ``(G, 2, 2, t +
-    2)`` occupied rows, 0 outside the rows held.
+    The walk runs in blocks of ``block`` steps, a divisor of
+    ``_ANCHOR_EVERY``, and a shorter last one. Each block looks up its coins
+    at once; after it, ``_flux`` rebuilds the sides of all its steps from
+    the rows copied, and the loop calls ``observe(t, sides, columns)`` with
+    the block's first step ``t``, its ``(steps, 3, G)`` sides before they
+    are clipped at 0, and each game's index in the batch. ``observe`` gives
+    None, or a mask of the games still live: the loop returns once none is,
+    and otherwise drops the others. The buffers hold only the rows the walk
+    reaches in its first block; after it, the live games' rows held are
+    copied once into buffers of every row the walk reaches, and when games
+    are dropped later, the rows held of those kept move to the first games
+    of the same buffers, so memory and page faults follow the games still
+    live. A walk that drops games keeps no ``products``.
     """
     steps, width = choice.shape
     columns = np.arange(width)
     full = steps + 4  # a step's product reaches 3 rows past the t + 2 it occupies
-    state, spare = _buffers((width, 2, 2, min(_COMPACT_EVERY, steps) + 4))
+    state, spare = _buffers((width, 2, 2, min(block, steps) + 4))
     state[0][..., 0] = initial
-    crossed = np.empty((_COMPACT_EVERY, 2, width, 2))
+    crossed = np.empty((block, width, 2, 2))
 
     lo, hi = 0, 1  # rows outside lo..hi - 1 of the occupied sites hold 0
-    for start in range(0, steps, _COMPACT_EVERY):
-        block = coins[choice[start:start + _COMPACT_EVERY]]  # (n, G, 2, 2, 4)
+    for start in range(0, steps, block):
+        played = coins[choice[start:start + block]]  # (n, G, 2, 2, 4)
         anchored = start % _ANCHOR_EVERY == 0
-        for t, coin in enumerate(block, start):
+        for t, coin in enumerate(played, start):
             _coin_step(coin, state[0], spare[1], lo, hi)
             state, spare = spare, state
             held, hi = state[0], hi + 1
             if t % _ANCHOR_EVERY == 0:
                 lo, hi, sides = _anchor(t, held, spare[0], lo, hi)
             else:
-                _crossing(t, held[..., lo:hi], lo, crossed[t - start])
-            if record is not None:
-                record(t, held[..., :t + 2])
+                _crossing(t, state, crossed[t - start])
+            if products is not None:
+                occupied = held[..., :t + 2]
+                np.matmul(occupied[:, 1], occupied.reshape(len(occupied), 4, -1).mT,
+                          out=products[t - start])
 
-        block_sides = _flux(sides, crossed[anchored:len(block)], anchored)
+        block_sides = _flux(sides, crossed[anchored:len(played)], anchored)
         sides = block_sides[-1]
         live = observe(start, block_sides, columns)
         if live is None or live.all():
@@ -823,7 +795,7 @@ def _evolve(
         else:
             keep = np.flatnonzero(live)
             choice, columns, sides = choice[:, keep], columns[keep], sides[:, keep]
-            crossed = np.empty((_COMPACT_EVERY, 2, len(keep), 2))
+            crossed = np.empty((block, len(keep), 2, 2))
         if held.shape[-1] < full:  # grown once, for the live games
             grown = _buffers((len(columns), 2, 2, full))
             grown[0][0][..., lo:hi] = held[keep, ..., lo:hi]
@@ -888,31 +860,30 @@ def _site_sum(values: NDArray) -> NDArray:
     return np.add.accumulate(values, axis=-1)[..., -1]
 
 
-def _crossing(t: int, held: NDArray, first: int, out: NDArray) -> None:
-    """Copy into ``out`` the two rows whose mass step ``t + 1`` carried
-    across the origin, each as its re and im parts, in the ``(G, 2, 2,
-    rows)`` window that starts at occupied row ``first``. A step moves mass
-    one site: after an odd count
-    the origin's coin |1> has gone to x = -1 and coin |0> to x = 1, after an
-    even one coin |0> has come to the origin from the left and coin |1> from
-    the right."""
-    j, right_start = _sides(t, first)  # j: the row after the last left of the origin
-    if j == right_start:
-        out[0], out[1] = held[:, 0, :, j - 1], held[:, 1, :, j]
-    else:
-        out[0], out[1] = held[:, 1, :, j], held[:, 0, :, j]
+def _crossing(t: int, state: tuple[NDArray, NDArray], out: NDArray) -> None:
+    """Copy into ``out``, ``(G, 2, 2)``, the two rows whose mass step ``t +
+    1`` carried across the origin, each as its re and im parts, in one copy
+    from ``state``, the buffer held and its shifting view (see
+    ``_buffers``). A step moves mass one site. With ``j`` the row after the
+    last left of the origin: after an odd count the origin's coin |1> has
+    gone to x = -1, row ``j - 1``, and coin |0> to x = 1, row ``j``, which
+    the view holds side by side at ``j - 1``; after an even one coin |0> has
+    come to row ``j``, the origin, from the left and coin |1> from the right."""
+    buffer, view = state
+    j = (t + 2) // 2
+    out[...] = view[..., j - 1] if t % 2 == 0 else buffer[:, ::-1, :, j]
 
 
 def _flux(sides: NDArray, crossed: NDArray, anchored: bool) -> NDArray:
     """The ``(steps, 3, G)`` sides after each step of a block, from the
     ``(3, G)`` sides before it, or with ``anchored`` after its first step,
-    and the rows ``_crossing`` copied at each later step. After an odd step
-    count the mass that crossed is added, to the left from coin |1> and to
-    the right from coin |0>, and the origin is empty; after an even one it
-    is taken, and the origin holds it. The sides of all steps come from one
-    ``np.add.accumulate``, which adds in step order; ``a - b`` is
-    ``a + (-b)``, so they are bitwise those of one step at a time."""
-    q = _abs2(crossed[..., 0], crossed[..., 1])  # (steps, 2, G): the squared rows
+    and the ``(steps, G, 2, 2)`` rows ``_crossing`` copied at each later
+    step. After an odd step count the mass that crossed is added, to the
+    left from coin |1> and to the right from coin |0>, and the origin is
+    empty; after an even one it is taken, and the origin holds it. The sides
+    of all steps come from one ``np.add.accumulate``, which adds in step
+    order; ``a - b`` is ``a + (-b)``, so they are bitwise those of one step."""
+    q = _abs2(crossed[..., 0], crossed[..., 1]).swapaxes(1, 2)  # (steps, 2, G): the squared rows
     run = np.empty((len(q) + 1, 3, sides.shape[1]))
     run[0] = sides
     np.multiply(q, _SIGNS[anchored:anchored + len(q)], out=run[1:, ::2])

@@ -198,9 +198,9 @@ def observed():
     quick, exact = [], {}
     crossing, anchor = walk._crossing, walk._anchor
 
-    def watched_crossing(t, held, first, out):
-        quick.append(quick_sums(t, held, first))
-        return crossing(t, held, first, out)
+    def watched_crossing(t, state, out):
+        quick.append(quick_sums(t, state[0][..., :t + 2], 0))
+        return crossing(t, state, out)
 
     def watched_anchor(t, held, spare, lo, hi):
         lo, hi, sums = anchor(t, held, spare, lo, hi)
@@ -230,7 +230,7 @@ def test_a_lone_game_has_its_bits_in_any_batch(request, steps):
         batch, picked = LONG_GAMES, (2, 10, 16)
         together = request.getfixturevalue("observed")[0]
     for g in picked:
-        alone = evolve_games([batch[g]], steps)  # walked alone, in a loop of its own
+        alone = evolve_games([batch[g]], steps)  # walked alone, in 64-step blocks
         for name in GameColumns._fields:  # bytes, so the sign of a zero counts too
             assert getattr(alone, name).tobytes() == getattr(together, name)[g].tobytes(), (g, name)
 
@@ -261,10 +261,10 @@ def test_columns_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_a_dot_has_the_bits_of_its_row_in_a_batch():
     # the kernel's rho00 and rho01 come from one np.matmul of each game's re
     # and im rows of coin |0> with the four rows of both components, eight
-    # dots: a lone walk's of a (2, 2, rows) window, a batch's of a (games, 2,
-    # 2, rows) one in one call. Their bits are the same in any batch only if
-    # dgemm rounds each dot by its values and row count alone, whatever the
-    # batch or the alignment of the rows' start.
+    # dots, of a (games, 2, 2, rows) window in one call. Their bits are the
+    # same in any batch, one game included, only if dgemm rounds each dot by
+    # its values and row count alone, whatever the batch or the alignment of
+    # the rows' start: here a (2, 2, rows) window alone against a batch's.
     rng = np.random.default_rng(0)
     counts = [*range(1, 10), 63, 64, 65, *rng.integers(10, MAX_STEPS, 300).tolist(), MAX_STEPS + 1]
     for n in counts:
@@ -299,9 +299,9 @@ def kernel_coins(rng, count):
 def test_a_coin_step_has_the_bits_of_its_rows_in_a_batch():
     # the kernel's coin step is one np.matmul of each game's real (2, 2, 4)
     # coin with the re and im rows it holds, rounded up to a multiple of 4 and
-    # written through the shifting view of the other buffer: a lone walk's on
-    # a (2, 2, rows) buffer, a batch's on a (games, 2, 2, rows) one whose rows
-    # span every game's. Its bits are the same in any batch only if dgemm
+    # written through the shifting view of the other buffer, a (games, 2, 2,
+    # rows) one whose rows span every game's; here a (2, 2, rows) buffer alone
+    # against a batch's. Its bits are the same in any batch only if dgemm
     # rounds each row by its values alone, whatever the width or the start of
     # the window it lies in.
     rng = np.random.default_rng(0)
