@@ -22,7 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .walk import WalkerState, _array, _checked, check_count, check_epsilon, check_periods, check_real
+from .walk import WalkerState, _array, _checked, _items, check_count
+from .walk import check_epsilon, check_periods, check_real
 
 __all__ = [
     "GameVerdict",
@@ -30,7 +31,6 @@ __all__ = [
     "BiasTrajectory",
     "ReducedCoinDensity",
     "DEFAULT_EPSILON",
-    "check_epsilon",
     "bias",
     "entropy_bits",
     "payoff_verdicts",
@@ -282,10 +282,10 @@ def trajectory_with_entropy(
     Raises
     ------
     InvalidParameterError
-        If ``snapshots`` is not a non-empty sequence of ``WalkerState`` in
-        order, or ``metadata`` is neither None nor a mapping.
+        If ``snapshots`` is not a non-empty list (see ``walk._items``) of
+        ``WalkerState`` in order, or ``metadata`` is neither None nor a mapping.
     """
-    if not _checked(snapshots, abc.Sequence):
+    if not (snapshots := _items("snapshots", snapshots)):
         raise InvalidParameterError("no snapshots to build a trajectory from")
     for i, snap in enumerate(snapshots):
         if _checked(snap, WalkerState).step != i + 1:

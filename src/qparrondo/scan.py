@@ -17,11 +17,10 @@ verdict is decided.
 from __future__ import annotations
 
 import os
-from collections import abc
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,12 +31,11 @@ from .metrics import (
     BiasTrajectory,
     GameVerdict,
     bias,
-    check_epsilon,
     entropy_bits,
     payoff_verdicts,
 )
 from . import walk
-from .walk import CoinParams, GameSequence, _checked
+from .walk import CoinParams, GameSequence, _checked, check_epsilon
 from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games, evolve_verdicts
 
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
@@ -108,10 +106,9 @@ class ScanConfig:
     verdict_each_step: bool = False
 
     def __post_init__(self) -> None:
-        kinds = {"coin_a": CoinParams, "coin_b": CoinParams, "verdict_each_step": bool}
-        for name, kind in kinds.items():
-            if not isinstance(value := getattr(self, name), kind):
-                raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+        _checked(self.coin_a, CoinParams, "coin_a")
+        _checked(self.coin_b, CoinParams, "coin_b")
+        _checked(self.verdict_each_step, bool, "verdict_each_step")
         object.__setattr__(self, "eta_deg", check_real("eta_deg", self.eta_deg))
         object.__setattr__(self, "max_period", _check_max_period(self.max_period))
         object.__setattr__(self, "horizon_steps", check_count(
@@ -331,7 +328,9 @@ def _report(config: ScanConfig, verdict_a: GameVerdict, verdict_b: GameVerdict,
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One swept parameter and the values it takes."""
+    """One swept parameter and the values it takes: a list (see
+    ``walk._items``: not a string, a set, a mapping, an iterator or one
+    number) of at least one finite real, stored as a tuple of floats."""
 
     parameter: str
     values: tuple[float, ...]
@@ -342,13 +341,10 @@ class GridAxis:
                 f"unknown axis parameter {self.parameter!r}; "
                 f"choose one of {', '.join(AXIS_PARAMETERS)}"
             )
-        # a set's order is its hash's, and a string's or bytes' items are characters or codes
-        loose = isinstance(self.values, (abc.Set, abc.Mapping, str, bytes, bytearray))
-        values = tuple(self.values) if isinstance(self.values, Iterable) and not loose else ()
-        if not values:
-            raise InvalidParameterError(f"axis {self.parameter} needs a list, got {self.values!r}")
         name = f"axis {self.parameter} value"
-        object.__setattr__(self, "values", tuple(check_real(name, v) for v in values))
+        if not (values := tuple(check_real(name, v) for v in walk._items(f"{name}s", self.values))):
+            raise InvalidParameterError(f"{name}s: expected at least one")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, count: int) -> "GridAxis":
@@ -395,17 +391,15 @@ class RegionGrid:
         object.__setattr__(self, "winning_counts", counts.astype(int))
 
 
-def _check_axes(axes: Iterable[GridAxis]) -> tuple[GridAxis, ...]:
+def _check_axes(axes: Sequence[GridAxis]) -> tuple[GridAxis, ...]:
     """``axes`` as a tuple; raise ``InvalidParameterError`` unless they are a
-    sequence of one or two ``GridAxis`` that sweep distinct parameters."""
-    if not isinstance(axes, Iterable) or isinstance(axes, (abc.Set, abc.Mapping)):  # GridAxis, set
-        raise InvalidParameterError(f"axes must be a sequence of GridAxis, got {axes!r}")
-    axes = tuple(axes)
+    list (see ``walk._items``: a bare ``GridAxis``, a set or an iterator is
+    not one) of one or two ``GridAxis`` that sweep distinct parameters."""
+    axes = tuple(walk._items("axes", axes))
     if not 1 <= len(axes) <= 2:
         raise InvalidParameterError(f"expected 1 or 2 axes, got {len(axes)}")
     for axis in axes:
-        if not isinstance(axis, GridAxis):
-            raise InvalidParameterError(f"an axis must be a GridAxis, got {axis!r}")
+        _checked(axis, GridAxis, "axis")
     if len({axis.parameter for axis in axes}) != len(axes):
         raise InvalidParameterError("axes must sweep distinct parameters")
     return axes

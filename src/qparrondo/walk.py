@@ -103,7 +103,8 @@ call, against 39 MiB in 16. CHANGES.md records the timings of widths."""
 def check_real(name: str, value: Any) -> float:
     """``value`` as a float; raise ``InvalidParameterError`` unless it is a
     finite real number. A bool or a string is not one."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    # a float, the common case, matches before the slower ABC check
+    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     try:
         number = float(value)
@@ -156,8 +157,8 @@ class GameSequence:
     tokens: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tokens, str) or not self.tokens:
-            raise InvalidParameterError(f"tokens must be a non-empty string, got {self.tokens!r}")
+        if not _checked(self.tokens, str, "tokens"):
+            raise InvalidParameterError("tokens: expected at least one token")
         bad = set(self.tokens) - {"A", "B"}
         if bad:
             raise InvalidParameterError(
@@ -238,9 +239,7 @@ def make_coin(params: CoinParams) -> CoinMatrix:
     InvalidParameterError
         If ``params`` is not a ``CoinParams``.
     """
-    if not isinstance(params, CoinParams):
-        raise InvalidParameterError(f"a coin must be CoinParams, got {params!r}")
-    a = math.radians(params.alpha_deg)
+    a = math.radians(_checked(params, CoinParams, "coin").alpha_deg)
     b = math.radians(params.beta_deg)
     g = math.radians(params.gamma_deg)
     cb, sb = math.cos(b), math.sin(b)
@@ -264,8 +263,7 @@ def initial_state(spec: InitialStateSpec, half_width: int) -> WalkerState:
     CapacityError
         If ``half_width`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
-    if not isinstance(spec, InitialStateSpec):
-        raise InvalidParameterError(f"an initial state must be InitialStateSpec, got {spec!r}")
+    _checked(spec, InitialStateSpec, "initial state")
     check_count("half_width", half_width)
     check_steps(half_width)
     amp = np.zeros((2, 2 * half_width + 1), dtype=np.complex128)
@@ -288,11 +286,26 @@ def _array(name: str, value: Any, dtype: type, shape: tuple[int, ...] | None = N
     return array
 
 
-def _checked(record: Any, kind: type) -> Any:
-    """``record``; raise ``InvalidParameterError`` unless it is a ``kind``."""
+def _checked(record: Any, kind: type, name: str | None = None) -> Any:
+    """``record``; raise ``InvalidParameterError`` unless it is a ``kind``,
+    naming the field or argument ``name`` if given."""
     if not isinstance(record, kind):
-        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(record).__name__}")
+        field = f"{name}: " if name else ""
+        raise InvalidParameterError(f"{field}expected a {kind.__name__}, got {type(record).__name__}")
     return record
+
+
+def _items(name: str, value: Any) -> list:
+    """The items of ``value`` as a list; raise ``InvalidParameterError``
+    unless it is a sequence, not a string or bytes of any kind, or a numpy
+    array of at least one dimension. Such items pair up by position, and
+    nothing else keeps a position: a set's order is its hash's, a mapping's
+    items are its keys, a string's or bytes' items are characters or codes,
+    and an iterator is used up when it is read."""
+    if isinstance(value, (str, bytes, bytearray, memoryview)) or not (
+            isinstance(value, abc.Sequence) or isinstance(value, np.ndarray) and value.ndim):
+        raise InvalidParameterError(f"{name}: expected a sequence, got {type(value).__name__}")
+    return list(value)
 
 
 def apply_coin(state: WalkerState, coin: CoinMatrix) -> WalkerState:
@@ -369,8 +382,7 @@ def evolve_sequence(
     """
     check_count("total_steps", total_steps)
     check_steps(total_steps)
-    if not isinstance(seq, GameSequence):
-        raise InvalidParameterError(f"a schedule must be a GameSequence, got {seq!r}")
+    _checked(seq, GameSequence, "schedule")
     coins = {"A": make_coin(coin_a), "B": make_coin(coin_b)}
     state = initial_state(spec, total_steps)
     snapshots: list[WalkerState] = []
@@ -408,7 +420,8 @@ class GameColumns(NamedTuple):
 def check_count(name: str, value: Any, least: int = 1) -> int:
     """``value`` as an int; raise ``InvalidParameterError`` unless it is an
     integer, not a bool, of at least ``least``. A numpy integer is one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an int, the common case, matches before the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
@@ -417,13 +430,11 @@ def check_count(name: str, value: Any, least: int = 1) -> int:
 
 def check_periods(periods: Sequence[int], steps: int) -> NDArray[np.intp]:
     """The payoff-point spacings ``periods`` as a 1-D array; raise
-    ``InvalidParameterError`` unless they are a sequence and each is an
-    integer, not a bool, in ``[1, steps]``. Each is checked before the
-    array is made, so a ragged list is refused too."""
-    try:
-        periods = list(periods)
-    except TypeError:
-        raise InvalidParameterError(f"periods must be a sequence, got {periods!r}") from None
+    ``InvalidParameterError`` unless they are a list (see ``_items``: not a
+    set, a mapping, bytes or an iterator) of integers, not bools, in ``[1,
+    steps]``. Each is checked before the array is made, so a ragged list is
+    refused too."""
+    periods = _items("periods", periods)
     for period in periods:
         check_count("period", period)
         if period > steps:
@@ -469,9 +480,9 @@ def evolve_games(
     ------
     InvalidParameterError
         If ``steps`` is not an integer of at least 1, ``games`` is not a
-        non-empty sequence, a game is not ``(CoinParams, CoinParams,
-        eta_deg, GameSequence)``, or an ``eta_deg`` is not a finite real
-        number.
+        non-empty list (see ``_items``), a game is not a list ``(CoinParams,
+        CoinParams, eta_deg, GameSequence)``, or an ``eta_deg`` is not a
+        finite real number.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``, or the games times ``steps``
         exceed ``MAX_GAME_STEPS``; nothing is allocated then, and a usage
@@ -553,20 +564,18 @@ def evolve_verdicts(
         For what ``evolve_games`` rejects, an ``epsilon`` that is not a
         finite real number >= 0, or not one period (an integer, not a bool,
         in ``[1, steps]``) and one sign (an integer, not a bool, in {-1, 1})
-        per game; every game is checked before any is walked.
+        per game, each in a list (see ``_items``: not a set, a mapping, bytes
+        or an iterator); every game is checked before any is walked.
     CapacityError
         If ``steps`` exceeds ``MAX_STEPS``; nothing is allocated then.
     """
     games = _checked_games(games, steps)
     epsilon = check_epsilon(epsilon)
     periods = check_periods(periods, steps)
-    try:
-        signs = list(signs)
-    except TypeError:
-        raise InvalidParameterError(f"signs must be a sequence, got {signs!r}") from None
+    signs = _items("signs", signs)
     for sign in signs:  # each before the array is made, so a ragged list is refused too
-        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (-1, 1):
-            raise InvalidParameterError(f"a sign must be the integer -1 or 1, got {sign!r}")
+        if check_count("sign", sign, least=-1) not in (-1, 1):
+            raise InvalidParameterError(f"a sign must be -1 or 1, got {sign!r}")
     if len(periods) != len(games) or len(signs) != len(games):
         raise InvalidParameterError(
             f"need one period and one sign per game, got {len(periods)} and "
@@ -609,26 +618,22 @@ def _checked_games(
 ) -> list[tuple[CoinParams, CoinParams, float, GameSequence]]:
     """``games`` as a list of tuples; raise as ``check_steps`` does for
     ``steps``, and ``InvalidParameterError`` unless ``games`` is a non-empty
-    sequence of ``(CoinParams, CoinParams, eta_deg, GameSequence)`` with a
-    finite real ``eta_deg``."""
+    list (see ``_items``) of ``(CoinParams, CoinParams, eta_deg,
+    GameSequence)`` lists with a finite real ``eta_deg``."""
     check_steps(steps)
-    if not isinstance(games, abc.Sequence) or not games:
-        raise InvalidParameterError(f"games must be a non-empty sequence, got {games!r}")
-    checked = []
-    for game in games:
-        try:
-            game = tuple(game)  # the same object for a tuple
-            coin_a, coin_b, eta_deg, seq = game
-        except (TypeError, ValueError):
-            raise InvalidParameterError(
-                f"a game is (coin_a, coin_b, eta_deg, schedule), got {game!r}") from None
-        if not (isinstance(coin_a, CoinParams) and isinstance(coin_b, CoinParams)):
-            raise InvalidParameterError(f"coins must be CoinParams, got {coin_a!r}, {coin_b!r}")
-        if not isinstance(seq, GameSequence):
-            raise InvalidParameterError(f"a schedule must be a GameSequence, got {seq!r}")
+    if not (games := _items("games", games)):
+        raise InvalidParameterError("games: expected at least one game")
+    for i, game in enumerate(games):
+        if type(game) is not tuple:  # a tuple, the common case, skips the slower ABC check
+            games[i] = game = tuple(_items("a game", game))
+        if len(game) != 4:
+            raise InvalidParameterError(f"a game is (coin_a, coin_b, eta_deg, schedule), got {game!r}")
+        coin_a, coin_b, eta_deg, seq = game
+        _checked(coin_a, CoinParams, "coin_a")
+        _checked(coin_b, CoinParams, "coin_b")
+        _checked(seq, GameSequence, "schedule")
         check_real("eta_deg", eta_deg)
-        checked.append(game)
-    return checked
+    return games
 
 
 def _batch(

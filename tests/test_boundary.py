@@ -1,6 +1,9 @@
 """Public functions refuse an argument of the wrong kind with
 ``InvalidParameterError``, before they read from it, rather than with
-whatever error its missing attributes raise."""
+whatever error its missing attributes raise. A list argument, whose items
+pair up by position, must be an ordered collection: a set, a mapping,
+bytes or an iterator is refused rather than read as its keys, codes or
+hash order."""
 
 from dataclasses import replace
 
@@ -13,6 +16,7 @@ from qparrondo import (
     CoinParams,
     GameSequence,
     GameVerdict,
+    GridAxis,
     InvalidParameterError,
     ScanConfig,
     ScanReport,
@@ -23,12 +27,15 @@ from qparrondo import (
     classify,
     entanglement_entropy,
     entropy_comparison,
+    evolve_games,
     reduced_density,
     step,
     trajectory_with_entropy,
 )
 from qparrondo.metrics import payoff_verdicts
+from qparrondo.walk import evolve_verdicts
 
+from benchmarks import REGIME_ONE_SIDED
 from test_metrics import one_sided_snapshots
 
 ONE = np.ones(1)
@@ -98,3 +105,45 @@ def test_a_field_of_the_wrong_kind_or_not_finite_is_an_invalid_parameter(call):
     # infinite one as Winning, or gave a NaN entropy
     with pytest.raises(InvalidParameterError):
         call()
+
+
+COIN_A, COIN_B, ETA = REGIME_ONE_SIDED["coin_a"], REGIME_ONE_SIDED["coin_b"], 90.0
+GAMES = [(COIN_A, COIN_B, ETA, GameSequence(tokens)) for tokens in ("ABB", "A", "AB")]
+BIASES = np.full((2, 6), 0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: payoff_verdicts(BIASES, {3: 0, 1: 0}), id="payoff_periods_dict"),
+        pytest.param(lambda: payoff_verdicts(BIASES, {3, 1}), id="payoff_periods_set"),
+        pytest.param(lambda: payoff_verdicts(BIASES, b"\x03\x01"), id="payoff_periods_bytes"),
+        pytest.param(lambda: payoff_verdicts(BIASES, memoryview(b"\x03\x01")),
+                     id="payoff_periods_memoryview"),
+        pytest.param(lambda: evolve_verdicts(GAMES[:2], 30, {3: 0, 1: 0}, [1, -1], 1e-9),
+                     id="verdict_periods_dict"),
+        pytest.param(lambda: evolve_verdicts(GAMES[:2], 30, {3, 1}, [1, -1], 1e-9),
+                     id="verdict_periods_set"),
+        pytest.param(lambda: evolve_verdicts(GAMES[:2], 30, b"\x03\x01", [1, -1], 1e-9),
+                     id="verdict_periods_bytes"),
+        pytest.param(lambda: evolve_verdicts(GAMES[:2], 30, [3, 1], {-1: 0, 1: 0}, 1e-9),
+                     id="verdict_signs_dict"),
+        pytest.param(lambda: evolve_games([{COIN_A: 0, COIN_B: 0, ETA: 0, GAMES[0][3]: 0}], 6),
+                     id="game_dict"),
+        pytest.param(lambda: GridAxis("beta_a", iter([10.0, 20.0])), id="axis_values_iterator"),
+    ],
+)
+def test_a_list_argument_that_is_not_an_ordered_collection_is_an_invalid_parameter(call):
+    # each was read as its keys, its hash order, its codes or what its iterator gave
+    with pytest.raises(InvalidParameterError, match="expected a sequence"):
+        call()
+
+
+@pytest.mark.parametrize("periods", [[3, 2, 1], (3, 2, 1), range(3, 0, -1), np.array([3, 2, 1])],
+                         ids=["list", "tuple", "range", "ndarray"])
+def test_periods_in_any_ordered_collection_give_the_same_verdicts(periods):
+    biases = np.array([[0.1, -0.2, 0.3, 0.1, -0.1, 0.2]] * 3)
+    winning, mixed = GameVerdict.WINNING, GameVerdict.MIXED
+    assert payoff_verdicts(biases, periods) == [winning, mixed, mixed]
+    held = evolve_verdicts(GAMES, 30, periods, [1, -1, 1], 1e-9)
+    assert held.tolist() == evolve_verdicts(GAMES, 30, [3, 2, 1], [1, -1, 1], 1e-9).tolist()

@@ -424,14 +424,14 @@ def handed():
     walks = []
     evolve = walk._evolve
 
-    def traced(coins, choice, phases, observe, record=None):
+    def traced(coins, choice, phases, observe, block):
         widths = []
         walks.append(widths)
 
         def counted(t, sides, columns):
             widths.extend([len(columns)] * len(sides))
             return observe(t, sides, columns)
-        evolve(coins, choice, phases, counted, record)
+        evolve(coins, choice, phases, counted, block)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "_evolve", traced)
