@@ -9,8 +9,8 @@ writer given a record of another kind raises ``InvalidParameterError``.
 Scan and grid documents are derived from the records: their keys are the
 fields of ``ScanReport``, ``ScanConfig``, ``SequenceResult``,
 ``RegionGrid`` and ``GridAxis`` in declaration order. ``read_scan_json``
-parses a scan's config, pure verdicts and results, rebuilds its report as
-``run_scan`` does, and reads only what ``write_scan_json`` writes for it.
+parses a scan's config, pure verdicts and results, builds its report from
+them, and reads only what ``write_scan_json`` writes for that report.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from typing import Any, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 from .metrics import BiasTrajectory, GameVerdict
 from .scan import RegionGrid, ScanConfig, ScanReport, SequenceResult, enumerate_sequences
-from .scan import _report
 from .walk import CoinParams, GameSequence, _checked, check_real
 
 __all__ = [
@@ -116,28 +115,29 @@ def write_scan_json(report: ScanReport, sink: TextIO) -> None:
 
 def read_scan_json(source: TextIO) -> ScanReport:
     """Parse a document produced by :func:`write_scan_json`: its ``config``,
-    ``verdict_a``, ``verdict_b`` and ``results``, from which the report's paradox
-    list and per-period counts are rebuilt as ``run_scan`` builds them.
+    ``verdict_a``, ``verdict_b`` and ``results``, from which a
+    :class:`ScanReport` is built, deriving its paradox list and counts.
 
     Raises
     ------
     InvalidParameterError
-        If the source is not JSON, those fields are not a scan's, the results
-        are not those of ``enumerate_sequences(max_period)`` in order, or the
-        document is not, value for value and type for type, what
-        :func:`write_scan_json` writes for the rebuilt report.
+        If the source is not JSON, those fields are not a scan's (a horizon
+        over ``walk.MAX_STEPS`` included), the results are not those of
+        ``enumerate_sequences(max_period)`` in order, or the document is not,
+        value for value and type for type, what :func:`write_scan_json`
+        writes for the report built.
     """
     try:
         document = json.load(source)
         config = _from_json(ScanConfig, document["config"], "config")
-        results = [_from_json(SequenceResult, r, "result") for r in document["results"]]
+        results = tuple(_from_json(SequenceResult, r, "result") for r in document["results"])
         if [r.sequence for r in results] != enumerate_sequences(config.max_period):
             raise ValueError("results must be the enumerated schedules, in order")
-        report = _report(config, GameVerdict(document["verdict_a"]),
-                         GameVerdict(document["verdict_b"]), results)
+        report = ScanReport(config, GameVerdict(document["verdict_a"]),
+                            GameVerdict(document["verdict_b"]), results)
         if json.dumps(_to_json(report)) != json.dumps(document):  # a float 1.0 is not an int 1
             raise ValueError("the document is not what write_scan_json writes for its report")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+    except (AttributeError, CapacityError, KeyError, TypeError, ValueError) as exc:  # bad JSON too
         raise InvalidParameterError(f"not a scan report document: {exc!r}") from exc
     return report
 

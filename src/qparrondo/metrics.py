@@ -63,23 +63,25 @@ class GameVerdict(Enum):
 class BiasSample:
     """Side probabilities and bias of one snapshot, as :func:`bias_sample`
     measures them on the reference path: ``step`` an integer >= 0, stored as
-    an int, and the rest finite reals, stored as floats."""
+    an int, and the sides finite reals, stored as floats, that sum to 1.
+    ``bias`` is derived from the sides with :func:`bias`."""
 
     step: int
     p_left: float
     p_origin: float
     p_right: float
-    bias: float
+    bias: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step", check_count("step", self.step, least=0))
-        for name in ("p_left", "p_origin", "p_right", "bias"):
+        for name in ("p_left", "p_origin", "p_right"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         total = self.p_left + self.p_origin + self.p_right
         if abs(total - 1.0) > _CLOSURE_TOL:
             raise InvalidParameterError(
                 f"probabilities must sum to 1, got {total!r} at step {self.step}"
             )
+        object.__setattr__(self, "bias", bias(self.p_left, self.p_right))
         if not -1.0 - _CLOSURE_TOL <= self.bias <= 1.0 + _CLOSURE_TOL:
             raise InvalidParameterError(f"bias out of [-1, 1]: {self.bias!r}")
 
@@ -132,15 +134,11 @@ def bias_sample(state: WalkerState) -> BiasSample:
     """
     per_site = _checked(state, WalkerState).site_probabilities()
     center = state.half_width
-    p_left = float(per_site[:center].sum())
-    p_origin = float(per_site[center])
-    p_right = float(per_site[center + 1:].sum())
     return BiasSample(
         step=state.step,
-        p_left=p_left,
-        p_origin=p_origin,
-        p_right=p_right,
-        bias=bias(p_left, p_right),
+        p_left=float(per_site[:center].sum()),
+        p_origin=float(per_site[center]),
+        p_right=float(per_site[center + 1:].sum()),
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -141,21 +141,21 @@ class SequenceResult:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of scanning every sequence at one configuration.
-
-    ``paradox_sequences`` lists the token strings that win while both pure
-    games lose; it is empty unless both pure verdicts are Losing.
-    ``winning_by_period`` counts winning sequences per period, reported as
-    data (longer periods often, but not always, win more). Each field, and
-    each item of a field, must be of its declared kind.
+    """Result of scanning every sequence at one configuration: its config,
+    pure verdicts and results, each of its declared kind, and what they
+    derive. ``paradox_sequences`` lists the Winning results' token strings,
+    in order, if both pure games lose (see ``_paradox``), and is otherwise
+    empty; ``winning_by_period`` counts the Winning results of each period
+    in ``[2, config.max_period]``, reported as data (longer periods often,
+    but not always, win more). So no report disagrees with its results.
     """
 
     config: ScanConfig
     verdict_a: GameVerdict
     verdict_b: GameVerdict
     results: tuple[SequenceResult, ...]
-    paradox_sequences: tuple[str, ...]
-    winning_by_period: dict[int, int]
+    paradox_sequences: tuple[str, ...] = field(init=False)
+    winning_by_period: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         _checked(self.config, ScanConfig)
@@ -163,11 +163,13 @@ class ScanReport:
         _checked(self.verdict_b, GameVerdict)
         for result in _checked(self.results, tuple):
             _checked(result, SequenceResult)
-        for tokens in _checked(self.paradox_sequences, tuple):
-            _checked(tokens, str)
-        for period, count in _checked(self.winning_by_period, dict).items():
-            check_count("period", period)
-            check_count("winning count", count, least=0)
+        winners = [r.sequence for r in self.results if r.verdict is GameVerdict.WINNING]
+        paradox = _paradox(self.verdict_a is GameVerdict.LOSING,
+                           self.verdict_b is GameVerdict.LOSING, len(winners))
+        object.__setattr__(self, "paradox_sequences",
+                           tuple(seq.tokens for seq in winners) if paradox else ())
+        object.__setattr__(self, "winning_by_period", {
+            p: sum(seq.period == p for seq in winners) for p in range(2, self.config.max_period + 1)})
 
 
 def enumerate_sequences(max_period: int) -> list[GameSequence]:
@@ -309,21 +311,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
         for i, r, verdict in zip(served_here, rows, verdicts):
             found[i] = SequenceResult(schedules[i], verdict, finals[r], lows[r], peaks[r])
     pure_a, pure_b, *results = [found[i] for i in range(len(schedules))]
-    return _report(config, pure_a.verdict, pure_b.verdict, results)
-
-
-def _report(config: ScanConfig, verdict_a: GameVerdict, verdict_b: GameVerdict,
-            results: Sequence[SequenceResult]) -> ScanReport:
-    """The report of a scan at ``config`` with pure verdicts ``verdict_a``,
-    ``verdict_b`` and sequence ``results``: the Winning schedules are its paradox
-    list under ``_paradox``, and counted per period in ``[2, config.max_period]``."""
-    winners = [r.sequence for r in results if r.verdict is GameVerdict.WINNING]
-    paradox = _paradox(verdict_a is GameVerdict.LOSING, verdict_b is GameVerdict.LOSING,
-                       len(winners))
-    counts = {p: sum(seq.period == p for seq in winners) for p in range(2, config.max_period + 1)}
-    return ScanReport(config, verdict_a, verdict_b, tuple(results),
-                      paradox_sequences=tuple(seq.tokens for seq in winners) if paradox else (),
-                      winning_by_period=counts)
+    return ScanReport(config, pure_a.verdict, pure_b.verdict, tuple(results))
 
 
 @dataclass(frozen=True)

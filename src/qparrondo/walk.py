@@ -497,7 +497,12 @@ def evolve_games(
     rho01 = np.empty((steps, len(games)), dtype=np.complex128)
     # a lone game retires nothing, and pays each block's lookups and flux alone
     block = _COMPACT_EVERY if len(games) > 1 else _ANCHOR_EVERY
-    observe, products = _observe_all(table, rho01, block)
+    products = np.empty((block, len(games), 2, 4))
+
+    def observe(t, sides, columns):
+        end = t + len(sides)
+        _fold(sides, products[:len(sides)], table[t:end], rho01[t:end])
+
     _evolve(coins, choice, initial, observe, block, products)
     return GameColumns(*np.ascontiguousarray(table.transpose(1, 2, 0)), rho01.T.copy())
 
@@ -506,20 +511,6 @@ _ANCHOR_EVERY = 64
 """Steps between two direct site sums of a batch's sides. In between, the
 sides follow the flux across the origin, each step rounding a little; the
 sums bound the drift."""
-
-
-def _observe_all(table: NDArray, rho01: NDArray, block: int) -> tuple[Callable, NDArray]:
-    """``evolve_games``' observer, and the ``(block, G, 2, 4)`` buffer that
-    ``_evolve`` writes each step's products into. After each block
-    ``observe`` hands the block's sides and products to ``_fold``, with its
-    rows of ``table`` and ``rho01``."""
-    products = np.empty((block, table.shape[2], 2, 4))
-
-    def observe(t, sides, columns):
-        end = t + len(sides)
-        _fold(sides, products[:len(sides)], table[t:end], rho01[t:end])
-
-    return observe, products
 
 
 def _fold(sides: NDArray, products: NDArray, rows: NDArray, rho01: NDArray) -> None:
@@ -761,8 +752,9 @@ def _evolve(
     reaches in its first block; after it, the live games' rows held are
     copied once into buffers of every row the walk reaches, and when games
     are dropped later, the rows held of those kept move to the first games
-    of the same buffers, so memory and page faults follow the games still
-    live. A walk that drops games keeps no ``products``.
+    of the buffer held, so memory and page faults follow the games still
+    live; the other buffer's rows need no move, since the next step
+    rewrites those it may hold. A walk that drops games keeps no ``products``.
     """
     steps, width = choice.shape
     columns = np.arange(width)
@@ -805,10 +797,10 @@ def _evolve(
             grown = _buffers((len(columns), 2, 2, full))
             grown[0][0][..., lo:hi] = held[keep, ..., lo:hi]
             state, spare = grown
-        else:  # the kept games' rows move to the first slots of both buffers
+        else:  # the kept games' rows move to the first slots of the buffer held
             kept = len(keep)
-            for buffer, _ in (state, spare):
-                buffer[:kept, ..., lo:hi] = buffer[keep, ..., lo:hi]
+            # not spare: the next step rewrites all it may hold, and the rest is 0 in every slot
+            held[:kept, ..., lo:hi] = held[keep, ..., lo:hi]
             state, spare = [(buffer[:kept], view[:kept]) for buffer, view in (state, spare)]
 
 

@@ -8,7 +8,11 @@ import pytest
 from qparrondo import (
     CoinParams,
     GameSequence,
+    GameVerdict,
     ScanConfig,
+    ScanReport,
+    SequenceResult,
+    enumerate_sequences,
     game_trajectory,
     run_scan,
     scan_region_grid,
@@ -154,6 +158,22 @@ class TestScanJson:
             recovered = read_scan_json(io.StringIO(sink.getvalue()))
             assert recovered == report
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_every_report_round_trips(self, small_report, seed):
+        # a report could hold a paradox list and counts its results contradict,
+        # and read_scan_json refused what write_scan_json wrote for it
+        kinds = list(GameVerdict)
+        rng = np.random.default_rng(seed)
+        schedules = enumerate_sequences(small_report.config.max_period)
+        results = tuple(
+            SequenceResult(seq, kinds[k], *rng.uniform(-1.0, 1.0, 2), rng.uniform())
+            for seq, k in zip(schedules, rng.integers(len(kinds), size=len(schedules)))
+        )
+        report = ScanReport(small_report.config, kinds[seed // 4], kinds[seed % 4], results)
+        sink = io.StringIO()
+        write_scan_json(report, sink)
+        assert read_scan_json(io.StringIO(sink.getvalue())) == report
+
     @pytest.mark.parametrize(
         "document",
         ["{}", "[]", "x", "null", '{"config": []}', '{"config": {"coin_a": "x"}}'],
@@ -189,13 +209,14 @@ class TestScanJson:
             (("extra",), 0),
             (("config", "extra"), 0),
             (("winning_by_period", "2"), False),  # == 0, but not an int
+            (("config", "horizon_steps"), 5000),  # over the walk budget
         ],
         ids=["string-bias", "bool-bias", "null-entropy", "negative-count", "fractional-count",
              "string-count", "negative-period", "padded-period", "period-over-max",
              "number-sequence", "foreign-token", "losing-paradox", "missing-paradox",
              "paradox-without-losers", "wrong-counts", "missing-period", "one-result-left",
              "sequence-over-max", "uncounted-winner", "extra-key", "extra-config-key",
-             "false-count"],
+             "false-count", "horizon-over-budget"],
     )
     def test_wrong_values_are_refused(self, small_report, where, value):
         # these were read back as they stood, a final_bias of "abc" and a period of -7 included,

@@ -22,7 +22,7 @@ from qparrondo import (
     step,
     trajectory_with_entropy,
 )
-from qparrondo.metrics import payoff_verdicts
+from qparrondo.metrics import bias, payoff_verdicts
 
 from benchmarks import (
     REFERENCE_TOL,
@@ -85,7 +85,14 @@ class TestBiasSample:
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(InvalidParameterError):
-            BiasSample(step=1, p_left=0.9, p_origin=0.2, p_right=0.2, bias=-0.7)
+            BiasSample(step=1, p_left=0.9, p_origin=0.2, p_right=0.2)
+
+    def test_bias_is_derived_from_the_sides(self):
+        # a sample took any bias, one its sides contradict included
+        sample = BiasSample(1, 0.2, 0.3, 0.5)
+        assert np.float64(sample.bias).tobytes() == np.float64(bias(0.2, 0.5)).tobytes()
+        with pytest.raises(TypeError):
+            BiasSample(1, 0.2, 0.3, 0.5, bias=-0.9)
 
 
 class TestClassify:

@@ -22,6 +22,7 @@ from qparrondo import (
     GridAxis,
     InvalidParameterError,
     ScanConfig,
+    ScanReport,
     entropy_comparison,
     enumerate_sequences,
     run_scan,
@@ -156,6 +157,18 @@ class TestRunScan:
                 if r.sequence.period == period and r.verdict is GameVerdict.WINNING
             )
             assert count == expected
+
+    def test_a_report_derives_its_paradox_list_and_counts(self, one_sided_report):
+        # a report took any paradox list and counts, and read_scan_json refused
+        # what write_scan_json wrote for one its results contradicted
+        report = one_sided_report
+        with pytest.raises(TypeError):
+            ScanReport(report.config, report.verdict_a, report.verdict_b, report.results,
+                       ("BA",), {7: 3})
+        with pytest.raises(ValueError, match="paradox_sequences"):
+            replace(report, paradox_sequences=("BA",))
+        with pytest.raises(ValueError, match="winning_by_period"):
+            replace(report, winning_by_period={7: 3})
 
     def test_result_summaries_are_coherent(self, one_sided_report):
         for r in one_sided_report.results:
@@ -952,8 +965,6 @@ class TestEntropyComparison:
             verdict_a=report.verdict_a,
             verdict_b=report.verdict_b,
             results=trimmed,
-            paradox_sequences=(),
-            winning_by_period={},
         )
         assert entropy_comparison(singleton) == [
             (trimmed[0].sequence, trimmed[0].max_entropy)
