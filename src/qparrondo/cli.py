@@ -152,9 +152,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
         regions.add_argument("--workers", type=_positive_int,
                              default=_GRID_DEFAULTS["workers"], metavar="N",
                              help="processes for a grid, this one included: at most one "
-                                  "per distinct cell and per CPU of the affinity set, each "
-                                  "on a CPU of its own; give grids run at once their own "
-                                  "CPUs with taskset (default %(default)s)"),
+                                  "per distinct cell and per CPU of the affinity set, forked "
+                                  "on Linux and placed by the OS; one process elsewhere "
+                                  "(default %(default)s)"),
     ]
 
     flags = {"simulate": simulate_flags, "scan": scan_flags, "regions": regions_flags}

@@ -7,20 +7,22 @@ evolves each distinct coin sequence once: ``ABAB`` plays what ``AB`` plays.
 ``scan_region_grid`` repeats the check over a grid of coin parameters, and
 evolves each game that several cells share once. A scan evolves its games
 in chunks of ``evolve_games`` calls, which observe every column of every
-step. A grid deals its games to its processes by stride, and each share
-makes and walks its games one batch of the kernel's game-step budget
-(``walk.MAX_GAME_STEPS``) at a time, one ``evolve_verdicts`` call each,
-which observes only each game's bias at its payoff points, until its
-verdict is decided.
+step. A grid deals its games by stride to its processes (forked, on
+Linux only), and each share makes and walks its games one batch of the
+kernel's game-step budget (``walk.MAX_GAME_STEPS``) at a time, one
+``evolve_verdicts`` call each, which observes only each game's bias at its
+payoff points, until its verdict is decided.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import pickle
+import sys
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,10 +43,6 @@ from .walk import MAX_STEPS, check_count, check_real, check_steps, evolve_games,
 # Reference path, kept importable here: perfbench/spans.py wraps it by these attributes.
 from .metrics import classify, trajectory_with_entropy  # noqa: F401
 from .walk import evolve_sequence  # noqa: F401
-
-if TYPE_CHECKING:
-    from multiprocessing import Process
-    from multiprocessing.connection import Connection
 
 __all__ = [
     "AXIS_PARAMETERS",
@@ -142,12 +140,14 @@ class SequenceResult:
 @dataclass(frozen=True)
 class ScanReport:
     """Result of scanning every sequence at one configuration: its config,
-    pure verdicts and results, each of its declared kind, and what they
-    derive. ``paradox_sequences`` lists the Winning results' token strings,
-    in order, if both pure games lose (see ``_paradox``), and is otherwise
-    empty; ``winning_by_period`` counts the Winning results of each period
-    in ``[2, config.max_period]``, reported as data (longer periods often,
-    but not always, win more). So no report disagrees with its results.
+    pure verdicts and results, each of its declared kind, with one result
+    per schedule of ``enumerate_sequences(config.max_period)``, in order,
+    and what they derive. ``paradox_sequences`` lists the Winning results'
+    token strings, in order, if both pure games lose (see ``_paradox``), and
+    is otherwise empty; ``winning_by_period`` counts the Winning results of
+    each period in ``[2, config.max_period]``, reported as data (longer
+    periods often, but not always, win more). So no report disagrees with
+    its results, and every report round-trips through ``io``'s JSON.
     """
 
     config: ScanConfig
@@ -163,6 +163,8 @@ class ScanReport:
         _checked(self.verdict_b, GameVerdict)
         for result in _checked(self.results, tuple):
             _checked(result, SequenceResult)
+        if tuple(r.sequence.tokens for r in self.results) != _schedules(self.config.max_period):
+            raise InvalidParameterError("results must be the enumerated schedules, in order")
         winners = [r.sequence for r in self.results if r.verdict is GameVerdict.WINNING]
         paradox = _paradox(self.verdict_a is GameVerdict.LOSING,
                            self.verdict_b is GameVerdict.LOSING, len(winners))
@@ -185,14 +187,14 @@ def enumerate_sequences(max_period: int) -> list[GameSequence]:
         If ``max_period`` is not an integer in [2, 12]; the listing
         doubles per extra period.
     """
-    _check_max_period(max_period)
-    sequences = []
-    for length in range(2, max_period + 1):
-        for letters in product("AB", repeat=length):
-            tokens = "".join(letters)
-            if "A" in tokens and "B" in tokens:
-                sequences.append(GameSequence(tokens))
-    return sequences
+    return [GameSequence(tokens) for tokens in _schedules(_check_max_period(max_period))]
+
+
+def _schedules(max_period: int) -> tuple[str, ...]:
+    """The token strings of ``enumerate_sequences(max_period)``, in its order."""
+    return tuple(tokens for length in range(2, max_period + 1)
+                 for tokens in map("".join, product("AB", repeat=length))
+                 if "A" in tokens and "B" in tokens)
 
 
 def game_trajectory(
@@ -438,123 +440,97 @@ def _tally(
     return counts.tolist()
 
 
-@contextmanager
-def _on_cpu(cpu: int | None) -> Iterator[None]:
-    """Run the block with the calling thread on CPU ``cpu`` alone, then give
-    the thread back the CPUs it had. With ``cpu`` None, where the platform
-    cannot place a thread, or where it refuses the CPU, the block runs
-    unplaced."""
-    before = None
-    if cpu is not None and hasattr(os, "sched_setaffinity"):
+def _fork(run: Callable[[], object], name: str) -> tuple[int, int]:
+    """Fork a process that writes to a pipe one pickle of what ``run()``
+    returns, or of the exception it raises with its traceback as a note
+    headed ``in {name}:``, since a traceback does not pickle; an exception
+    that the caller could not unpickle is sent as a ``RuntimeError`` of that
+    note. Return the process's pid and the pipe's read end. The process ends
+    with ``os._exit``, so it never returns into this call's callers, runs no
+    exit handler and flushes no buffer it inherited."""
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid:
+        os.close(writer)  # the process holds the only write end, so its end ends the pipe
+        return pid, reader
+    code = 1
+    try:
         try:
-            before = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, (cpu,))
-        except OSError:
-            before = None
-    try:
-        yield
+            result = run()
+        except Exception as exc:
+            from traceback import format_exc
+
+            note = f"in {name}:\n{format_exc()}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            try:
+                result = pickle.loads(pickle.dumps(exc))
+            except Exception:
+                result = RuntimeError(note)
+        with open(writer, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
     finally:
-        if before is not None:
-            os.sched_setaffinity(0, before)
+        os._exit(code)
 
 
-def _run_share(
-    writer: Connection,
-    config: ScanConfig,
-    pures: Sequence[Game],
-    cells: Sequence[Cell],
-    share: tuple[int, int],
-    cpu: int | None,
-) -> None:
-    """The body of a share process: send on ``writer`` the counts of
-    ``_tally`` for ``share``, run on CPU ``cpu`` (see ``_on_cpu``), or the
-    exception it raised with its traceback as a note, since a traceback does
-    not pickle."""
-    try:
-        with _on_cpu(cpu):
-            result = _tally(config, pures, cells, share)
-    except Exception as exc:
-        from traceback import format_exc
-
-        note = f"in grid share {share[0]}:\n{format_exc()}"
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        result = exc
-    writer.send(result)
-
-
-def _start(
-    config: ScanConfig,
-    pures: Sequence[Game],
-    cells: Sequence[Cell],
-    share: tuple[int, int],
-    cpu: int | None,
-) -> tuple[Process, Connection]:
-    """Start a process that runs ``_run_share`` for ``share`` on CPU ``cpu``;
-    return it and the read end of the one-way pipe it sends its result on."""
-    import multiprocessing  # only a multi-process grid needs it
-
-    reader, writer = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(
-        target=_run_share, args=(writer, config, pures, cells, share, cpu))
-    process.start()
-    writer.close()  # the process holds the only write end, so its death ends the pipe
-    return process, reader
-
-
-def _receive(process: Process, reader: Connection, share: tuple[int, int]) -> list[int]:
-    """The counts a share process sent; the exception it sent is raised here."""
-    try:
-        result = reader.recv()
-    except EOFError:
-        process.join()
-        raise RuntimeError(
-            f"grid share {share[0]} of {share[1]} exited with code {process.exitcode} "
-            "without sending its counts"
-        ) from None
-    if isinstance(result, BaseException):
-        raise result
-    return result
+def _reap(pid: int, reader: int) -> int:
+    """Close ``reader`` and wait for process ``pid`` to end; its exit code."""
+    os.close(reader)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _shares(
     config: ScanConfig,
     pures: Sequence[Game],
     cells: Sequence[Cell],
-    cpus: Sequence[int | None],
+    processes: int,
 ) -> list[int]:
-    """``_tally``'s counts over one share per entry of ``cpus``, added up.
-    Shares 1 to n - 1 each start in a process of their own; then this
-    thread evolves share 0. Share k runs on CPU ``cpus[k]``. Every process
-    is joined and closed, with its pipe, before this returns or raises, and
-    is stopped first if this raises."""
-    processes = len(cpus)
-    started: list[tuple[Process, Connection]] = []
+    """``_tally``'s counts over ``processes`` shares, added up: shares 1 to
+    n - 1 each in a forked process (see ``_fork``), share 0 in this thread,
+    then each process's pipe read to its end, in turn. Every process is
+    reaped, and its pipe closed, before this returns or raises, and is
+    stopped (``SIGTERM``) first if this raises."""
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # or a share may write them again
+        stream.flush()
+    started: list[tuple[int, int]] = []  # each process's pid and read end, until reaped
     try:
         for k in range(1, processes):
-            started.append(_start(config, pures, cells, (k, processes), cpus[k]))
-        with _on_cpu(cpus[0]):
-            own = _tally(config, pures, cells, (0, processes))
-        others = [_receive(process, reader, (k, processes))
-                  for k, (process, reader) in enumerate(started, 1)]
+            share = partial(_tally, config, pures, cells, (k, processes))
+            started.append(_fork(share, f"grid share {k}"))
+        tallies = [_tally(config, pures, cells, (0, processes))]
+        while started:
+            with open(started[0][1], "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if (code := _reap(*started.pop(0))) or not sent:
+                raise RuntimeError(f"grid share {len(tallies)} of {processes} exited with "
+                                   f"code {code} without sending its counts")
+            if isinstance(result := pickle.loads(sent), BaseException):
+                raise result
+            tallies.append(result)
     except BaseException:
-        for process, _ in started:
-            process.terminate()
+        from signal import SIGTERM
+
+        for pid, _ in started:
+            os.kill(pid, SIGTERM)
         raise
     finally:
-        for process, reader in started:
-            process.join()
-            process.close()  # its sentinel pipe, which a traceback would otherwise keep open
-            reader.close()
-    return [sum(counts) for counts in zip(own, *others)]
+        for pid, reader in started:
+            _reap(pid, reader)
+    return [sum(counts) for counts in zip(*tallies)]
 
 
-def _cpus() -> list[int | None]:
-    """The CPUs this process may run on: its affinity set in ascending
-    order, or one None (a CPU that cannot be named) per CPU of the host where
-    the platform reports no set."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return [None] * (os.cpu_count() or 1)
+_FORKS = sys.platform == "linux"  # macOS frameworks are not fork-safe; Windows cannot fork
+
+
+def _cpus() -> int:
+    """How many CPUs a grid may use: those in this process's affinity set
+    where it forks share processes, else one."""
+    return len(os.sched_getaffinity(0)) if _FORKS else 1
 
 
 def scan_region_grid(
@@ -573,20 +549,18 @@ def scan_region_grid(
     coin and phase share it, and equal cells share their sequences. With
     ``workers > 1`` the games are split among n processes, this one
     included: n is at most ``workers``, the distinct cells, and the CPUs in
-    this process's affinity set (where the platform reports one). The pure
-    A games, the pure B games, then each schedule's games are dealt by one
-    stride (see ``_share``), so each share holds the same number, within
+    this process's affinity set. Share processes are forked on Linux only,
+    and placed by the OS scheduler; elsewhere (macOS frameworks are not
+    fork-safe, and Windows cannot fork) the grid runs in this process. The
+    pure A games, the pure B games, then each schedule's games are dealt by
+    one stride (see ``_share``), so each share holds the same number, within
     one, of every schedule's games, and at least two. Each share process
     builds its share from the config, the distinct pure games and cells, and
     its index, and sends back its counts over a pipe, while this thread
-    evolves share 0.
-    Share k runs on the k-th CPU of the affinity set in ascending order,
-    where the platform can place it; this thread gets its own CPUs back
-    afterwards. The grid is the same at any n. Grids run at the same time in
-    one affinity set place their shares on the same CPUs, so give each its
-    own set (``taskset``, say). A share's exception is raised here, with the
-    share's traceback as a note, and a share process that dies without
-    sending raises ``RuntimeError``; no process is left running either way.
+    evolves share 0. The grid is the same at any n. A share's exception is
+    raised here, with the share's traceback as a note, and a share process
+    that dies without sending raises ``RuntimeError``; no process is left
+    running, and no pipe open, either way.
 
     Raises
     ------
@@ -615,9 +589,9 @@ def scan_region_grid(
             pure.setdefault((cell[coin], cell[2]), (*cell, seq))
     distinct = list(dict.fromkeys(cells))
     pures = list(pure.values())
-    cpus = _cpus()[:min(workers, len(distinct))]
-    if len(cpus) > 1:
-        tally = _shares(base, pures, distinct, cpus)
+    processes = min(workers, len(distinct), _cpus())
+    if processes > 1:
+        tally = _shares(base, pures, distinct, processes)
     else:
         tally = _tally(base, pures, distinct)
     tallies = dict(zip([*pure, *distinct], tally))

@@ -66,9 +66,10 @@ def test_a_wrong_kind_is_an_invalid_parameter(call):
 
 
 RESULT = SequenceResult(GameSequence("AB"), GameVerdict.WINNING, 0.25, 0.125, 0.5)
+RESULTS = (RESULT, replace(RESULT, sequence=GameSequence("BA")))  # enumerate_sequences(2)
 REPORT = ScanReport(ScanConfig(CoinParams(0.0, 45.0, 0.0), CoinParams(0.0, 30.0, 0.0), 0.0,
                                max_period=2, horizon_steps=4),
-                    GameVerdict.LOSING, GameVerdict.LOSING, (RESULT,))
+                    GameVerdict.LOSING, GameVerdict.LOSING, RESULTS)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +87,9 @@ REPORT = ScanReport(ScanConfig(CoinParams(0.0, 45.0, 0.0), CoinParams(0.0, 30.0,
         pytest.param(lambda: replace(REPORT, verdict_b=object()), id="ScanReport_verdict"),
         pytest.param(lambda: replace(REPORT, results=[RESULT]), id="ScanReport_results_list"),
         pytest.param(lambda: replace(REPORT, results=(object(),)), id="ScanReport_result"),
+        # read_scan_json refused what write_scan_json wrote for these
+        pytest.param(lambda: replace(REPORT, results=RESULTS[::-1]), id="ScanReport_results_order"),
+        pytest.param(lambda: replace(REPORT, results=RESULTS[:1]), id="ScanReport_results_missing"),
         pytest.param(lambda: payoff_verdicts([[0.5, np.nan]], [1]), id="payoff_verdicts_nan"),
         pytest.param(lambda: payoff_verdicts([[np.inf]], [1]), id="payoff_verdicts_inf"),
         pytest.param(lambda: entanglement_entropy(np.full((2, 2), np.nan)),

@@ -270,7 +270,7 @@ class TestBudgets:
         def no_pool(*args, **kwargs):
             raise AssertionError("a share process was started")
 
-        monkeypatch.setattr(scan, "_start", no_pool)
+        monkeypatch.setattr(scan, "_fork", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "2",
                                       "--steps", "4096", "--workers", "2"]
@@ -281,7 +281,7 @@ class TestBudgets:
         def no_pool(*args, **kwargs):
             raise AssertionError("a share process was started")
 
-        monkeypatch.setattr(scan, "_start", no_pool)
+        monkeypatch.setattr(scan, "_fork", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["regions"] + COINS + ["--axis", "beta_a=6:26:2", "--max-period", "13",
                                       "--steps", "24", "--workers", "2"]
@@ -300,6 +300,20 @@ def test_cli_import_leaves_the_pool_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+    # nor does a grid that forks share processes; only this process exits
+    # through its exit handlers, so the modules are listed once
+    code = ("import atexit, sys, qparrondo.cli; atexit.register(lambda: print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')), file=sys.stderr)); "
+            "sys.exit(qparrondo.cli.main(sys.argv[1:]))")
+    outputs = []
+    for workers in ("2", "1"):
+        argv = ["regions", *README_FLAGS, "--steps", "12", "--max-period", "3", "--axis",
+                "beta_a=6:26:2", "--workers", workers]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=PACKAGE_ENV,
+                              capture_output=True, timeout=60, check=True)
+        assert done.stderr == b"[]\n"
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 README_FLAGS = ["--coin-a", "156,16,0", "--coin-b", "0,75,160", "--eta-deg", "90"]

@@ -1,5 +1,4 @@
 import contextlib
-import multiprocessing
 import os
 import pickle
 import signal
@@ -37,23 +36,22 @@ from benchmarks import REGIME_DOUBLE_1, REGIME_ONE_SIDED
 from test_kernel import handed
 
 
-@pytest.fixture(autouse=True)
-def affinity_kept():
-    """Fail a test that leaves this process on other CPUs than it found."""
-    affinity = getattr(os, "sched_getaffinity", lambda pid: None)  # the real one, not a stub
-    before = affinity(0)
-    yield
-    assert affinity(0) == before, "the test moved this process to other CPUs"
-
-
 @pytest.fixture
 def no_process(monkeypatch):
     """Make starting a share process fail the test."""
 
-    def start(*args):
+    def fork(*args):
         raise AssertionError("a share process was started")
 
-    monkeypatch.setattr(scan, "_start", start)
+    monkeypatch.setattr(scan, "_fork", fork)
+
+
+def on_cpus(monkeypatch, count):
+    """Make this a platform that forks share processes, as Linux is, and
+    ``range(count)`` this process's affinity set, which may name CPUs this
+    host lacks."""
+    monkeypatch.setattr(scan, "_FORKS", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 README_AXES = (GridAxis.linspace("beta_a", 6, 26, 5), GridAxis.linspace("beta_b", 65, 85, 5))
@@ -351,7 +349,7 @@ class TestRegionGrid:
         ],
     )
     def test_rejects_a_base_or_an_axis_of_the_wrong_type(self, monkeypatch, no_process, base, axes):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        on_cpus(monkeypatch, 2)
         with pytest.raises(InvalidParameterError, match="ScanConfig|GridAxis"):
             scan_region_grid(base, axes, workers=2)
 
@@ -503,7 +501,7 @@ class TestRegionGrid:
         assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
 
     def test_step_budget_is_checked_before_any_process_starts(self, monkeypatch, no_process):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        on_cpus(monkeypatch, 2)
         axes = [GridAxis.linspace("beta_a", 6, 26, 2)]
         with pytest.raises(CapacityError, match="budget"):
             scan_region_grid(one_sided_config(horizon_steps=MAX_STEPS + 1), axes, workers=2)
@@ -512,53 +510,28 @@ class TestRegionGrid:
             scan_region_grid(one_sided_config(max_period=2, horizon_steps=4), axes, workers=2)
 
 
-class InProcessShare:
-    """A share process and its pipe, run to completion in this process when
-    it starts: ``_run_share`` sends to it, the grid receives from it. Create
-    one only where placement is recorded (``record_placement``), since
-    ``_run_share`` would otherwise move this process to the share's CPU."""
-
-    exitcode = 0
-
-    def __init__(self, *args):
-        self.sent, self.ended = [], []
-        scan._run_share(self, *args)
-
-    def send(self, result):
-        self.sent.append(result)
-
-    def recv(self):
-        if not self.sent:
-            raise EOFError
-        return self.sent.pop()
-
-    def terminate(self):
-        self.ended.append("terminate")
-
-    def join(self):
-        self.ended.append("join")
-
-    def close(self):  # the share is both the process and its reader
-        self.ended.append("close")
-
-
-def record_pool_tasks(monkeypatch, cpus, shares=None):
-    """Replace the start of a share process by a share run in this process,
-    and give the list each start's arguments are added to; each share is
-    added to ``shares``, where one is given. The affinity set is
-    ``range(cpus)``, which may name CPUs this host lacks; each share's
-    placement is recorded, not made."""
+def record_pool_tasks(monkeypatch, cpus):
+    """Replace each share process by its share run in this process as it
+    starts, writing its counts to a pipe that the grid reads, and give the
+    list that the arguments of each share's tally are added to. The
+    affinity set is ``range(cpus)`` (see ``on_cpus``)."""
     tasks = []
 
-    def start(*args):
-        tasks.append(args)
-        share = InProcessShare(*args)
-        if shares is not None:
-            shares.append(share)
-        return share, share
+    def fork(run, name):
+        tasks.append(run.args)
+        reader, writer = os.pipe()
+        with open(writer, "wb") as pipe:
+            pipe.write(pickle.dumps(run()))
+        return -len(tasks), reader  # a pid that names no process
 
-    monkeypatch.setattr(scan, "_start", start)
-    record_placement(monkeypatch, range(cpus))
+    def reap(pid, reader):
+        assert pid < 0, "a share process was started"
+        os.close(reader)
+        return 0
+
+    monkeypatch.setattr(scan, "_fork", fork)
+    monkeypatch.setattr(scan, "_reap", reap)
+    on_cpus(monkeypatch, cpus)
     return tasks
 
 
@@ -583,25 +556,16 @@ def share_games(config, pures, cells, share=(0, 1)):
             for pair in zip(owners, games)]
 
 
-def record_placement(monkeypatch, cpus):
-    """Make ``cpus`` this thread's affinity set and record every placement
-    instead of making it; return the list of placed sets."""
-    placed = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)),
-                        raising=False)
-    return placed
-
-
 @contextlib.contextmanager
 def nothing_left_open():
-    """Check that the block leaves no share process running and, where
-    ``/proc/self/fd`` lists this process's descriptors, none of its pipes
-    or process sentinels open."""
+    """Check that the block leaves no child process of this one, running or
+    unreaped, and, where ``/proc/self/fd`` lists this process's
+    descriptors, none of its pipes open."""
     listed = Path("/proc/self/fd").is_dir()
     before = set(os.listdir("/proc/self/fd")) if listed else None
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     if listed:
         assert set(os.listdir("/proc/self/fd")) == before
 
@@ -610,8 +574,7 @@ class ShareFailed(Exception):
     """Raised by a share process in place of its counts."""
 
 
-forks = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                           reason="a share process must inherit this test's stubs")
+forks = pytest.mark.skipif(not scan._FORKS, reason="share processes are forked on Linux only")
 
 
 @pytest.fixture
@@ -633,22 +596,34 @@ class TestShareProcesses:
     AXES = (GridAxis.linspace("beta_a", 6, 26, 3),)
     BASE = one_sided_config(max_period=3, horizon_steps=24)
 
-    def failing_share(self, monkeypatch, fail):
-        """Make ``fail()`` run in share 1 of 2 in place of its tally."""
+    def failing_share(self, monkeypatch, fail, cpus=2):
+        """Make ``fail(k)`` run in share k > 0 of a grid on ``cpus`` CPUs in
+        place of its tally."""
         tally = scan._tally
 
         def failing(config, pures, cells, share=(0, 1)):
-            if share[0] == 1:
-                fail()
+            if share[0] > 0:
+                fail(share[0])
             return tally(config, pures, cells, share)
 
         monkeypatch.setattr(scan, "_tally", failing)
-        record_placement(monkeypatch, {0, 1})
+        on_cpus(monkeypatch, cpus)
+
+    def reaped(self, monkeypatch):
+        """The exit code of each share process the grid reaps, as it reaps it."""
+        exits, reap = [], scan._reap
+
+        def recorded(pid, reader):
+            exits.append(reap(pid, reader))
+            return exits[-1]
+
+        monkeypatch.setattr(scan, "_reap", recorded)
+        return exits
 
     @forks
     def test_a_share_exception_is_raised_in_the_caller(self, monkeypatch):
-        def fail():
-            raise ShareFailed("share 1")
+        def fail(share):
+            raise ShareFailed(f"share {share}")
 
         self.failing_share(monkeypatch, fail)
         with nothing_left_open(), pytest.raises(ShareFailed, match="share 1") as raised:
@@ -657,79 +632,78 @@ class TestShareProcesses:
         assert "in grid share 1:\nTraceback" in raised.value.__notes__[-1]
 
     @forks
+    def test_an_exception_the_caller_cannot_unpickle_arrives_as_its_traceback(self, monkeypatch):
+        def fail(share):
+            exc = ShareFailed(f"share {share}")
+            exc.hook = lambda: None  # a lambda does not pickle
+            raise exc
+
+        self.failing_share(monkeypatch, fail)
+        with nothing_left_open(), pytest.raises(RuntimeError, match="in grid share 1:\nTraceback") as raised:
+            scan_region_grid(self.BASE, self.AXES, workers=2)
+        assert "ShareFailed: share 1" in str(raised.value)
+
+    @forks
     def test_a_share_process_that_dies_without_sending_is_named(self, monkeypatch):
-        self.failing_share(monkeypatch, lambda: os._exit(7))
+        self.failing_share(monkeypatch, lambda share: os._exit(7))
         with nothing_left_open(), pytest.raises(RuntimeError, match="share 1 of 2 exited with code 7"):
             scan_region_grid(self.BASE, self.AXES, workers=2)
 
+    @forks
+    def test_a_share_exception_stops_the_other_share_processes(self, monkeypatch):
+        def fail(share):
+            if share == 1:
+                raise ShareFailed("share 1")
+            time.sleep(120)  # outlives the time bound unless it is stopped
+
+        self.failing_share(monkeypatch, fail, cpus=3)
+        exits = self.reaped(monkeypatch)
+        with nothing_left_open(), pytest.raises(ShareFailed, match="share 1"):
+            scan_region_grid(self.BASE, self.AXES, workers=3)
+        assert exits == [0, -signal.SIGTERM]
+
+    @forks
     def test_the_callers_exception_stops_the_share_processes(self, monkeypatch):
-        record_placement(monkeypatch, {0, 1})
         # the share processes outlive the time bound unless they are stopped
-        monkeypatch.setattr(scan, "_run_share", lambda *args: time.sleep(120))
-        monkeypatch.setattr(scan, "evolve_verdicts", lambda *args: 1 / 0)
-        with nothing_left_open(), pytest.raises(ZeroDivisionError):
-            scan_region_grid(self.BASE, self.AXES, workers=2)
+        self.failing_share(monkeypatch, lambda share: time.sleep(120), cpus=3)
+        exits = self.reaped(monkeypatch)
+        for error in (ZeroDivisionError, KeyboardInterrupt):  # an interrupt, too
+            def fail(*args):
+                raise error
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs 2 CPUs this process may run on")
+            monkeypatch.setattr(scan, "evolve_verdicts", fail)
+            with nothing_left_open(), pytest.raises(error):
+                scan_region_grid(self.BASE, self.AXES, workers=3)
+        assert exits == [-signal.SIGTERM] * 4
+
+    @pytest.mark.skipif(not scan._FORKS or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs share processes and 2 CPUs this process may run on")
     def test_readme_grid_on_two_cpus(self, monkeypatch):
-        # checked again here: an earlier test that moved this process would run one share
-        before = os.sched_getaffinity(0)
-        assert len(before) >= 2, before
-        exits, start = [], scan._start
-
-        def recorded(*args):
-            process, reader = start(*args)
-            close = process.close
-
-            def closed():  # the exit code can be read only until the process is closed
-                exits.append(process.exitcode)
-                close()
-
-            process.close = closed
-            return process, reader
-
-        monkeypatch.setattr(scan, "_start", recorded)
+        exits = self.reaped(monkeypatch)
         base = one_sided_config(max_period=4)
         with nothing_left_open():
             grid = scan_region_grid(base, README_AXES, workers=2)
-        assert exits == [0]  # a share process ran, and was closed
-        assert os.sched_getaffinity(0) == before
+        assert exits == [0]  # a share process ran, and was reaped
         alone = scan_region_grid(base, README_AXES)
         assert np.array_equal(grid.paradox, alone.paradox)
         assert np.array_equal(grid.winning_counts, alone.winning_counts)
 
-    def test_share_k_runs_on_the_kth_cpu(self, monkeypatch):
-        shares = []
-        tasks = record_pool_tasks(monkeypatch, 3, shares)
-        placed = record_placement(monkeypatch, {9, 3, 7})  # in place of range(3)
-        scan_region_grid(self.BASE, self.AXES, workers=3)
-        assert [args[-1] for args in tasks] == [7, 9]
-        # each share's process, then its reader, is closed after the join
-        assert [share.ended for share in shares] == [["join", "close", "close"]] * 2
-        # each in-process share, then this thread: placed, then given its CPUs back
-        assert placed == [{7}, {3, 7, 9}, {9}, {3, 7, 9}, {3}, {3, 7, 9}]
-
-    def test_the_caller_gets_its_cpus_back_when_its_share_raises(self, monkeypatch):
-        shares = []
-
-        def start(config, pures, cells, share, cpu):
-            shares.append(InProcessShare(None, config, pures, cells, share, cpu))
-            return shares[-1], shares[-1]
-
-        monkeypatch.setattr(scan, "_run_share", lambda writer, *args: None)
-        monkeypatch.setattr(scan, "_start", start)
-        placed = record_placement(monkeypatch, {9, 3, 7})
-        monkeypatch.setattr(scan, "evolve_verdicts", lambda *args: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            scan_region_grid(self.BASE, self.AXES, workers=3)
-        assert placed == [{3}, {3, 7, 9}]
-        assert [share.ended for share in shares] == [["terminate", "join", "close", "close"]] * 2
+    @forks
+    def test_readme_grid_at_one_two_and_three_workers_on_three_cpus(self, monkeypatch):
+        on_cpus(monkeypatch, 3)  # the OS scheduler places the processes on the CPUs there are
+        exits = self.reaped(monkeypatch)
+        base = one_sided_config(max_period=4)
+        with nothing_left_open():
+            grids = [scan_region_grid(base, README_AXES, workers=workers) for workers in (1, 2, 3)]
+        assert exits == [0] * 3  # one share process at 2 workers, two at 3
+        for grid in grids[1:]:
+            assert np.array_equal(grid.paradox, grids[0].paradox)
+            assert np.array_equal(grid.winning_counts, grids[0].winning_counts)
 
     def test_one_process_is_never_placed(self, monkeypatch, no_process):
-        placed = record_placement(monkeypatch, {0, 1})
+        # a one-process grid runs here: it starts no share process and loads no pool module
+        on_cpus(monkeypatch, 2)
         grid = scan_region_grid(self.BASE, self.AXES, workers=1)
-        assert placed == []
         assert grid.winning_counts.any()
         code = ("import sys; from qparrondo import GridAxis, ScanConfig, CoinParams, "
                 "scan_region_grid; base = ScanConfig(CoinParams(156, 16, 0), CoinParams(0, 75, 160), "
@@ -741,23 +715,6 @@ class TestShareProcesses:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
-
-    @forks
-    @pytest.mark.parametrize("placement", ["missing", "refused"])
-    def test_unplaced_shares_give_the_same_counts(self, monkeypatch, placement):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        if placement == "missing":
-            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        else:
-            def refuse(pid, cpus):
-                raise OSError(22, "Invalid argument")
-
-            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        with nothing_left_open():
-            grid = scan_region_grid(self.BASE, self.AXES, workers=2)
-        alone = scan_region_grid(self.BASE, self.AXES)
-        assert grid.winning_counts.any()
-        assert np.array_equal(grid.winning_counts, alone.winning_counts)
 
 
 @pytest.mark.parametrize("shares", [2, 3])
@@ -912,21 +869,20 @@ def test_axis_parameter_sets_its_own_field(parameter):
     [
         (2, 25, 2, 2),  # the benchmark's regions grid keeps both workers
         (1024, 1024, 2, 2),
-        (10**9, 64, None, 1),  # no affinity set and no CPU count: one process
+        (10**9, 64, None, 1),  # a platform that does not fork: one process
         (4, 3, 64, 3),
         (1, 1024, 64, 1),
     ],
 )
 def test_pool_size_is_bounded_by_cells_and_cpus(monkeypatch, workers, cells, cpus, expected):
-    tasks = record_pool_tasks(monkeypatch, cpus or 0)
+    tasks = record_pool_tasks(monkeypatch, cpus or 64)
     if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(scan, "_FORKS", False)
     base = one_sided_config(max_period=2, horizon_steps=4)
     axes = [GridAxis("beta_a", tuple(range(cells)))]
     grid = scan_region_grid(base, axes, workers=workers)
-    # this process evolves share 0, and share k runs on the k-th CPU
-    assert [args[-2:] for args in tasks] == [((k, expected), k) for k in range(1, expected)]
+    # this process evolves share 0, and a process each of the others
+    assert [args[-1] for args in tasks] == [(k, expected) for k in range(1, expected)]
     assert np.array_equal(grid.winning_counts, scan_region_grid(base, axes).winning_counts)
 
 
@@ -937,12 +893,11 @@ def test_pool_counts_the_cpus_this_process_may_use(monkeypatch):
     axes = [GridAxis.linspace("beta_a", 6, 26, 4)]
     alone = scan_region_grid(base, axes)
     grid = scan_region_grid(base, axes, workers=4)
-    assert tasks == []  # one CPU in the affinity set: no share process starts
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    unplaced = scan_region_grid(base, axes, workers=4)
-    # where affinity is unknown, the host's count, and the share runs unplaced
-    assert [args[-2:] for args in tasks] == [((1, 2), None)]
-    for counts in (grid.winning_counts, unplaced.winning_counts):
+    assert tasks == []  # one CPU in the affinity set, of the host's two: no share process starts
+    on_cpus(monkeypatch, 2)
+    shared = scan_region_grid(base, axes, workers=4)
+    assert [args[-1] for args in tasks] == [(1, 2)]
+    for counts in (grid.winning_counts, shared.winning_counts):
         assert np.array_equal(counts, alone.winning_counts)
 
 
@@ -958,14 +913,13 @@ class TestEntropyComparison:
         }
 
     def test_singleton_report(self):
+        # a report trimmed to its first result was ranked here, though
+        # read_scan_json refused what write_scan_json wrote for it
         report = run_scan(one_sided_config(max_period=2, horizon_steps=24))
-        trimmed = report.results[:1]
-        singleton = type(report)(
-            config=report.config,
-            verdict_a=report.verdict_a,
-            verdict_b=report.verdict_b,
-            results=trimmed,
-        )
-        assert entropy_comparison(singleton) == [
-            (trimmed[0].sequence, trimmed[0].max_entropy)
-        ]
+        with pytest.raises(InvalidParameterError, match="enumerated schedules, in order"):
+            replace(report, results=report.results[:1])
+        ab, ba = report.results
+        assert ab.max_entropy != ba.max_entropy
+        higher, lower = (ab, ba) if ab.max_entropy > ba.max_entropy else (ba, ab)
+        assert entropy_comparison(report) == [(higher.sequence, higher.max_entropy),
+                                              (lower.sequence, lower.max_entropy)]
